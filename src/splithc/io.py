@@ -10,6 +10,14 @@ Graph file format (one graph per file)::
 canonical (edges sorted lexicographically), so parse/render round-trips
 are bit-exact.
 
+Parsing takes one of two paths with the same results.  A canonical file -
+the header, an optional partition line, then ``<digits> <digits>`` edge
+lines, each ended by a single ``\n``, with no self-loop and no id outside
+``[0, n)`` - has its edge block converted by numpy in one call.  Any other
+text (comments, blank lines, CRLF, tabs, signs or underscores in integers,
+integers of more than 18 digits, bad edges) goes through the line scanner,
+which is also the only place that reports an error with its line number.
+
 Report records are line-delimited and tab-separated::
 
     id  premise  verdict  method  micros  certificate
@@ -26,10 +34,13 @@ so corpora are reproducible from seeds alone.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import NotSplitGraph, ParseError
 from .generators import GenSpec, generate
@@ -50,6 +61,57 @@ def render_graph(g: Graph, clique: Sequence[int] | None = None) -> str:
 
 def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
     """Parse the graph format; returns (graph, clique hint or None)."""
+    parsed = _parse_canonical(text)
+    if parsed is None:
+        parsed = _scan_lines(text)
+    n, m, clique, edges = parsed
+    g = graph_from_edges(n, edges)
+    if g.m != m:
+        if len(edges) != m:
+            raise ParseError(f"header promises {m} edges, file has {len(edges)}")
+        # Duplicates were merged; warn by raising only on count mismatch.
+    return g, clique
+
+
+# Header and optional partition line of a canonical file (``render_graph``
+# writes an empty partition as "partition K: ").  Integers are capped at
+# 18 digits so that every value fits an int64.
+_CANONICAL_HEAD = re.compile(
+    r"split-hc v1 ([0-9]{1,18}) ([0-9]{1,18})\n(?:partition K:((?: [0-9]{1,18})*) ?\n)?")
+_SPACE, _NEWLINE = ord(" "), ord("\n")
+
+
+def _parse_canonical(text: str) -> tuple[int, int, tuple[int, ...] | None, np.ndarray] | None:
+    """(n, m, clique, edge array) of a canonical file, or None for any
+    other text, which the line scanner then parses or rejects."""
+    head = _CANONICAL_HEAD.match(text)
+    if head is None or not text.isascii():
+        return None
+    n, m = int(head[1]), int(head[2])
+    clique = None if head[3] is None else tuple(int(x) for x in head[3].split())
+    block = text[head.end():]
+    if not block:
+        return n, m, clique, np.empty((0, 2), dtype=np.int64)
+    raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    if raw[-1] != _NEWLINE:
+        return None
+    # Every non-digit byte is a separator.  They must alternate space,
+    # newline, and every token between them must have 1 to 18 digits.
+    seps = np.flatnonzero(raw - np.uint8(ord("0")) > 9)
+    kinds = raw[seps]
+    gaps = np.diff(seps)
+    if (seps.size % 2 or (kinds[0::2] != _SPACE).any() or (kinds[1::2] != _NEWLINE).any()
+            or not 1 <= seps[0] <= 18 or not 2 <= gaps.min() <= gaps.max() <= 19):
+        return None
+    edges = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 2)
+    if edges.max() >= n or (edges[:, 0] == edges[:, 1]).any():
+        return None
+    return n, m, clique, edges
+
+
+def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple[int, int]]]:
+    """(n, m, clique, edge list) of any well-formed text, line by line;
+    raises ``ParseError`` at the first bad line."""
     n = m = None
     clique: tuple[int, ...] | None = None
     edges: list[tuple[int, int]] = []
@@ -88,12 +150,7 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
         edges.append((u, v))
     if n is None:
         raise ParseError("missing header")
-    g = graph_from_edges(n, edges)
-    if g.m != m:
-        if len(edges) != m:
-            raise ParseError(f"header promises {m} edges, file has {len(edges)}")
-        # Duplicates were merged; warn by raising only on count mismatch.
-    return g, clique
+    return n, m, clique, edges
 
 
 def read_graph(path: str | Path) -> tuple[Graph, tuple[int, ...] | None]:

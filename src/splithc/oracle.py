@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import InvalidCertificate
 from .graph import Graph, HamCycle, validate_ham_cycle
 from .split import SplitPartition
 
@@ -231,7 +232,8 @@ def oracle_solve(g: Graph, budget: OracleBudget | None = None,
     try:
         if extend(1):
             cycle = HamCycle(tuple(path))
-            assert validate_ham_cycle(g, cycle)
+            if not validate_ham_cycle(g, cycle):
+                raise InvalidCertificate(f"oracle cycle {cycle.order} fails validation")
             return OracleResult("cycle", cycle, b.nodes)
         return OracleResult("no_cycle", None, b.nodes)
     except _Exhausted:

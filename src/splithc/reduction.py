@@ -22,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DegreeTooHigh, NotBipartite, PremiseViolated, UsesCliqueEdge
+from .errors import (DegreeTooHigh, InvalidCertificate, NotBipartite, PremiseViolated,
+                     UsesCliqueEdge)
 from .graph import Graph, HamCycle, graph_from_edges, validate_ham_cycle
 from .split import (
     NotSplit,
@@ -170,5 +171,6 @@ def map_solution_back(b: BipartiteInstance, c1: HamCycle, c2: HamCycle) -> HamCy
         u, v = order[idx], order[(idx + 1) % len(order)]
         if u in a and v in a:
             raise UsesCliqueEdge((u, v))
-    assert validate_ham_cycle(b.graph, c1)
+    if not validate_ham_cycle(b.graph, c1):
+        raise InvalidCertificate("mapped-back cycle is not a cycle of the source")
     return c1

@@ -1,11 +1,16 @@
 from pathlib import Path
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splithc.cli import main
 from splithc.errors import ParseError
-from splithc.graph import complete_graph, graph_from_edges, petersen_graph
+from splithc.graph import Graph, complete_graph, graph_from_edges, petersen_graph
 from splithc.io import (
+    _parse_canonical,
     parse_cycle,
     parse_graph,
     parse_manifest,
@@ -15,6 +20,8 @@ from splithc.io import (
     run_batch,
     write_graph,
 )
+
+from reference_io import line_parse_graph, loop_edges, unique_graph_from_edges
 
 
 def test_graph_roundtrip_bit_exact():
@@ -43,6 +50,153 @@ def test_parse_errors():
         parse_graph("")
     with pytest.raises(ParseError):
         parse_graph("split-hc v1 2 2\n0 1\n")  # promised 2 edges, has 1
+
+
+def _same_graph(a: Graph, b: Graph) -> bool:
+    return (a.n == b.n and a.indptr.dtype == b.indptr.dtype == np.int64
+            and a.indices.dtype == b.indices.dtype == np.int32
+            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
+
+
+@st.composite
+def graphs(draw, max_n: int = 12) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graph_from_edges(n, edges)
+
+
+cliques = st.none() | st.lists(st.integers(0, 20), unique=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(), cliques)
+def test_render_parse_roundtrip_random(g: Graph, clique):
+    text = render_graph(g, clique)
+    assert _parse_canonical(text) is not None  # rendered files take the numpy path
+    g2, hint = parse_graph(text)
+    assert _same_graph(g2, g)
+    assert hint == (None if clique is None else tuple(sorted(clique)))
+    assert render_graph(g2, hint) == text
+
+
+def _outcome(parse, text: str):
+    try:
+        g, hint = parse(text)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line_no)
+    return ("ok", g.n, g.indptr.dtype, g.indptr.tolist(), g.indices.dtype,
+            g.indices.tolist(), hint)
+
+
+def _first_int(line: str) -> int:
+    return int(line.split()[0])
+
+
+def _bump_count(line: str) -> str:
+    parts = line.split()
+    if parts[:2] != ["split-hc", "v1"] or len(parts) < 4 or not parts[3].isdecimal():
+        return line
+    return " ".join(parts[:3] + [str(int(parts[3]) + 1)] + parts[4:])
+
+
+# Each rewrites one line of a rendered file: the header, the partition line
+# or an edge line.  Together they cover the ways a file can leave the
+# canonical path, valid or not.
+LINE_MUTATIONS = {
+    "comment": lambda ln: ln + "  # note",
+    "tab": lambda ln: ln.replace(" ", "\t", 1),
+    "spaces": lambda ln: "  " + ln.replace(" ", "   ") + " ",
+    "leading_zero": lambda ln: "0" + ln,
+    "plus": lambda ln: "+" + ln,
+    "underscore": lambda ln: "0_" + ln,
+    "zeros19": lambda ln: f"{_first_int(ln):019d} " + " ".join(ln.split()[1:]),
+    "huge": lambda ln: f"{2 ** 63 + _first_int(ln)} " + " ".join(ln.split()[1:]),
+    "negative": lambda ln: "-" + ln,
+    "self_loop": lambda ln: f"{_first_int(ln)} {_first_int(ln)}",
+    "out_of_range": lambda ln: f"{_first_int(ln)} 99",
+    "three_fields": lambda ln: ln + " 1",
+    "four_fields": lambda ln: ln + " 1 2",
+    "garbage": lambda ln: "x y",
+    "unicode_digit": lambda ln: ln.replace("1", "\u0661"),
+    "vertical_tab": lambda ln: ln + "\x0b",
+    "crlf": lambda ln: ln + "\r",
+    "count": _bump_count,
+}
+EDGE_LINE_ONLY = {"zeros19", "huge", "self_loop", "out_of_range"}
+INSERTIONS = ["", "  \t", "# full-line comment", "0 1", "1 0", "partition K: 2 0",
+              "partition K: x", "split-hc v1 3 3"]
+
+
+def _mutate_line(line: str, kind: str) -> str:
+    if kind in EDGE_LINE_ONLY and not (line.split() and line.split()[0].isdecimal()):
+        return line
+    return LINE_MUTATIONS[kind](line)
+
+
+@st.composite
+def mutated_texts(draw) -> str:
+    g = draw(graphs(max_n=8))
+    lines = render_graph(g, draw(cliques)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(sorted(LINE_MUTATIONS) + ["insert", "duplicate", "drop"]))
+        if kind == "insert":
+            lines.insert(at, draw(st.sampled_from(INSERTIONS)))
+        elif at == len(lines):
+            continue
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        elif kind == "drop":
+            del lines[at]
+        else:
+            lines[at] = _mutate_line(lines[at], kind)
+    text = "\n".join(lines)
+    return text if draw(st.booleans()) else text + "\n"
+
+
+@settings(deadline=None, max_examples=400)
+@given(mutated_texts())
+def test_parser_matches_line_scanner(text: str):
+    assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
+
+
+@pytest.mark.parametrize("kind", sorted(LINE_MUTATIONS))
+def test_parser_matches_line_scanner_per_mutation(kind: str):
+    lines = render_graph(graph_from_edges(6, [(0, 1), (1, 5), (2, 3), (4, 5), (1, 2)]),
+                         [1, 2]).splitlines()
+    for at in range(len(lines)):
+        mutated = list(lines)
+        mutated[at] = _mutate_line(mutated[at], kind)
+        text = "\n".join(mutated) + "\n"
+        assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text), text
+
+
+@st.composite
+def edge_arrays(draw):
+    n = draw(st.integers(0, 30))
+    if n < 2:
+        return n, np.empty((0, 2), dtype=np.int64)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    pairs = draw(st.lists(pair, max_size=80))
+    pairs += [(v, u) for u, v in pairs[::2]]  # both orientations, and duplicates
+    return n, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_arrays())
+def test_graph_from_edges_matches_networkx(case):
+    n, arr = case
+    g = graph_from_edges(n, arr)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(arr.tolist())
+    assert g.m == ref.number_of_edges()
+    assert all(g.neighbors(v).tolist() == sorted(ref[v]) for v in range(n))
+    assert list(g.edges()) == sorted(tuple(sorted(e)) for e in ref.edges())
+    assert list(g.edges()) == list(loop_edges(g))
+    assert _same_graph(g, unique_graph_from_edges(n, arr))
+    assert _same_graph(g, graph_from_edges(n, [tuple(e) for e in arr.tolist()]))
 
 
 def test_cycle_roundtrip():
@@ -75,7 +229,13 @@ def test_cli_verify_reports_first_bad_edge(tmp_path: Path, capsys):
     assert "1 3" in out
 
 
-def test_cli_exit_codes(tmp_path: Path):
+def test_cli_exit_codes(tmp_path: Path, capsys):
+    out = tmp_path / "gen.graph"
+    for params in (["k=abc"], ["zz=3"]):  # not a number; required k missing
+        assert main(["gen", "SplitDelta2", *params, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
     bad = tmp_path / "bad.graph"
     bad.write_text("split-hc v1 1 1\n0 0\n", encoding="utf-8")
     assert main(["solve", str(bad)]) == 2

@@ -86,3 +86,13 @@ def test_split_pigeonhole_pruning():
 def test_count_budget_exhaustion():
     res = oracle_count(complete_graph(9), OracleBudget(nodes=5, seconds=60))
     assert isinstance(res, CountResult) and res.kind == "exhausted"
+
+
+def test_invalid_cycle_raises_even_under_optimization(monkeypatch):
+    # An explicit check, not an assert that ``python -O`` would strip.
+    from splithc import oracle
+    from splithc.errors import InvalidCertificate
+
+    monkeypatch.setattr(oracle, "validate_ham_cycle", lambda g, cycle: False)
+    with pytest.raises(InvalidCertificate):
+        oracle_solve(complete_graph(4))

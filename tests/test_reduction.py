@@ -144,3 +144,20 @@ def test_clique_edge_unreachable_on_valid_pipelines():
             assert validate_ham_cycle(inst.graph, back)
             mapped += 1
     assert mapped >= 20
+
+
+def test_map_back_rejects_cycle_outside_source(monkeypatch):
+    # The final source check is explicit, not an assert that ``python -O``
+    # would strip: fail it alone, after both image checks pass.
+    from splithc import reduction
+    from splithc.errors import InvalidCertificate
+
+    g = cycle_graph(6)
+    b = BipartiteInstance(g, (0, 2, 4), (1, 3, 5))
+    out = reduce_to_split(b)
+    r1, r2 = oracle_solve(out.h1), oracle_solve(out.h2)
+    real = reduction.validate_ham_cycle
+    monkeypatch.setattr(reduction, "validate_ham_cycle",
+                        lambda h, c: h is not g and real(h, c))
+    with pytest.raises(InvalidCertificate):
+        map_solution_back(b, r1.cycle, r2.cycle)
