@@ -35,7 +35,7 @@ from .paths import (
     hc_delta2,
 )
 from .solver import SolveOutcome, solve, hc_delta1, hc_claw_free
-from .delta3 import Delta3Context, prepare_context, construct_cycle, extend_to_hamiltonian
+from .delta3 import Delta3Context, prepare_context, construct_cycle
 from .oracle import OracleBudget, OracleResult, oracle_solve, oracle_count
 from .reduction import (
     BipartiteInstance,
@@ -57,7 +57,7 @@ __all__ = [
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
     "SolveOutcome", "solve", "hc_delta1", "hc_claw_free",
-    "Delta3Context", "prepare_context", "construct_cycle", "extend_to_hamiltonian",
+    "Delta3Context", "prepare_context", "construct_cycle",
     "OracleBudget", "OracleResult", "oracle_solve", "oracle_count",
     "BipartiteInstance", "ReductionOutput", "bipartite_from_graph",
     "reduce_to_split", "verify_k15_free", "map_solution_back",

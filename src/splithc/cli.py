@@ -122,13 +122,8 @@ def _cmd_gen(args) -> int:
         except ValueError:
             print(f"error: bad parameter value {kv!r} (expected a number)", file=sys.stderr)
             return 2
-    try:
-        inst = generate(GenSpec(args.family, params, args.seed))
-    except KeyError as exc:  # GenSpec.param: a required parameter is missing
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    clique = None
-    gio.write_graph(args.out, inst.graph, clique=clique)
+    inst = generate(GenSpec(args.family, params, args.seed))
+    gio.write_graph(args.out, inst.graph)
     print(f"wrote {args.out} (n={inst.graph.n}, m={inst.graph.m}, "
           f"attempts={inst.attempts})")
     return 0

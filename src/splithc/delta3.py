@@ -10,28 +10,29 @@ its independent neighbors survive the deletion.
 
 The path-size census is then heavily constrained (no path has 13+
 vertices; an 11- or 9-vertex path excludes all other sizes >= 5; at most
-two 7-vertex paths, and so on).  Each census class admits an explicit
-construction: a "desired" walk with clique endpoints that covers v and
-v1, v2, v3, after which every untouched path splices into the cycle at a
-neighbor among {v1, v2, v3} (its clique endpoints are guaranteed one)
-and leftover singletons drop into any clique-clique junction.
+two 7-vertex paths, and so on).  ``prepare_context`` checks these
+constraints, and the domination of the clique by the triple's
+neighborhoods, as correctness assertions: a failure raises
+``CensusViolation`` naming the violated rule.
 
-Constructions are self-auditing: a candidate sequence is accepted only
-if it validates edge-by-edge, and a census class whose explicit
-templates all fail falls back to a generic junction-assembly search and
-then to local re-embedding (re-routing one path plus a spare clique
-vertex through a small exhaustive search).  If everything fails, a
-``CaseFallthrough`` is raised and the caller routes the instance to the
-exact solver and logs it; an invalid cycle is never emitted.
+The cycle is then built by two bounded searches.  The weave arranges all
+paths in a circle, with v1, v2 and v3 at three of the junctions and clique
+edges at the others.  When no such arrangement exists, re-embedding
+absorbs one member of the triple into a rerouted path (one path plus a
+spare clique block, through a small exhaustive search) and weaves the
+rest.  Every cycle is validated edge by edge before it is returned.  If
+both searches fail, a ``CaseFallthrough`` is raised whose id says whether
+a search hit its node cap (``delta3-cap``) or both ran to completion
+(``delta3``); the caller routes the instance to the exact solver and
+logs it, so an invalid cycle is never emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import combinations
 
-from .errors import CaseFallthrough, CensusViolation, ClaimViolated, CoverageGap, PremiseViolated
+from .errors import CaseFallthrough, CensusViolation, PremiseViolated
 from .graph import Graph, HamCycle, OrientedPath, induced_subgraph, validate_ham_cycle
 from .paths import PathSystem, ShortCycleWitness, assemble_paths, find_short_cycle
 from .split import SplitPartition
@@ -39,9 +40,7 @@ from .split import SplitPartition
 __all__ = [
     "Delta3Context",
     "prepare_context",
-    "find_universal_v1",
     "construct_cycle",
-    "extend_to_hamiltonian",
 ]
 
 _WEAVE_NODE_CAP = 60_000
@@ -56,9 +55,6 @@ class Delta3Context:
     n_i_v: tuple[int, int, int]
     system: PathSystem
     census: dict[int, int]
-
-    def paths_of_size(self, j: int) -> list[OrientedPath]:
-        return [q for q in self.system.paths if len(q) == j]
 
     def singletons(self) -> list[int]:
         return [q.head for q in self.system.paths if len(q) == 1]
@@ -139,145 +135,17 @@ def prepare_context(g: Graph, p: SplitPartition) -> Delta3Context | ShortCycleWi
     return Delta3Context(g, p, v, n_i_v, system, census)
 
 
-def _internal_clique_vertices(path: OrientedPath) -> tuple[int, ...]:
-    o = path.order
-    return o[2:-1:2] if len(o) >= 5 else ()
-
-
-def find_universal_v1(ctx: Delta3Context, paths: Sequence[OrientedPath]) -> int:
-    """The member of {v1, v2, v3} adjacent to every internal clique vertex
-    of the listed paths; smallest qualifying index."""
-    for cand in ctx.n_i_v:
-        if all(
-            ctx.g.has_edge(cand, w)
-            for q in paths
-            for w in _internal_clique_vertices(q)
-        ):
-            return cand
-    raise ClaimViolated("universal-v1", (ctx.n_i_v, tuple(q.order for q in paths)))
-
-
-# ---------------------------------------------------------------------------
-# Sequence assembly and validation
-
-
-def _seq_of(g: Graph, items: Iterable[object]) -> list[int] | None:
-    """Concatenate blocks/vertices, rejecting any failed junction."""
-    seq: list[int] = []
-    for it in items:
-        cur = list(it.order) if isinstance(it, OrientedPath) else (
-            list(it) if isinstance(it, (list, tuple)) else [int(it)])
-        if seq and not g.has_edge(seq[-1], cur[0]):
-            return None
-        seq.extend(cur)
-    if len(set(seq)) != len(seq):
-        return None
-    return seq
-
-
-def _finish(ctx: Delta3Context, seq: list[int] | None) -> HamCycle | None:
-    """Validate a desired sequence and extend it to a full cycle.
-
-    Accepts the sequence when it is a path covering v and its triple,
-    uses whole system paths only, and has clique endpoints (or closes
-    directly); returns None otherwise so the caller can try the next
-    candidate.
-    """
-    if seq is None:
-        return None
-    g, kset = ctx.g, ctx.partition.clique_set
-    on = set(seq)
-    if ctx.v not in on or not all(u in on for u in ctx.n_i_v):
-        return None
-    if seq[0] not in kset or seq[-1] not in kset:
-        if not g.has_edge(seq[0], seq[-1]):
-            return None
-    remaining = []
-    for q in ctx.system.paths:
-        inter = sum(1 for x in q.order if x in on)
-        if inter == 0:
-            remaining.append(q)
-        elif inter != len(q):
-            return None
-    try:
-        return extend_to_hamiltonian(g, ctx.partition, OrientedPath(tuple(seq)),
-                                     remaining, ctx.n_i_v)
-    except (CoverageGap, CaseFallthrough):
-        return None
-
-
-def extend_to_hamiltonian(g: Graph, p: SplitPartition,
-                          desired: OrientedPath | Sequence[int],
-                          remaining: PathSystem | Iterable[OrientedPath],
-                          triple: Sequence[int] | None = None) -> HamCycle:
-    """Splice the remaining paths into the desired walk and close it.
-
-    The desired walk is closed into a cycle through its clique endpoints
-    (or directly when its ends are adjacent).  Each remaining path has
-    clique endpoints, and every clique vertex has a neighbor among the
-    triple covered by the cycle, so it can be cut in right before that
-    neighbor; singletons drop into any clique-clique junction.
-    """
-    order = tuple(desired.order if isinstance(desired, OrientedPath) else desired)
-    paths = list(remaining.paths if isinstance(remaining, PathSystem) else remaining)
-    kset = p.clique_set
-    cyc = list(order)
-    if len(set(cyc)) != len(cyc):
-        raise PremiseViolated("desired walk repeats a vertex")
-    if not all(g.has_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1)):
-        raise PremiseViolated("desired walk is not a path")
-    if not g.has_edge(cyc[-1], cyc[0]):
-        raise PremiseViolated("desired walk does not close")
-    on = set(cyc)
-    covered = on.union(*[set(q.order) for q in paths]) if paths else set(on)
-    if covered != set(range(g.n)):
-        raise CoverageGap(f"pieces cover {len(covered)} of {g.n} vertices")
-    if triple is None:
-        triple = [u for u in cyc if u not in kset]
-    anchors = [u for u in triple if u in on]
-    paths.sort(key=lambda q: (-len(q), q.head))
-    for q in paths:
-        if set(q.order) & on:
-            raise PremiseViolated("remaining path intersects the cycle")
-        if len(q) == 1:
-            w = q.head
-            spot = next((i for i in range(len(cyc))
-                         if cyc[i] in kset and cyc[(i + 1) % len(cyc)] in kset), None)
-            if spot is None:
-                raise CaseFallthrough("extend-singleton", w)
-            cyc.insert(spot + 1, w)
-            on.add(w)
-            continue
-        placed = False
-        for e in sorted((q.head, q.tail)):
-            for u in anchors:
-                if not g.has_edge(e, u):
-                    continue
-                i = cyc.index(u)
-                rotated = cyc[i:] + cyc[:i]
-                tail_piece = list(q.order if q.tail == e else q.order[::-1])
-                cyc = tail_piece + rotated
-                on.update(q.order)
-                placed = True
-                break
-            if placed:
-                break
-        if not placed:
-            raise CaseFallthrough("extend-splice", q.order)
-    cycle = HamCycle(tuple(cyc))
-    if not validate_ham_cycle(g, cycle):
-        raise CaseFallthrough("extend-validate", tuple(cyc))
-    return cycle
-
-
 # ---------------------------------------------------------------------------
 # Generic junction assembly ("weave")
 
 
-def _weave(ctx: Delta3Context) -> HamCycle | None:
+def _weave(ctx: Delta3Context) -> tuple[HamCycle | None, bool]:
     """Arrange all system paths in a circle, placing v1, v2, v3 at three
     junctions whose flanking block ends are their neighbors; every other
-    junction is a clique edge.  Deterministic bounded backtracking."""
+    junction is a clique edge.  Deterministic bounded backtracking.
+
+    Returns the validated cycle or None, and whether the search stopped
+    at ``_WEAVE_NODE_CAP`` rather than running to completion."""
     g = ctx.g
     blocks = [list(q.order) for q in ctx.system.paths]
     nblocks = len(blocks)
@@ -340,12 +208,12 @@ def _weave(ctx: Delta3Context) -> HamCycle | None:
         return False
 
     if not place(0):
-        return None
+        return None, budget[0] <= 0
     cyc = _stitch(blocks, assign)
     if cyc is None:
-        return None
+        return None, False
     cycle = HamCycle(tuple(cyc))
-    return cycle if validate_ham_cycle(g, cycle) else None
+    return (cycle if validate_ham_cycle(g, cycle) else None), False
 
 
 def _stitch(blocks: list[list[int]], assign: dict) -> list[int] | None:
@@ -403,16 +271,16 @@ def _stitch(blocks: list[list[int]], assign: dict) -> list[int] | None:
 # hard-to-place member of the triple rides inside a block.
 
 
-def _ham_path_exact(g: Graph, verts: list[int], kset: frozenset,
-                    budget: int = _REEMBED_NODE_CAP) -> list[int] | None:
+def _ham_path_exact(g: Graph, verts: list[int],
+                    kset: frozenset) -> tuple[list[int] | None, bool]:
     """A Hamiltonian path of the induced subgraph on ``verts`` with both
-    endpoints in the clique; exhaustive with a node cap.  Returns None if
-    none exists or the cap is hit (caller treats both as failure)."""
+    endpoints in the clique; exhaustive up to ``_REEMBED_NODE_CAP`` nodes.
+    Returns the path or None, and whether the cap was hit."""
     vs = sorted(verts)
     idx = {x: i for i, x in enumerate(vs)}
     n = len(vs)
     adj = [[idx[int(w)] for w in g.neighbors(x) if int(w) in idx] for x in vs]
-    nodes = [budget]
+    nodes = [_REEMBED_NODE_CAP]
     k_ids = [i for i, x in enumerate(vs) if x in kset]
     path: list[int] = []
 
@@ -435,13 +303,16 @@ def _ham_path_exact(g: Graph, verts: list[int], kset: frozenset,
     for a in k_ids:
         path[:] = [a]
         if dfs(1 << a):
-            return [vs[i] for i in path]
-    return None
+            return [vs[i] for i in path], False
+    return None, nodes[0] <= 0
 
 
-def _reembed(ctx: Delta3Context) -> HamCycle | None:
-    """Absorb one of v1, v2, v3 into a rerouted block, then weave again."""
+def _reembed(ctx: Delta3Context) -> tuple[HamCycle | None, bool]:
+    """Absorb one of v1, v2, v3 into a rerouted block, then weave again.
+
+    Returns the cycle or None, and whether any inner search hit its cap."""
     g = ctx.g
+    capped = False
     kset = ctx.partition.clique_set
     # Prefer spare clique vertices other than the apex: its two junction
     # slots are usually needed for the remaining triple members.
@@ -458,14 +329,16 @@ def _reembed(ctx: Delta3Context) -> HamCycle | None:
                 verts = list(q.order) + [u] + spare
                 if len(verts) > 15:
                     continue
-                new_block = _ham_path_exact(g, verts, kset)
+                new_block, hit = _ham_path_exact(g, verts, kset)
+                capped |= hit
                 if new_block is None:
                     continue
                 reduced = _reembedded_context(ctx, q, spare, new_block, u)
-                got = _weave(reduced)
+                got, hit = _weave(reduced)
+                capped |= hit
                 if got is not None:
-                    return got
-    return None
+                    return got, capped
+    return None, capped
 
 
 def _reembedded_context(ctx: Delta3Context, host: OrientedPath, spare: list[int],
@@ -481,234 +354,20 @@ def _reembedded_context(ctx: Delta3Context, host: OrientedPath, spare: list[int]
                          PathSystem(tuple(paths), ()), ctx.census)
 
 
-# ---------------------------------------------------------------------------
-# Claim templates
-
-
-def _orients(q: OrientedPath) -> tuple[OrientedPath, OrientedPath]:
-    return q, q.reverse()
-
-
-def _blocks_for_slots(ctx: Delta3Context, featured: set[int]) -> list[OrientedPath]:
-    """Candidate filler blocks: singletons first, then unfeatured paths."""
-    singles = [q for q in ctx.system.paths if len(q) == 1]
-    rest = [q for q in ctx.system.paths if len(q) > 1 and id(q) not in featured]
-    out: list[OrientedPath] = []
-    for q in singles:
-        out.append(q)
-    for q in rest:
-        out.extend(_orients(q))
-    return out
-
-
-def _claim_generic(ctx: Delta3Context, main: list[OrientedPath],
-                   shapes: list[list[object]]) -> HamCycle | None:
-    """Instantiate the given arrangement shapes over role permutations.
-
-    Shape atoms: "v" (the apex), "a"/"b"/"c" (triple roles), integers
-    0..len(main)-1 (featured path by index, orientation enumerated), and
-    "slot"/"slot2" (a filler block, singletons preferred).
-    """
-    g = ctx.g
-    featured_ids = {id(q) for q in main}
-    fillers = _blocks_for_slots(ctx, featured_ids)
-    for roles in permutations(ctx.n_i_v):
-        role = dict(zip("abc", roles))
-        for shape in shapes:
-            if any(isinstance(s, int) and s >= len(main) for s in shape):
-                continue
-            slots = [s for s in shape if s in ("slot", "slot2")]
-            path_items = [s for s in shape if isinstance(s, int)]
-            orient_choices: list[list[OrientedPath]] = [
-                list(_orients(main[i])) for i in path_items
-            ]
-            for oriented in _product(orient_choices):
-                by_idx = dict(zip(path_items, oriented))
-                if not slots:
-                    seq = _materialize(ctx, shape, role, by_idx, {})
-                    got = _finish(ctx, _seq_of(g, seq) if seq else None)
-                    if got:
-                        return got
-                    continue
-                for fill in _slot_fills(fillers, len(slots)):
-                    fill_map = dict(zip(slots, fill))
-                    seq = _materialize(ctx, shape, role, by_idx, fill_map)
-                    got = _finish(ctx, _seq_of(g, seq) if seq else None)
-                    if got:
-                        return got
-    return None
-
-
-def _product(choices: list[list[OrientedPath]]) -> Iterator[tuple[OrientedPath, ...]]:
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for rest in _product(choices[1:]):
-            yield (head,) + rest
-
-
-def _slot_fills(fillers: list[OrientedPath], k: int) -> Iterator[tuple[OrientedPath, ...]]:
-    if k == 1:
-        for f in fillers:
-            yield (f,)
-        return
-    for i, f1 in enumerate(fillers):
-        for f2 in fillers:
-            if f2 is f1 or set(f2.order) & set(f1.order):
-                continue
-            yield (f1, f2)
-
-
-def _materialize(ctx: Delta3Context, shape: list[object], role: dict,
-                 by_idx: dict, fill_map: dict) -> list[object] | None:
-    out: list[object] = []
-    used_vertices: set[int] = set()
-    for atom in shape:
-        if atom == "v":
-            out.append(ctx.v)
-        elif atom in ("a", "b", "c"):
-            out.append(role[atom])
-        elif isinstance(atom, int):
-            out.append(by_idx[atom])
-        else:
-            blk = fill_map[atom]
-            if set(blk.order) & used_vertices:
-                return None
-            out.append(blk)
-        if isinstance(out[-1], OrientedPath):
-            used_vertices.update(out[-1].order)
-    return out
-
-
-# Arrangement shapes per census class, following the published sequences.
-# "a" is the universal triple member, "slot"/"slot2" free clique blocks.
-
-_SHAPES_11 = [
-    [0, "a", "slot", "c", "v", "b", "slot2"],
-    [0, "a", "slot", "c", "v", "b"],
-    ["slot", "b", "v", "c", "slot2", 0, "a"],
-]
-
-_SHAPES_9 = [
-    ["slot", "c", "v", "b", 0, "a", 1],          # w', v3, v, v2, Pa, v1, Pb
-    ["slot", "c", "v", "b", 1, "a", 0],          # w', v3, v, v2, Pb, v1, Pa
-    [1, "a", 0, "c", "v", "b", "slot"],          # Pb, v1, Pa, v3, v, v2, w'
-    [1, "a", 0, "slot", "c", "v", "b", "slot2"],
-    [1, "a", 0, "c", "v", "b"],
-    ["slot", "c", "v", "b", 0, "a"],
-]
-
-_SHAPES_77 = [
-    ["slot", "b", "v", "c", "slot2", 0, "a", 1],  # w'', v2, v, v3, w', Pa, v1, Pb
-    ["slot", "b", "v", "c", 0, "a", 1],
-    [0, "a", 1, "b", "v", "c", "slot"],
-]
-
-_SHAPES_75 = [
-    ["slot", "c", "v", "b", 1, "a", 0],           # Pc.., v3, v, v2, Pb rev, v1, Pa
-    ["slot", "b", "v", "c", "slot2", 0, "a", 1],
-    ["slot", "b", 1, "c", "v", "a", 0],           # Pd, v2, Pb, v3, v, v1, Pa
-    ["slot", "c", 1, "b", "v", "a", 0],
-    ["slot", "b", "v", "c", 1, "a", 0],           # Pe, v2, v, v3, Pb, v1, Pa
-    [0, "a", 1, "c", "v", "b", "slot"],
-]
-
-_SHAPES_733 = [
-    ["slot", "c", "v", "b", 0, 1, "a", 2],        # Pd, v3, v, v2, Pa, Pb, v1, Pc
-    ["slot", "c", "v", "b", 0, "a", 1, 2],
-    [2, "a", 1, "c", "v", "b", 0],
-    ["slot", "c", "v", "b", "slot2", 0, "a", 1, 2],
-    [1, "c", "v", "b", 0, "a", 2],
-    [0, "b", 1, "a", 2, "c", "v"],
-    ["slot", "b", "v", "c", 0, "a", 1, 2],
-]
-
-_SHAPES_553 = [
-    ["slot", "c", "v", "b", 0, "a", 2, 1],        # Pd, v3, v, v2, Pa, v1, Pc, Pb
-    [1, "c", "v", "b", 0, "a", 2],                # Pb, v3, v, v2, Pa, v1, Pc
-    ["slot", "c", 0, "b", "v", "a", 2, 1],
-    ["slot", "b", "v", "c", "slot2", 0, "a", 1, 2],
-    ["slot", "b", "v", "c", 0, 1, "a", 2],
-    [2, "a", 1, "c", "v", "b", 0],
-    ["slot", "a", 0, "b", 1, "c", "v"],
-]
-
-_SHAPES_333 = [
-    [2, "c", "v", "b", 0, "a", 1],                # Pc, v3, v, v2, Pa, v1, Pb
-    [2, "b", 0, "c", "v", "a", 1],
-    [2, "a", 0, "b", "v", "c", 1],
-    ["slot", "c", "v", "b", 0, "a", 1, 2],
-    ["slot", "b", "v", "c", 2, 0, "a", 1],
-    [1, "a", 0, "b", "v", "c", "slot", 2],
-    [0, "a", 1, 2, "b", "v", "c", "slot"],
-]
-
-_SHAPES_5333 = [
-    [0, "a", 1, 2, "b", "v", "c", 3],             # Pa, v1, Pb, Pc, v2, v, v3, Pd
-    [0, "a", 1, "b", "v", "c", 2, 3],
-    [1, 2, "a", 0, "b", "v", "c", 3],
-]
-
-
 def construct_cycle(ctx: Delta3Context) -> HamCycle:
-    """Dispatch on the census to the matching construction.
+    """Build a Hamiltonian cycle by weaving, then by re-embedding.
 
-    Every emitted cycle is validated; configurations outside all branch
-    templates fall back to the junction-assembly search and then local
-    re-embedding before a ``CaseFallthrough`` is raised.
+    The census was checked by ``prepare_context``; here every emitted
+    cycle is validated.  When neither search finds a cycle a
+    ``CaseFallthrough`` is raised: ``delta3-cap`` if some search stopped
+    at its node cap, ``delta3`` if both searched exhaustively.
     """
-    census = ctx.census
-    got: HamCycle | None = None
-    tag = "17"
-    if census.get(11):
-        tag = "5"
-        got = _claim_generic(ctx, ctx.paths_of_size(11)[:1], _SHAPES_11)
-    elif census.get(9):
-        tag = "7"
-        featured = ctx.paths_of_size(9)[:1] + ctx.paths_of_size(3)[:1]
-        shapes = _SHAPES_9 if len(featured) == 2 else _SHAPES_11
-        got = _claim_generic(ctx, featured, shapes)
-    elif census.get(7, 0) == 2:
-        tag = "10"
-        got = _claim_generic(ctx, ctx.paths_of_size(7)[:2], _SHAPES_77)
-    elif census.get(7) and census.get(5):
-        tag = "11"
-        got = _claim_generic(ctx, ctx.paths_of_size(7)[:1] + ctx.paths_of_size(5)[:1],
-                             _SHAPES_75)
-    elif census.get(7):
-        tag = "12"
-        featured = ctx.paths_of_size(7)[:1] + ctx.paths_of_size(3)[:2]
-        if len(featured) == 3:
-            got = _claim_generic(ctx, featured, _SHAPES_733)
-        else:
-            got = _claim_generic(ctx, featured[:1], _SHAPES_11)
-    elif census.get(5, 0) == 2:
-        tag = "14"
-        featured = ctx.paths_of_size(5)[:2] + ctx.paths_of_size(3)[:1]
-        if len(featured) == 3:
-            got = _claim_generic(ctx, featured, _SHAPES_553)
-        else:
-            got = _claim_generic(ctx, featured[:2], _SHAPES_77)
-    elif census.get(5, 0) == 1:
-        tag = "16"
-        featured = ctx.paths_of_size(5)[:1] + ctx.paths_of_size(3)[:3]
-        if len(featured) == 4:
-            got = _claim_generic(ctx, featured, _SHAPES_5333)
-        if got is None and len(featured) >= 3:
-            got = _claim_generic(ctx, featured[1:4] if len(featured) == 4 else featured[1:],
-                                 _SHAPES_333)
-    else:
-        tag = "15"
-        featured = ctx.paths_of_size(3)[:3]
-        if len(featured) == 3:
-            got = _claim_generic(ctx, featured, _SHAPES_333)
+    got, capped = _weave(ctx)
     if got is None:
-        got = _weave(ctx)
+        got, hit = _reembed(ctx)
+        capped |= hit
     if got is None:
-        got = _reembed(ctx)
-    if got is None:
-        raise CaseFallthrough(tag, ctx.census)
+        raise CaseFallthrough("delta3-cap" if capped else "delta3", ctx.census)
     if not validate_ham_cycle(ctx.g, got):
-        raise CaseFallthrough(tag + "-validate", got.order)
+        raise CaseFallthrough("delta3-validate", got.order)
     return got

@@ -55,15 +55,6 @@ class CensusViolation(SplitHCError):
         self.witness = witness
 
 
-class ClaimViolated(SplitHCError):
-    """A guaranteed auxiliary vertex could not be found."""
-
-    def __init__(self, claim_id: str, witness: object = None):
-        super().__init__(f"structural guarantee {claim_id} not met")
-        self.claim_id = claim_id
-        self.witness = witness
-
-
 class CaseFallthrough(SplitHCError):
     """No branch of a constructive case analysis produced a valid cycle.
 
@@ -83,10 +74,6 @@ class InvalidCertificate(SplitHCError):
     Raised in place of emitting it; this signals a bug in a construction,
     never a property of the input.
     """
-
-
-class CoverageGap(SplitHCError):
-    """Cycle extension was given pieces that do not cover the vertex set."""
 
 
 class DegreeTooHigh(SplitHCError):
@@ -125,6 +112,11 @@ class GenerationExhausted(SplitHCError):
         super().__init__(f"{family}: no accepted instance in {attempts} attempts")
         self.attempts = attempts
         self.family = family
+
+
+class InvalidParameter(SplitHCError):
+    """A generator was given a parameter its family does not read, or was
+    not given one it requires."""
 
 
 class OracleBudgetExceeded(SplitHCError):

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import GenerationExhausted
+from .errors import GenerationExhausted, InvalidParameter
 from .graph import Graph, graph_from_csr, graph_from_edges
 from .split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
@@ -53,7 +53,7 @@ class GenSpec:
         if key in self.params:
             return self.params[key]
         if default is None:
-            raise KeyError(f"{self.family} requires parameter {key}")
+            raise InvalidParameter(f"{self.family} requires parameter {key}")
         return default
 
 
@@ -76,6 +76,10 @@ def generate(spec: GenSpec) -> GeneratedInstance:
         builder = _BUILDERS[spec.family]
     except KeyError:
         raise GenerationExhausted(0, f"unknown family {spec.family}") from None
+    unknown = sorted(set(spec.params) - set(_PARAMS[spec.family]))
+    if unknown:
+        raise InvalidParameter(f"{spec.family} takes no parameter {', '.join(unknown)} "
+                               f"(it takes {', '.join(_PARAMS[spec.family])})")
     rng = random.Random(spec.seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         result = builder(spec, rng)
@@ -437,6 +441,17 @@ _BUILDERS = {
     "ClawFreeSplit": _build_claw_free,
     "BipartiteDeg3": _build_bipartite_deg3,
     "PlantedHC": _build_planted_hc,
+}
+
+# The parameters each builder reads; ``generate`` rejects any other key.
+_PARAMS = {
+    "SplitRandom": ("k", "i", "p"),
+    "SplitK14Free": ("k", "i", "p3"),
+    "SplitDelta2": ("k", "i", "p3"),
+    "SplitDelta3InPremise": ("k", "i", "plant_short", "cap3_extra", "pdeg3"),
+    "ClawFreeSplit": ("k", "i", "delta1"),
+    "BipartiteDeg3": ("na", "nb", "m", "plant"),
+    "PlantedHC": ("n", "i", "extra"),
 }
 
 

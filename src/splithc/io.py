@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotSplitGraph, ParseError
+from .errors import InvalidCertificate, NotSplitGraph, ParseError
 from .generators import GenSpec, generate
 from .graph import Graph, HamCycle, graph_from_edges, validate_ham_cycle
 from .oracle import OracleBudget, oracle_solve
@@ -279,7 +279,7 @@ def run_batch(manifest_path: str | Path, oracle_budget: OracleBudget | None = No
             # Round-trip the certificate and re-validate on load.
             reloaded = parse_cycle(render_cycle(outcome.cycle))
             if not validate_ham_cycle(g, reloaded):
-                raise AssertionError(f"certificate failed revalidation: {entry.instance_id}")
+                raise InvalidCertificate(f"certificate failed revalidation: {entry.instance_id}")
         oracle_res = oracle_solve(g, budget)
         agree = True
         if oracle_res.decided:

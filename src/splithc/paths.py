@@ -32,7 +32,6 @@ __all__ = [
     "find_short_cycle",
     "assemble_paths",
     "hc_delta2",
-    "check_path_system",
 ]
 
 
@@ -79,12 +78,6 @@ class PathSystem:
 
     paths: tuple[OrientedPath, ...]
     insertions: tuple[tuple[str, int, int, int], ...] = ()
-
-    def buckets(self) -> dict[int, list[OrientedPath]]:
-        out: dict[int, list[OrientedPath]] = {}
-        for p in self.paths:
-            out.setdefault(len(p), []).append(p)
-        return out
 
 
 def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
@@ -402,26 +395,3 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
     ps = assemble_paths(g, p)
     return join_paths_into_cycle(g, ps)
 
-
-def check_path_system(g: Graph, p: SplitPartition, ps: PathSystem,
-                      expected_i: set[int] | None = None) -> None:
-    """Assert all structural invariants of a path system (test support)."""
-    kset = p.clique_set
-    seen: set[int] = set()
-    covered_i: set[int] = set()
-    for q in ps.paths:
-        o = q.order
-        assert len(o) % 2 == 1, f"even path {o}"
-        assert o[0] in kset and o[-1] in kset, f"endpoint off-clique {o}"
-        for i, v in enumerate(o):
-            assert v not in seen, f"vertex {v} on two paths"
-            seen.add(v)
-            if i % 2 == 1:
-                assert v not in kset, f"alternation broken at {v} in {o}"
-                covered_i.add(v)
-            else:
-                assert v in kset, f"alternation broken at {v} in {o}"
-        assert OrientedPath(o).is_path_in(g) or len(o) == 1, f"not a path {o}"
-    want_i = set(p.independent) if expected_i is None else expected_i
-    assert covered_i == want_i, "independent cover mismatch"
-    assert kset <= seen, "clique vertex missing from system"

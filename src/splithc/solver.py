@@ -28,7 +28,6 @@ from . import delta3
 from .errors import (
     CaseFallthrough,
     CensusViolation,
-    ClaimViolated,
     NotSplitGraph,
     OracleBudgetExceeded,
     PremiseViolated,
@@ -217,7 +216,7 @@ def _solve_delta3(g: Graph, p: SplitPartition, premise: str,
             cert = NoCycleCertificate("short_cycle", ctx)
             return SolveOutcome(None, cert, "Delta3", premise)
         return SolveOutcome(delta3.construct_cycle(ctx), None, "Delta3", premise)
-    except (CensusViolation, ClaimViolated, CaseFallthrough, PremiseViolated) as exc:
+    except (CensusViolation, CaseFallthrough, PremiseViolated) as exc:
         tag = f"{type(exc).__name__}:{getattr(exc, 'claim_id', '')}"
         return _oracle_round(g, p, "OracleFallback", premise, oracle_budget, tag)
 

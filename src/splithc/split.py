@@ -340,12 +340,6 @@ class StarLevels:
     witness4: tuple[int, tuple[int, ...]] | None = None
     witness5: tuple[int, tuple[int, ...]] | None = None
 
-    @property
-    def smallest(self) -> int | None:
-        if self.witness3 is not None:
-            return 3
-        return None
-
     def witness(self, s: int) -> tuple[int, tuple[int, ...]] | None:
         return {3: self.witness3, 4: self.witness4, 5: self.witness5}[s]
 

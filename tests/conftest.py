@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from splithc.graph import Graph, graph_from_edges
+from splithc.graph import Graph, OrientedPath, graph_from_edges
+from splithc.paths import PathSystem
+from splithc.split import SplitPartition
 
 
 def mk_split(k: int, i_adj) -> Graph:
@@ -20,6 +22,30 @@ def mk_split(k: int, i_adj) -> Graph:
         for w in nbrs:
             edges.append((k + j, w))
     return graph_from_edges(k + len(i_adj), edges)
+
+
+def check_path_system(g: Graph, p: SplitPartition, ps: PathSystem,
+                      expected_i: set[int] | None = None) -> None:
+    """Assert all structural invariants of a path system."""
+    kset = p.clique_set
+    seen: set[int] = set()
+    covered_i: set[int] = set()
+    for q in ps.paths:
+        o = q.order
+        assert len(o) % 2 == 1, f"even path {o}"
+        assert o[0] in kset and o[-1] in kset, f"endpoint off-clique {o}"
+        for i, v in enumerate(o):
+            assert v not in seen, f"vertex {v} on two paths"
+            seen.add(v)
+            if i % 2 == 1:
+                assert v not in kset, f"alternation broken at {v} in {o}"
+                covered_i.add(v)
+            else:
+                assert v in kset, f"alternation broken at {v} in {o}"
+        assert OrientedPath(o).is_path_in(g) or len(o) == 1, f"not a path {o}"
+    want_i = set(p.independent) if expected_i is None else expected_i
+    assert covered_i == want_i, "independent cover mismatch"
+    assert kset <= seen, "clique vertex missing from system"
 
 
 def brute_has_ham_cycle(g: Graph) -> bool:

@@ -2,18 +2,14 @@ import random
 
 import pytest
 
-from splithc.delta3 import (
-    Delta3Context,
-    construct_cycle,
-    extend_to_hamiltonian,
-    find_universal_v1,
-    prepare_context,
-)
-from splithc.errors import ClaimViolated, CoverageGap, PremiseViolated
+from splithc import delta3
+from splithc.delta3 import Delta3Context, construct_cycle, prepare_context
+from splithc.errors import CaseFallthrough
 from splithc.generators import GenSpec, generate
-from splithc.graph import OrientedPath, validate_ham_cycle
+from splithc.graph import validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
-from splithc.paths import PathSystem, ShortCycleWitness
+from splithc.paths import ShortCycleWitness
+from splithc.solver import solve
 from splithc.split import recognize_split, star_free_level
 
 from conftest import mk_split
@@ -23,6 +19,16 @@ def _premise_instance(seed, k=10, i=8, **extra):
     params = {"k": k, "i": i}
     params.update(extra)
     return generate(GenSpec("SplitDelta3InPremise", params, seed)).graph
+
+
+def find_universal_v1(ctx, paths):
+    """The member of {v1, v2, v3} adjacent to every internal clique vertex
+    of the listed paths; smallest qualifying index.  The paper guarantees
+    one for two or more paths of five-plus vertices, or one 11-path."""
+    internal = [w for q in paths for w in q.order[2:-1:2]]
+    found = [u for u in ctx.n_i_v if all(ctx.g.has_edge(u, w) for w in internal)]
+    assert found, f"no universal member of {ctx.n_i_v} for {[q.order for q in paths]}"
+    return found[0]
 
 
 def test_short_cycle_gate():
@@ -118,7 +124,7 @@ def _p7_p5_instance():
     ])
 
 
-def _crafted_context(g):
+def _context(g):
     p = recognize_split(g)
     assert p.delta_i == 3 and star_free_level(g, p).k14_free
     ctx = prepare_context(g, p)
@@ -127,7 +133,7 @@ def _crafted_context(g):
 
 
 def test_two_p5_census_and_universal():
-    ctx = _crafted_context(_two_p5_instance())
+    ctx = _context(_two_p5_instance())
     assert ctx.census.get(5) == 2 and ctx.census.get(3) == 1
     big = [q for q in ctx.system.paths if len(q) == 5]
     v1 = find_universal_v1(ctx, big)
@@ -141,7 +147,7 @@ def test_two_p5_census_and_universal():
 
 
 def test_p7_p5_census_and_universal():
-    ctx = _crafted_context(_p7_p5_instance())
+    ctx = _context(_p7_p5_instance())
     assert ctx.census.get(7) == 1 and ctx.census.get(5) == 1
     big = [q for q in ctx.system.paths if len(q) >= 5]
     v1 = find_universal_v1(ctx, big)
@@ -204,34 +210,26 @@ def test_construct_cycle_validates_everywhere():
     assert built >= 100
 
 
-def test_extend_to_hamiltonian_examples():
-    # Desired walk covering everything closes directly.
-    g = mk_split(4, [(0, 1), (2, 3)])
-    p = recognize_split(g)
-    desired = OrientedPath((0, 4, 1, 2, 5, 3))
-    cycle = extend_to_hamiltonian(g, p, desired, [])
-    assert validate_ham_cycle(g, cycle)
-
-    # Leftover singleton drops into a clique-clique junction.
-    g = mk_split(5, [(0, 1), (2, 3)])
-    p = recognize_split(g)
-    cycle = extend_to_hamiltonian(g, p, OrientedPath((0, 5, 1, 2, 6, 3)),
-                                  [OrientedPath((4,))])
-    assert validate_ham_cycle(g, cycle)
-
-    # Leftover path splices in before an anchor adjacent to its endpoint.
-    g = mk_split(6, [(0, 1, 4), (2, 3), (4, 5)])
-    p = recognize_split(g)
-    cycle = extend_to_hamiltonian(g, p, OrientedPath((0, 6, 1, 2, 7, 3)),
-                                  [OrientedPath((4, 8, 5))], triple=(6, 7))
-    assert validate_ham_cycle(g, cycle)
+def test_weave_cap_hit_is_reported(monkeypatch):
+    g = _premise_instance(3)
+    ctx = _context(g)
+    monkeypatch.setattr(delta3, "_WEAVE_NODE_CAP", 1)
+    with pytest.raises(CaseFallthrough) as exc:
+        construct_cycle(ctx)
+    assert exc.value.claim_id == "delta3-cap"
+    out = solve(g)
+    assert out.method == "OracleFallback"
+    assert out.anomaly == "CaseFallthrough:delta3-cap"
+    assert out.has_cycle == oracle_solve(g).has_cycle
 
 
-def test_extend_coverage_gap():
-    g = mk_split(5, [(0, 1)])
-    p = recognize_split(g)
-    with pytest.raises(CoverageGap):
-        extend_to_hamiltonian(g, p, OrientedPath((0, 5, 1)), [])
+def test_known_completeness_gap():
+    # Both searches run to completion without a cycle on this instance,
+    # the one in-premise miss across the test and benchmark corpora.
+    g = _premise_instance(0, k=12, i=10)
+    with pytest.raises(CaseFallthrough) as exc:
+        construct_cycle(_context(g))
+    assert exc.value.claim_id == "delta3"
 
 
 def test_verdict_iff_no_short_cycle():

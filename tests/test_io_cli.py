@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splithc.cli import main
-from splithc.errors import ParseError
+from splithc.errors import InvalidCertificate, ParseError
 from splithc.graph import Graph, complete_graph, graph_from_edges, petersen_graph
 from splithc.io import (
     _parse_canonical,
@@ -231,10 +231,15 @@ def test_cli_verify_reports_first_bad_edge(tmp_path: Path, capsys):
 
 def test_cli_exit_codes(tmp_path: Path, capsys):
     out = tmp_path / "gen.graph"
-    for params in (["k=abc"], ["zz=3"]):  # not a number; required k missing
+    # Not a number; required k missing; a key the family does not read.
+    for params in (["k=abc"], ["zz=3"], ["k=6", "i=4", "zz=3"]):
         assert main(["gen", "SplitDelta2", *params, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("d2 gen SplitDelta2 k=6 i=4 p=0.9 seed=1\n", encoding="utf-8")
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
     bad = tmp_path / "bad.graph"
     bad.write_text("split-hc v1 1 1\n0 0\n", encoding="utf-8")
@@ -299,6 +304,17 @@ def test_manifest_errors():
         parse_manifest("x gen SplitRandom k=3 i=1\n")  # no seed
     with pytest.raises(ParseError):
         parse_manifest("x file a.graph\nx file b.graph\n")
+
+
+def test_batch_revalidation_raises_invalid_certificate(tmp_path: Path, monkeypatch):
+    from splithc import io
+
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("d2 gen SplitDelta2 k=6 i=4 seed=9\n", encoding="utf-8")
+    monkeypatch.setattr(io, "validate_ham_cycle", lambda g, cycle: False)
+    with pytest.raises(InvalidCertificate):
+        run_batch(manifest)
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
 
 
 def test_batch_cli_determinism(tmp_path: Path):

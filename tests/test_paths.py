@@ -10,14 +10,13 @@ from splithc.paths import (
     ShortCycleWitness,
     assemble_paths,
     build_degree_two_subgraph,
-    check_path_system,
     find_short_cycle,
     hc_delta2,
 )
 from splithc.split import recognize_split
 from splithc.graph import connected_components
 
-from conftest import mk_split
+from conftest import check_path_system, mk_split
 
 
 def test_degree_two_subgraph_examples():
