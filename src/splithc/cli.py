@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a seeded instance")
-    p.add_argument("family", choices=FAMILIES)
+    p.add_argument("family", help="one of " + ", ".join(FAMILIES))
     p.add_argument("params", nargs="*", help="key=value family parameters")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

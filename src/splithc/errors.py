@@ -115,8 +115,8 @@ class GenerationExhausted(SplitHCError):
 
 
 class InvalidParameter(SplitHCError):
-    """A generator was given a parameter its family does not read, or was
-    not given one it requires."""
+    """A generator was given an unknown family name, a parameter its
+    family does not read, or not given one it requires."""
 
 
 class OracleBudgetExceeded(SplitHCError):

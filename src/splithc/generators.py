@@ -71,11 +71,13 @@ class GeneratedInstance:
 
 def generate(spec: GenSpec) -> GeneratedInstance:
     """Produce an instance satisfying the family contract, or raise
-    ``GenerationExhausted``."""
+    ``GenerationExhausted``; an unknown family or parameter raises
+    ``InvalidParameter``."""
     try:
         builder = _BUILDERS[spec.family]
     except KeyError:
-        raise GenerationExhausted(0, f"unknown family {spec.family}") from None
+        raise InvalidParameter(f"unknown family {spec.family} "
+                               f"(known: {', '.join(FAMILIES)})") from None
     unknown = sorted(set(spec.params) - set(_PARAMS[spec.family]))
     if unknown:
         raise InvalidParameter(f"{spec.family} takes no parameter {', '.join(unknown)} "

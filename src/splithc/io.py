@@ -55,7 +55,11 @@ def render_graph(g: Graph, clique: Sequence[int] | None = None) -> str:
     lines = [f"{HEADER} {g.n} {g.m}"]
     if clique is not None:
         lines.append("partition K: " + " ".join(str(v) for v in sorted(clique)))
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    # Each vertex is formatted once, so an edge line is one concatenation
+    # of two table entries instead of a formatting of two integers.
+    names = [str(v) for v in range(g.n)]
+    heads = [name + " " for name in names]
+    lines.extend([heads[u] + names[v] for u, v in g.edges()])
     return "\n".join(lines) + "\n"
 
 

@@ -9,9 +9,12 @@ isolates the cycle's independent vertices, leaving more than |S|
 components.  When no such cycle exists, H is a forest of odd paths with
 clique endpoints, and the remaining independent vertices are inserted by
 a priority rule - join two paths where possible, extend one otherwise,
-start a fresh 3-path as a last resort - recomputing priorities after
-every single insertion.  The assembled paths join into a Hamiltonian
-cycle along clique edges.
+start a fresh 3-path as a last resort.  The vertices wait in one
+min-heap per rule.  An insertion changes the endpoint status or path of
+at most four clique vertices, each seen by at most two independent
+vertices, and only those independent vertices are reclassified: at most
+eight per insertion instead of every vertex left.  The assembled paths
+join into a Hamiltonian cycle along clique edges.
 
 All arbitrary choices resolve to the smallest vertex index.
 """
@@ -19,6 +22,7 @@ All arbitrary choices resolve to the smallest vertex index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import PremiseViolated
 from .graph import Graph, HamCycle, OrientedPath, validate_ham_cycle
@@ -264,6 +268,13 @@ def assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
     Raises ``PremiseViolated`` if an insertion step has no legal position
     (not anticipated by the structure theory - callers route such
     instances to the exact solver and log them).
+
+    The vertices still to insert sit in one min-heap per class (the number
+    of distinct paths whose endpoints they see, capped at 2), so the next
+    one is the smallest vertex of the highest class.  A vertex's class
+    depends only on the endpoint status and path of its clique neighbors,
+    and an insertion changes those at no more than four clique vertices;
+    only the vertices that see one of them are reclassified.
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
@@ -277,47 +288,62 @@ def assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
         endpoint_of[walk[-1]] = pid
         on_path.update(walk)
     next_pid = len(paths)
-    remaining = sorted(set(p.independent) - set(h.va))
+    nbrs = {u: g.neighbors(u).tolist() for u in sorted(set(p.independent) - set(h.va))}
+    watchers: dict[int, list[int]] = {}
+    for u, row in nbrs.items():
+        for w in row:
+            watchers.setdefault(w, []).append(u)
     events: list[tuple[str, int, int, int]] = []
 
-    def classify(u: int) -> tuple[int, list[int]]:
-        eps = [int(w) for w in g.neighbors(u) if int(w) in endpoint_of]
-        return len({endpoint_of[e] for e in eps}), eps
+    def classify(u: int) -> int:
+        seen = None
+        for w in nbrs[u]:
+            pid = endpoint_of.get(w)
+            if pid is not None and pid != seen:
+                if seen is not None:
+                    return 2
+                seen = pid
+        return 0 if seen is None else 1
 
-    while remaining:
-        # remaining is sorted, so the first vertex attaining the best
-        # class is the smallest one in that class.
-        cls, u, eps = -1, -1, []
-        for cand in remaining:
-            npaths, cand_eps = classify(cand)
-            c = 2 if npaths >= 2 else npaths
-            if c > cls:
-                cls, u, eps = c, cand, cand_eps
-                if cls == 2:
-                    break
+    cls = {u: classify(u) for u in nbrs}
+    # Lazy deletion: a heap entry is live while its vertex is still to be
+    # inserted and still in that class.  Ascending lists are valid heaps.
+    heaps: tuple[list[int], ...] = ([], [], [])
+    for u, c in cls.items():
+        heaps[c].append(u)
+
+    while cls:
+        for c in (2, 1, 0):
+            heap = heaps[c]
+            while heap and cls.get(heap[0]) != c:
+                heappop(heap)
+            if heap:
+                break
+        u = heappop(heap)
+        del cls[u]
+        eps = [w for w in nbrs[u] if w in endpoint_of]
         before = len(paths)
-        if cls == 2:
+        if c == 2:
             e1 = min(eps)
             pid1 = endpoint_of[e1]
             e2 = min(e for e in eps if endpoint_of[e] != pid1)
             pid2 = endpoint_of[e2]
-            p1, p2 = paths[pid1], paths[pid2]
+            p1, p2 = paths[pid1], paths.pop(pid2)
             if p1[-1] != e1:
                 p1.reverse()
             if p2[0] != e2:
                 p2.reverse()
             del endpoint_of[e1]
             del endpoint_of[e2]
-            merged = p1 + [u] + p2
-            paths[pid1] = merged
-            del paths[pid2]
-            endpoint_of[merged[0]] = pid1
-            endpoint_of[merged[-1]] = pid1
+            p1.append(u)
+            p1.extend(p2)
+            endpoint_of[p1[-1]] = pid1
+            changed = (e1, e2, p1[-1])
             rule = "V2"
-        elif cls == 1:
+        elif c == 1:
             e = min(eps)
             pid = endpoint_of[e]
-            off = [int(w) for w in g.neighbors(u) if int(w) not in on_path]
+            off = [w for w in nbrs[u] if w not in on_path]
             if not off:
                 raise PremiseViolated(f"no off-path clique neighbor for vertex {u}")
             w = off[0]
@@ -326,12 +352,12 @@ def assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
                 pp.reverse()
             del endpoint_of[e]
             pp.extend([u, w])
-            endpoint_of[pp[0]] = pid
             endpoint_of[w] = pid
             on_path.add(w)
+            changed = (e, w)
             rule = "V1"
         else:
-            off = [int(w) for w in g.neighbors(u) if int(w) not in on_path]
+            off = [w for w in nbrs[u] if w not in on_path]
             if len(off) < 2:
                 raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
             w1, w2 = off[0], off[1]
@@ -340,10 +366,17 @@ def assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
             endpoint_of[w2] = next_pid
             on_path.update((w1, w2))
             next_pid += 1
+            changed = (w1, w2)
             rule = "V0"
         on_path.add(u)
-        remaining.remove(u)
         events.append((rule, u, before, len(paths)))
+        for w in changed:
+            for x in watchers.get(w, ()):
+                if x in cls:
+                    new = classify(x)
+                    if new != cls[x]:
+                        cls[x] = new
+                        heappush(heaps[new], x)
 
     out = [list(w) for w in paths.values()]
     for w in sorted(set(p.clique) - on_path):

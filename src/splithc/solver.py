@@ -57,7 +57,8 @@ class SolveOutcome:
     method is one of Delta1, ClawFree, Delta2, Delta3, OracleFallback.
     ``anomaly`` records a construction fallthrough that forced an oracle
     round despite the instance being in premise (a completeness-gap
-    candidate, logged by the batch harness).
+    candidate, logged by the batch harness).  ``oracle_nodes`` is the
+    search nodes the oracle spent, 0 when no oracle round ran.
     """
 
     cycle: HamCycle | None
@@ -65,6 +66,7 @@ class SolveOutcome:
     method: str
     premise: str = ""
     anomaly: str | None = None
+    oracle_nodes: int = 0
 
     @property
     def has_cycle(self) -> bool:
@@ -225,8 +227,8 @@ def _oracle_round(g: Graph, p: SplitPartition, method: str, premise: str,
                   oracle_budget: OracleBudget | None, anomaly: str | None) -> SolveOutcome:
     res = oracle_solve(g, oracle_budget, partition=p)
     if res.kind == "cycle":
-        return SolveOutcome(res.cycle, None, method, premise, anomaly)
+        return SolveOutcome(res.cycle, None, method, premise, anomaly, res.nodes)
     if res.kind == "no_cycle":
         return SolveOutcome(None, NoCycleCertificate("oracle_exhaustive"),
-                            method, premise, anomaly)
+                            method, premise, anomaly, res.nodes)
     raise OracleBudgetExceeded(f"oracle budget exhausted after {res.nodes} nodes")

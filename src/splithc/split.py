@@ -167,10 +167,18 @@ def _upgrade_unchecked(g: Graph, clique: Iterable[int], independent: Iterable[in
 def recognize_split(g: Graph) -> SplitPartition | NotSplit:
     """Recognize a split graph, or certify failure.
 
-    Happy path: sort vertices by (degree desc, index asc); the prefix of
-    length max{i : d_i >= i-1} is a clique with independent remainder
-    exactly when the graph is split.  The prefix is then upgraded to a
-    maximum clique.  On failure, search for an induced C4, C5 or 2K2.
+    Sort vertices by (degree desc, index asc) and take the prefix of
+    length k = max{i : d_i >= i-1}; the graph is split exactly when that
+    prefix is a clique with independent remainder.  This reads degrees
+    only (Hammer-Simeone): the prefix passes iff
+
+        sum(d[:k]) - sum(d[k:]) == k(k-1).
+
+    Proof: the prefix degree sum is 2 e(K) + e(K, I) and the rest's is
+    2 e(I) + e(K, I), so the difference is 2 (e(K) - e(I)), which is at
+    most k(k-1) with equality iff e(K) = k(k-1)/2 and e(I) = 0.  The
+    prefix is then upgraded to a maximum clique.  On failure, search for
+    an induced C4, C5 or 2K2.
     """
     n = g.n
     if n == 0:
@@ -181,26 +189,9 @@ def recognize_split(g: Graph) -> SplitPartition | NotSplit:
     ranks = np.arange(1, n + 1)
     feasible = d_sorted >= ranks - 1
     k_size = int(np.max(np.where(feasible)[0])) + 1 if feasible.any() else 0
-    prefix = [int(v) for v in order[:k_size]]
-    mask = np.zeros(n, dtype=bool)
-    mask[prefix] = True
-    # Vectorized verification: edges internal to the prefix / the rest.
-    internal = int(mask[g.indices].astype(np.int64)[_row_select(g, mask)].sum())
-    if internal == k_size * (k_size - 1):
-        rest_mask = ~mask
-        cross = int(rest_mask[g.indices].astype(np.int64)[_row_select(g, rest_mask)].sum())
-        if cross == 0:
-            rest = [v for v in range(n) if not mask[v]]
-            return _upgrade_unchecked(g, prefix, rest)
+    if int(d_sorted[:k_size].sum()) - int(d_sorted[k_size:].sum()) == k_size * (k_size - 1):
+        return _upgrade_unchecked(g, order[:k_size].tolist(), np.sort(order[k_size:]).tolist())
     return _forbidden_subgraph(g)
-
-
-def _row_select(g: Graph, vertex_mask: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``g.indices`` selecting rows of masked vertices."""
-    sel = np.zeros(g.indices.shape[0], dtype=bool)
-    for v in np.flatnonzero(vertex_mask):
-        sel[g.indptr[v]:g.indptr[v + 1]] = True
-    return sel
 
 
 def _forbidden_subgraph(g: Graph) -> NotSplit:
@@ -339,9 +330,6 @@ class StarLevels:
     witness3: tuple[int, tuple[int, ...]] | None = None
     witness4: tuple[int, tuple[int, ...]] | None = None
     witness5: tuple[int, tuple[int, ...]] | None = None
-
-    def witness(self, s: int) -> tuple[int, tuple[int, ...]] | None:
-        return {3: self.witness3, 4: self.witness4, 5: self.witness5}[s]
 
 
 def _coverage_witness(center: int, arm_candidates: list[int],

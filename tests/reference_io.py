@@ -4,7 +4,9 @@
 numpy path existed: one line at a time, the whole text.
 ``unique_graph_from_edges`` and ``loop_edges`` are the ``np.unique``
 CSR build and the per-row edge iterator that the vectorized versions
-replaced.  Only the tests use them, as oracles for identical output.
+replaced.  ``fstring_render_graph`` is the renderer that formatted every
+edge with its own f-string.  Only the tests use them, as oracles for
+identical output.
 """
 
 from __future__ import annotations
@@ -84,3 +86,11 @@ def loop_edges(g: Graph):
         for w in g.neighbors(u):
             if u < w:
                 yield (u, int(w))
+
+
+def fstring_render_graph(g: Graph, clique=None) -> str:
+    lines = [f"{HEADER} {g.n} {g.m}"]
+    if clique is not None:
+        lines.append("partition K: " + " ".join(str(v) for v in sorted(clique)))
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"

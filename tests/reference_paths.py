@@ -1,0 +1,140 @@
+"""Super-linear references for split recognition and path assembly.
+
+``edge_count_recognize_split`` verifies the degree-ordered prefix by
+counting edges inside it and inside the rest through the CSR arrays,
+which is O(k^2) on a k-clique.  ``rescan_assemble_paths`` reclassifies
+every remaining independent vertex after each insertion, which is
+quadratic in the independent side.  They are what the package ran before
+the degree-sum test and the bucket queue replaced them; only the tests
+use them, as oracles for identical output.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from splithc.errors import PremiseViolated
+from splithc.graph import Graph, OrientedPath
+from splithc.paths import PathSystem, _initial_paths, build_degree_two_subgraph
+from splithc.split import NotSplit, SplitPartition, _forbidden_subgraph, _upgrade_unchecked
+
+
+def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
+    n = g.n
+    if n == 0:
+        return SplitPartition((), (), {}, 0)
+    deg = g.degrees()
+    order = np.lexsort((np.arange(n), -deg))
+    d_sorted = deg[order]
+    ranks = np.arange(1, n + 1)
+    feasible = d_sorted >= ranks - 1
+    k_size = int(np.max(np.where(feasible)[0])) + 1 if feasible.any() else 0
+    prefix = [int(v) for v in order[:k_size]]
+    mask = np.zeros(n, dtype=bool)
+    mask[prefix] = True
+    internal = int(mask[g.indices].astype(np.int64)[_row_select(g, mask)].sum())
+    if internal == k_size * (k_size - 1):
+        rest_mask = ~mask
+        cross = int(rest_mask[g.indices].astype(np.int64)[_row_select(g, rest_mask)].sum())
+        if cross == 0:
+            rest = [v for v in range(n) if not mask[v]]
+            return _upgrade_unchecked(g, prefix, rest)
+    return _forbidden_subgraph(g)
+
+
+def _row_select(g: Graph, vertex_mask: np.ndarray) -> np.ndarray:
+    sel = np.zeros(g.indices.shape[0], dtype=bool)
+    for v in np.flatnonzero(vertex_mask):
+        sel[g.indptr[v]:g.indptr[v + 1]] = True
+    return sel
+
+
+def rescan_assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
+    if p.delta_i > 2:
+        raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
+    h = build_degree_two_subgraph(g, p)
+    paths: dict[int, list[int]] = {}
+    endpoint_of: dict[int, int] = {}
+    on_path: set[int] = set()
+    for pid, walk in enumerate(_initial_paths(h)):
+        paths[pid] = walk
+        endpoint_of[walk[0]] = pid
+        endpoint_of[walk[-1]] = pid
+        on_path.update(walk)
+    next_pid = len(paths)
+    remaining = sorted(set(p.independent) - set(h.va))
+    events: list[tuple[str, int, int, int]] = []
+
+    def classify(u: int) -> tuple[int, list[int]]:
+        eps = [int(w) for w in g.neighbors(u) if int(w) in endpoint_of]
+        return len({endpoint_of[e] for e in eps}), eps
+
+    while remaining:
+        cls, u, eps = -1, -1, []
+        for cand in remaining:
+            npaths, cand_eps = classify(cand)
+            c = 2 if npaths >= 2 else npaths
+            if c > cls:
+                cls, u, eps = c, cand, cand_eps
+                if cls == 2:
+                    break
+        before = len(paths)
+        if cls == 2:
+            e1 = min(eps)
+            pid1 = endpoint_of[e1]
+            e2 = min(e for e in eps if endpoint_of[e] != pid1)
+            pid2 = endpoint_of[e2]
+            p1, p2 = paths[pid1], paths[pid2]
+            if p1[-1] != e1:
+                p1.reverse()
+            if p2[0] != e2:
+                p2.reverse()
+            del endpoint_of[e1]
+            del endpoint_of[e2]
+            merged = p1 + [u] + p2
+            paths[pid1] = merged
+            del paths[pid2]
+            endpoint_of[merged[0]] = pid1
+            endpoint_of[merged[-1]] = pid1
+            rule = "V2"
+        elif cls == 1:
+            e = min(eps)
+            pid = endpoint_of[e]
+            off = [int(w) for w in g.neighbors(u) if int(w) not in on_path]
+            if not off:
+                raise PremiseViolated(f"no off-path clique neighbor for vertex {u}")
+            w = off[0]
+            pp = paths[pid]
+            if pp[-1] != e:
+                pp.reverse()
+            del endpoint_of[e]
+            pp.extend([u, w])
+            endpoint_of[pp[0]] = pid
+            endpoint_of[w] = pid
+            on_path.add(w)
+            rule = "V1"
+        else:
+            off = [int(w) for w in g.neighbors(u) if int(w) not in on_path]
+            if len(off) < 2:
+                raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
+            w1, w2 = off[0], off[1]
+            paths[next_pid] = [w1, u, w2]
+            endpoint_of[w1] = next_pid
+            endpoint_of[w2] = next_pid
+            on_path.update((w1, w2))
+            next_pid += 1
+            rule = "V0"
+        on_path.add(u)
+        remaining.remove(u)
+        events.append((rule, u, before, len(paths)))
+
+    out = [list(w) for w in paths.values()]
+    for w in sorted(set(p.clique) - on_path):
+        out.append([w])
+    oriented = []
+    for w in out:
+        if w[0] > w[-1]:
+            w.reverse()
+        oriented.append(OrientedPath(tuple(w)))
+    oriented.sort(key=lambda q: (-len(q), q.head))
+    return PathSystem(tuple(oriented), tuple(events))

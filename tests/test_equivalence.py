@@ -1,0 +1,105 @@
+"""The degree-sum recognizer and the bucket-queue path assembly give the
+same partitions, witnesses, path systems, insertion logs and error
+messages as the edge-count and rescan references in ``reference_paths``."""
+
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splithc import delta3
+from splithc.delta3 import prepare_context
+from splithc.errors import CensusViolation, PremiseViolated
+from splithc.generators import GenSpec, big_delta2_instance, generate
+from splithc.graph import Graph, graph_from_edges
+from splithc.paths import assemble_paths
+from splithc.split import NotSplit, recognize_split
+
+from reference_paths import edge_count_recognize_split, rescan_assemble_paths
+
+
+def _assembly(assemble, g: Graph, p):
+    try:
+        ps = assemble(g, p)
+    except PremiseViolated as exc:
+        return ("PremiseViolated", str(exc))
+    return (ps.paths, ps.insertions)
+
+
+def assert_same_as_reference(g: Graph) -> None:
+    """Same recognition, and on delta_i <= 2 partitions the same assembly."""
+    got = recognize_split(g)
+    assert got == edge_count_recognize_split(g)
+    if not isinstance(got, NotSplit) and got.delta_i <= 2:
+        assert _assembly(assemble_paths, g, got) == _assembly(rescan_assemble_paths, g, got)
+
+
+def test_every_graph_up_to_seven_vertices():
+    atlas = nx.graph_atlas_g()
+    assert len(atlas) == 1253 and max(h.number_of_nodes() for h in atlas) == 7
+    for h in atlas:
+        assert_same_as_reference(graph_from_edges(h.number_of_nodes(), list(h.edges())))
+
+
+@st.composite
+def near_split_graphs(draw, max_n: int = 9) -> Graph:
+    """A split graph with up to two pairs flipped, under a random labeling,
+    so that both split graphs with small delta_i and non-split graphs
+    one flip away from them come up."""
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(0, n))
+    edges = {(u, v) for u in range(k) for v in range(u + 1, k)}
+    for u in range(k, n):
+        if k:
+            edges.update((w, u) for w in draw(st.sets(st.integers(0, k - 1), max_size=3)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    perm = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(deadline=None, max_examples=300)
+@given(near_split_graphs())
+def test_random_graphs_up_to_nine_vertices(g: Graph):
+    assert_same_as_reference(g)
+
+
+@pytest.mark.parametrize("p3", [0.0, 0.2, 0.5, 0.9])
+def test_seeded_split_delta2(p3: float):
+    rng = random.Random(int(p3 * 10))
+    for seed in range(60):
+        k = rng.randrange(4, 16)
+        # Degree-3 vertices use up clique capacity: i (2 + p3) <= 2k.
+        i = rng.randrange(2, int(2 * k / (2 + p3)) + 1)
+        assert_same_as_reference(
+            generate(GenSpec("SplitDelta2", {"k": k, "i": i, "p3": p3}, seed)).graph)
+
+
+def test_delta3_reduced_systems(monkeypatch):
+    # prepare_context assembles the reduced graph; run both there.
+    calls = []
+
+    def both(h, hp):
+        calls.append(_assembly(rescan_assemble_paths, h, hp))
+        assert _assembly(assemble_paths, h, hp) == calls[-1]
+        return assemble_paths(h, hp)
+
+    monkeypatch.setattr(delta3, "assemble_paths", both)
+    sizes = [(10, 8), (11, 8), (12, 9), (13, 9)]
+    for seed in range(24):
+        k, i = sizes[seed % len(sizes)]
+        g = generate(GenSpec("SplitDelta3InPremise", {"k": k, "i": i}, seed)).graph
+        assert_same_as_reference(g)
+        try:
+            prepare_context(g, recognize_split(g))
+        except CensusViolation:
+            pass
+    assert len(calls) >= 12
+
+
+@pytest.mark.parametrize("shape", [(40, 10, 10), (60, 20, 15), (700, 250, 80)])
+def test_ladders(shape):
+    assert_same_as_reference(big_delta2_instance(*shape))

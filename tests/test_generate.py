@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from splithc.errors import GenerationExhausted
+from splithc.errors import GenerationExhausted, InvalidParameter
 from splithc.generators import (
     GenSpec,
     big_delta2_instance,
@@ -68,7 +68,8 @@ def test_planted_hc_has_cycle():
 def test_generation_exhausted_on_infeasible():
     with pytest.raises(GenerationExhausted):
         generate(GenSpec("SplitDelta2", {"k": 3, "i": 5}, 1))  # i > k
-    with pytest.raises(GenerationExhausted):
+    # A wrong family name is a bad parameter, not exhausted sampling.
+    with pytest.raises(InvalidParameter, match=r"^unknown family NoSuchFamily \(known: "):
         generate(GenSpec("NoSuchFamily", {}, 1))
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splithc.cli import main
@@ -21,7 +21,12 @@ from splithc.io import (
     write_graph,
 )
 
-from reference_io import line_parse_graph, loop_edges, unique_graph_from_edges
+from reference_io import (
+    fstring_render_graph,
+    line_parse_graph,
+    loop_edges,
+    unique_graph_from_edges,
+)
 
 
 def test_graph_roundtrip_bit_exact():
@@ -78,6 +83,16 @@ def test_render_parse_roundtrip_random(g: Graph, clique):
     assert _same_graph(g2, g)
     assert hint == (None if clique is None else tuple(sorted(clique)))
     assert render_graph(g2, hint) == text
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(), cliques)
+@example(graph_from_edges(0, []), None)
+@example(graph_from_edges(0, []), [])
+@example(graph_from_edges(5, []), [])
+@example(graph_from_edges(5, []), None)
+def test_render_matches_fstring_renderer(g: Graph, clique):
+    assert render_graph(g, clique) == fstring_render_graph(g, clique)
 
 
 def _outcome(parse, text: str):
@@ -235,11 +250,16 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     for params in (["k=abc"], ["zz=3"], ["k=6", "i=4", "zz=3"]):
         assert main(["gen", "SplitDelta2", *params, "--seed", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert main(["gen", "NoSuch", "k=1", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown family NoSuch (known: SplitRandom, ")
     assert not out.exists()
     manifest = tmp_path / "m.manifest"
     manifest.write_text("d2 gen SplitDelta2 k=6 i=4 p=0.9 seed=1\n", encoding="utf-8")
     assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    manifest.write_text("x gen NoSuch k=1 seed=1\n", encoding="utf-8")
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown family NoSuch (known: SplitRandom, ")
 
     bad = tmp_path / "bad.graph"
     bad.write_text("split-hc v1 1 1\n0 0\n", encoding="utf-8")

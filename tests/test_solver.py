@@ -3,7 +3,7 @@ import random
 import pytest
 
 from splithc.errors import NotSplitGraph
-from splithc.generators import GenSpec, enumerate_small_split, generate
+from splithc.generators import GenSpec, big_delta2_instance, enumerate_small_split, generate
 from splithc.graph import complete_graph, cycle_graph, graph_from_edges, path_graph, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.solver import hc_claw_free, hc_delta1, solve
@@ -143,3 +143,12 @@ def test_oracle_fallback_tagging():
     out = solve(g)
     assert out.method == "OracleFallback"
     assert out.has_cycle == oracle_solve(g).has_cycle
+
+
+def test_oracle_nodes_reported():
+    g = generate(GenSpec("SplitRandom", {"k": 7, "i": 5}, 1)).graph
+    out = solve(g)
+    assert out.method == "OracleFallback"
+    assert out.oracle_nodes == oracle_solve(g, partition=recognize_split(g)).nodes > 0
+    ladder = solve(big_delta2_instance(40, 10, 10))
+    assert ladder.method == "Delta2" and ladder.oracle_nodes == 0
