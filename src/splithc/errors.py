@@ -38,6 +38,14 @@ class NotSplitGraph(SplitHCError):
         self.vertices = vertices
 
 
+class WitnessNotFound(SplitHCError):
+    """The non-split witness search ended without an induced 2K2, C4 or C5.
+
+    Raised in place of returning a wrong certificate; this signals a bug
+    in the search, never a property of the input.
+    """
+
+
 class PremiseViolated(SplitHCError):
     """A constructive routine was invoked outside its stated premise."""
 

@@ -7,6 +7,13 @@ degree-ordered prefix that forms a clique, verifies the remainder is
 independent, and upgrades K to maximum; on failure it exhibits an induced
 C4, C5 or 2K2, the three forbidden subgraphs characterizing split graphs.
 
+Both answers rest on one test, the Hammer-Simeone degree-sum identity
+(``_degree_sum_split``).  Recognition applies it once, to the whole
+graph, in O(n log n) after the degrees.  The witness search applies it to
+induced subgraphs, O(n + m) each: it shrinks V to a minimal non-split
+vertex set with at most 5 (ceil(log2(n+1)) + 1) such tests, so a
+non-split answer costs O((n + m) log n) in all.
+
 For vertices ``v`` in K, ``d_i[v]`` counts independent-set neighbors;
 ``delta_i`` is the maximum of those counts and is the quantity the solver
 dispatches on.
@@ -15,12 +22,11 @@ dispatches on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidPartition
+from .errors import InvalidPartition, WitnessNotFound
 from .graph import Graph
 
 __all__ = [
@@ -57,7 +63,13 @@ class SplitPartition:
 
 @dataclass(frozen=True)
 class NotSplit:
-    """Negative recognition certificate: an induced C4, C5 or 2K2."""
+    """Negative recognition certificate: an induced C4, C5 or 2K2.
+
+    ``kind`` is "2K2", "C4" or "C5" and ``vertices`` induce exactly that
+    graph, in this order: a 2K2 is (a, b, c, d) with edges ab and cd; a C4
+    or C5 lists its vertices around the cycle, so consecutive vertices,
+    the last and the first included, are the adjacent pairs.
+    """
 
     kind: str
     vertices: tuple[int, ...]
@@ -164,67 +176,108 @@ def _upgrade_unchecked(g: Graph, clique: Iterable[int], independent: Iterable[in
     return _partition_from(g, kset)
 
 
+def _degree_sum_split(d_sorted: np.ndarray) -> int | None:
+    """Hammer-Simeone test on a nonincreasing degree sequence.
+
+    With k = max{i : d_i >= i-1} (1-based), the graph is split exactly when
+
+        sum(d[:k]) - sum(d[k:]) == k(k-1),
+
+    and then its k highest-degree vertices form a clique and the rest an
+    independent set.  Returns k in that case and None otherwise.
+
+    Proof: for the prefix K of the first k vertices the prefix degree sum
+    is 2 e(K) + e(K, I) and the rest's is 2 e(I) + e(K, I), so the
+    difference is 2 (e(K) - e(I)), which is at most k(k-1) with equality
+    iff e(K) = k(k-1)/2 and e(I) = 0.  Conversely a split graph's degree
+    sequence satisfies the identity (Hammer & Simeone, Combinatorica 1981).
+    """
+    # d_i - (i-1) strictly decreases, so the feasible i form a prefix.
+    k = int(np.count_nonzero(d_sorted >= np.arange(d_sorted.shape[0])))
+    head = int(d_sorted[:k].sum())
+    return k if 2 * head - int(d_sorted.sum()) == k * (k - 1) else None
+
+
 def recognize_split(g: Graph) -> SplitPartition | NotSplit:
     """Recognize a split graph, or certify failure.
 
-    Sort vertices by (degree desc, index asc) and take the prefix of
-    length k = max{i : d_i >= i-1}; the graph is split exactly when that
-    prefix is a clique with independent remainder.  This reads degrees
-    only (Hammer-Simeone): the prefix passes iff
-
-        sum(d[:k]) - sum(d[k:]) == k(k-1).
-
-    Proof: the prefix degree sum is 2 e(K) + e(K, I) and the rest's is
-    2 e(I) + e(K, I), so the difference is 2 (e(K) - e(I)), which is at
-    most k(k-1) with equality iff e(K) = k(k-1)/2 and e(I) = 0.  The
-    prefix is then upgraded to a maximum clique.  On failure, search for
-    an induced C4, C5 or 2K2.
+    Sort vertices by (degree desc, index asc) and check the degree-sum
+    identity of ``_degree_sum_split``; it reads degrees only.  When it
+    holds, the length-k prefix of that order is a clique and the rest
+    independent, and the prefix is upgraded to a maximum clique.  On
+    failure, ``_forbidden_subgraph`` finds an induced C4, C5 or 2K2.
     """
     n = g.n
     if n == 0:
         return SplitPartition((), (), {}, 0)
     deg = g.degrees()
     order = np.lexsort((np.arange(n), -deg))
-    d_sorted = deg[order]
-    ranks = np.arange(1, n + 1)
-    feasible = d_sorted >= ranks - 1
-    k_size = int(np.max(np.where(feasible)[0])) + 1 if feasible.any() else 0
-    if int(d_sorted[:k_size].sum()) - int(d_sorted[k_size:].sum()) == k_size * (k_size - 1):
+    k_size = _degree_sum_split(deg[order])
+    if k_size is not None:
         return _upgrade_unchecked(g, order[:k_size].tolist(), np.sort(order[k_size:]).tolist())
     return _forbidden_subgraph(g)
 
 
 def _forbidden_subgraph(g: Graph) -> NotSplit:
-    """Find an induced 2K2, C4 or C5; only invoked on non-split inputs."""
-    edges = list(g.edges())
-    # 2K2: two edges with no edge between their endpoints.
-    for i, (a, b) in enumerate(edges):
-        for c, d in edges[i + 1:]:
-            if len({a, b, c, d}) < 4:
-                continue
-            if not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d)):
-                return NotSplit("2K2", (a, b, c, d))
-    # C4: nonadjacent u,v with two nonadjacent common neighbors.
-    for u in range(g.n):
-        nu = g.neighbor_set(u)
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            common = sorted(nu & g.neighbor_set(v))
-            for a, b in combinations(common, 2):
-                if not g.has_edge(a, b):
-                    return NotSplit("C4", (u, a, v, b))
-    # C5: induced five-cycle.
-    for a in range(g.n):
-        for b in (x for x in g.neighbor_set(a) if x > a):
-            for c in (x for x in g.neighbor_set(b) if x > a and x != a and not g.has_edge(x, a)):
-                for d in (x for x in g.neighbor_set(c)
-                          if x > a and x not in (b,) and not g.has_edge(x, a) and not g.has_edge(x, b)):
-                    for e in (x for x in g.neighbor_set(d)
-                              if x > a and x not in (b, c) and g.has_edge(x, a)
-                              and not g.has_edge(x, b) and not g.has_edge(x, c)):
-                        return NotSplit("C5", (a, b, c, d, e))
-    raise AssertionError("graph failed split verification but no witness found")
+    """Shrink V to a minimal non-split set; only invoked on non-split inputs.
+
+    Being split is hereditary, and the minimal non-split graphs are
+    exactly 2K2, C4 and C5 (Foldes & Hammer).  Keep a set W (``must``)
+    and a prefix [0, rest) of the vertex ids with G[W + [0, rest)]
+    non-split.  While G[W] is split, binary-search the smallest j with
+    G[W + [0, j)] non-split; vertex j-1 lies in every non-split subset of
+    that set, so it joins W and rest becomes j-1.  Every member of the
+    final W was needed when it joined, so W is minimal: at most 5 rounds,
+    each of at most ceil(log2(n)) tests plus one test of W once |W| >= 4
+    (smaller graphs are split).
+    """
+    n = g.n
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    cols = g.indices
+
+    def is_split(members: list[int], prefix: int) -> bool:
+        mask = np.zeros(n, dtype=bool)
+        mask[:prefix] = True
+        mask[members] = True
+        deg = np.bincount(rows[mask[rows] & mask[cols]], minlength=n)[mask]
+        # Counting sort: the degrees of the induced subgraph are below n.
+        hist = np.bincount(deg)
+        return _degree_sum_split(np.repeat(np.arange(hist.shape[0])[::-1], hist[::-1])) is not None
+
+    must: list[int] = []
+    rest = n
+    while len(must) < 4 or is_split(must, 0):
+        if rest == 0 or len(must) == 5:
+            raise WitnessNotFound(f"witness search stalled at {must}")
+        lo, hi = 0, rest  # G[W + [0, lo)] split, G[W + [0, hi)] not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if is_split(must, mid):
+                lo = mid
+            else:
+                hi = mid
+        must.append(hi - 1)
+        rest = hi - 1
+    return _read_witness(g, must)
+
+
+def _read_witness(g: Graph, members: list[int]) -> NotSplit:
+    """Name the minimal non-split set ``members`` and order it per ``NotSplit``."""
+    vs = sorted(members)
+    adj = {v: [w for w in vs if g.has_edge(v, w)] for v in vs}
+    degrees = sorted(len(a) for a in adj.values())
+    if len(vs) == 4 and degrees == [1, 1, 1, 1]:
+        a = vs[0]
+        b = adj[a][0]
+        c, d = (v for v in vs if v not in (a, b))
+        return NotSplit("2K2", (a, b, c, d))
+    if len(vs) in (4, 5) and degrees == [2] * len(vs):
+        cycle = [vs[0], adj[vs[0]][0]]
+        while len(cycle) < len(vs):
+            prev, cur = cycle[-2], cycle[-1]
+            cycle.append(next(w for w in adj[cur] if w != prev))
+        return NotSplit(f"C{len(vs)}", tuple(cycle))
+    raise WitnessNotFound(f"vertices {vs} induce no 2K2, C4 or C5")
 
 
 def is_two_connected(g: Graph) -> bool | NotTwoConnected:

@@ -2,13 +2,16 @@
 
 These helpers are deliberately independent of the library's algorithms:
 permutation search for Hamiltonicity, subset enumeration for stars and
-forbidden subgraphs, relabeling by explicit permutation.  They exist so
+forbidden subgraphs, adjacency lookups for forbidden-subgraph witnesses,
+relabeling by explicit permutation.  They exist so
 expected values in tests are computed by a second route.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from hypothesis import strategies as st
 
 from splithc.graph import Graph, OrientedPath, graph_from_edges
 from splithc.paths import PathSystem
@@ -94,6 +97,45 @@ def brute_is_split(g: Graph) -> bool:
             if all(d == 2 for d in deg.values()) and _connected_subset(g, sub):
                 return False
     return True
+
+
+_WITNESS_SIZES = {"2K2": 4, "C4": 4, "C5": 5}
+
+
+def assert_induced_witness(g: Graph, kind: str, vertices) -> None:
+    """Assert ``vertices`` induce ``kind`` in the documented order.
+
+    A 2K2 (a, b, c, d) must induce exactly the edges ab and cd; a C4 or C5
+    exactly the edges between cyclically consecutive vertices.
+    """
+    vs = tuple(int(v) for v in vertices)
+    size = _WITNESS_SIZES[kind]
+    assert len(vs) == size and len(set(vs)) == size, f"{kind} on {vs}"
+    assert all(0 <= v < g.n for v in vs), f"{kind} on {vs} outside [0, {g.n})"
+    if kind == "2K2":
+        want = {frozenset(vs[:2]), frozenset(vs[2:])}
+    else:
+        want = {frozenset((vs[j], vs[(j + 1) % size])) for j in range(size)}
+    got = {frozenset(pair) for pair in combinations(vs, 2) if g.has_edge(*pair)}
+    assert got == want, f"{vs} induce {sorted(map(sorted, got))}, not {kind} in order"
+
+
+@st.composite
+def near_split_graphs(draw, max_n: int = 9) -> Graph:
+    """A split graph with up to two pairs flipped, under a random labeling,
+    so that both split graphs with small delta_i and non-split graphs
+    one flip away from them come up."""
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(0, n))
+    edges = {(u, v) for u in range(k) for v in range(u + 1, k)}
+    for u in range(k, n):
+        if k:
+            edges.update((w, u) for w in draw(st.sets(st.integers(0, k - 1), max_size=3)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    perm = draw(st.permutations(range(n)))
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 def _connected_subset(g: Graph, sub) -> bool:

@@ -2,21 +2,28 @@
 
 ``edge_count_recognize_split`` verifies the degree-ordered prefix by
 counting edges inside it and inside the rest through the CSR arrays,
-which is O(k^2) on a k-clique.  ``rescan_assemble_paths`` reclassifies
-every remaining independent vertex after each insertion, which is
-quadratic in the independent side.  They are what the package ran before
-the degree-sum test and the bucket queue replaced them; only the tests
-use them, as oracles for identical output.
+which is O(k^2) on a k-clique; on failure it runs
+``pairwise_forbidden_subgraph``, a scan over edge pairs for an induced
+2K2, then over vertex pairs for a C4, then for a C5, which is O(m^2) on a
+near-clique.  ``rescan_assemble_paths`` reclassifies every remaining
+independent vertex after each insertion, which is quadratic in the
+independent side.  They are what the package ran before the degree-sum
+test, the degree-sum witness shrink and the bucket queue replaced them;
+only the tests use them, as oracles for identical partitions and path
+systems and for the non-split verdict (the two witness searches may pick
+different forbidden subgraphs).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
 from splithc.errors import PremiseViolated
 from splithc.graph import Graph, OrientedPath
 from splithc.paths import PathSystem, _initial_paths, build_degree_two_subgraph
-from splithc.split import NotSplit, SplitPartition, _forbidden_subgraph, _upgrade_unchecked
+from splithc.split import NotSplit, SplitPartition, _upgrade_unchecked
 
 
 def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
@@ -39,7 +46,40 @@ def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
         if cross == 0:
             rest = [v for v in range(n) if not mask[v]]
             return _upgrade_unchecked(g, prefix, rest)
-    return _forbidden_subgraph(g)
+    return pairwise_forbidden_subgraph(g)
+
+
+def pairwise_forbidden_subgraph(g: Graph) -> NotSplit:
+    """Find an induced 2K2, C4 or C5; only invoked on non-split inputs."""
+    edges = list(g.edges())
+    # 2K2: two edges with no edge between their endpoints.
+    for i, (a, b) in enumerate(edges):
+        for c, d in edges[i + 1:]:
+            if len({a, b, c, d}) < 4:
+                continue
+            if not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d)):
+                return NotSplit("2K2", (a, b, c, d))
+    # C4: nonadjacent u,v with two nonadjacent common neighbors.
+    for u in range(g.n):
+        nu = g.neighbor_set(u)
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                continue
+            common = sorted(nu & g.neighbor_set(v))
+            for a, b in combinations(common, 2):
+                if not g.has_edge(a, b):
+                    return NotSplit("C4", (u, a, v, b))
+    # C5: induced five-cycle.
+    for a in range(g.n):
+        for b in (x for x in g.neighbor_set(a) if x > a):
+            for c in (x for x in g.neighbor_set(b) if x > a and x != a and not g.has_edge(x, a)):
+                for d in (x for x in g.neighbor_set(c)
+                          if x > a and x not in (b,) and not g.has_edge(x, a) and not g.has_edge(x, b)):
+                    for e in (x for x in g.neighbor_set(d)
+                              if x > a and x not in (b, c) and g.has_edge(x, a)
+                              and not g.has_edge(x, b) and not g.has_edge(x, c)):
+                        return NotSplit("C5", (a, b, c, d, e))
+    raise ValueError("graph failed split verification but no witness found")
 
 
 def _row_select(g: Graph, vertex_mask: np.ndarray) -> np.ndarray:

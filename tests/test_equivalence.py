@@ -1,13 +1,13 @@
 """The degree-sum recognizer and the bucket-queue path assembly give the
-same partitions, witnesses, path systems, insertion logs and error
-messages as the edge-count and rescan references in ``reference_paths``."""
+same partitions, path systems, insertion logs and error messages as the
+edge-count and rescan references in ``reference_paths``, and the same
+non-split verdicts with valid witnesses."""
 
 import random
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from splithc import delta3
 from splithc.delta3 import prepare_context
@@ -17,6 +17,7 @@ from splithc.graph import Graph, graph_from_edges
 from splithc.paths import assemble_paths
 from splithc.split import NotSplit, recognize_split
 
+from conftest import assert_induced_witness, near_split_graphs
 from reference_paths import edge_count_recognize_split, rescan_assemble_paths
 
 
@@ -29,10 +30,20 @@ def _assembly(assemble, g: Graph, p):
 
 
 def assert_same_as_reference(g: Graph) -> None:
-    """Same recognition, and on delta_i <= 2 partitions the same assembly."""
+    """Same partition, or both not split with valid witnesses; and on
+    delta_i <= 2 partitions the same assembly.
+
+    The witnesses themselves may differ: the pairwise reference prefers a
+    2K2, the shrink returns whichever minimal non-split set it reaches."""
     got = recognize_split(g)
-    assert got == edge_count_recognize_split(g)
-    if not isinstance(got, NotSplit) and got.delta_i <= 2:
+    ref = edge_count_recognize_split(g)
+    if isinstance(ref, NotSplit):
+        assert isinstance(got, NotSplit)
+        assert_induced_witness(g, got.kind, got.vertices)
+        assert_induced_witness(g, ref.kind, ref.vertices)
+        return
+    assert got == ref
+    if got.delta_i <= 2:
         assert _assembly(assemble_paths, g, got) == _assembly(rescan_assemble_paths, g, got)
 
 
@@ -41,24 +52,6 @@ def test_every_graph_up_to_seven_vertices():
     assert len(atlas) == 1253 and max(h.number_of_nodes() for h in atlas) == 7
     for h in atlas:
         assert_same_as_reference(graph_from_edges(h.number_of_nodes(), list(h.edges())))
-
-
-@st.composite
-def near_split_graphs(draw, max_n: int = 9) -> Graph:
-    """A split graph with up to two pairs flipped, under a random labeling,
-    so that both split graphs with small delta_i and non-split graphs
-    one flip away from them come up."""
-    n = draw(st.integers(0, max_n))
-    k = draw(st.integers(0, n))
-    edges = {(u, v) for u in range(k) for v in range(u + 1, k)}
-    for u in range(k, n):
-        if k:
-            edges.update((w, u) for w in draw(st.sets(st.integers(0, k - 1), max_size=3)))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if pairs:
-        edges ^= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
-    perm = draw(st.permutations(range(n)))
-    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
 @settings(deadline=None, max_examples=300)

@@ -1,3 +1,4 @@
+from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
@@ -273,6 +274,20 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     write_graph(p3, graph_from_edges(3, [(0, 1), (1, 2)]))
     assert main(["solve", str(p3)]) == 0
     assert main(["solve", str(p3), "--require-cycle"]) == 1
+
+
+def test_cli_not_split_near_clique(tmp_path: Path, capsys):
+    from conftest import assert_induced_witness
+
+    g = graph_from_edges(80, [e for e in combinations(range(80), 2) if e not in ((0, 1), (2, 3))])
+    gpath = tmp_path / "near_clique.graph"
+    write_graph(gpath, g)
+    assert main(["recognize", str(gpath)]) == 1
+    head, kind, verts = capsys.readouterr().out.split()
+    assert head == "not-split"
+    assert_induced_witness(g, kind, [int(v) for v in verts.split(",")])
+    assert main(["solve", str(gpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: not a split graph")
 
 
 def test_cli_oracle_fallback_gate(tmp_path: Path):
