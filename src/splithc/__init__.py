@@ -14,7 +14,6 @@ from .graph import (
     graph_from_edges,
     induced_subgraph,
     validate_ham_cycle,
-    find_induced_star,
 )
 from .split import (
     SplitPartition,
@@ -36,7 +35,7 @@ from .paths import (
 )
 from .solver import SolveOutcome, solve, hc_delta1, hc_claw_free
 from .delta3 import Delta3Context, prepare_context, construct_cycle
-from .oracle import OracleBudget, OracleResult, oracle_solve, oracle_count
+from .oracle import OracleBudget, OracleResult, oracle_solve
 from .reduction import (
     BipartiteInstance,
     ReductionOutput,
@@ -51,14 +50,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "HamCycle", "OrientedPath", "graph_from_edges", "induced_subgraph",
-    "validate_ham_cycle", "find_induced_star",
+    "validate_ham_cycle",
     "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
     "upgrade_to_maximum_clique", "is_two_connected", "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
     "SolveOutcome", "solve", "hc_delta1", "hc_claw_free",
     "Delta3Context", "prepare_context", "construct_cycle",
-    "OracleBudget", "OracleResult", "oracle_solve", "oracle_count",
+    "OracleBudget", "OracleResult", "oracle_solve",
     "BipartiteInstance", "ReductionOutput", "bipartite_from_graph",
     "reduce_to_split", "verify_k15_free", "map_solution_back",
     "GenSpec", "GeneratedInstance", "generate", "enumerate_small_split",

@@ -1,35 +1,58 @@
-"""Exact Hamiltonian-cycle decision, construction and counting.
+"""Exact Hamiltonian-cycle decision and construction by two searches.
 
-Pruned backtracking, independent of the structural solvers: this module
-is the ground truth the property tests compare against, and the fallback
-for instances outside every theorem's premises.  "No cycle" is reported
-only after the search space is exhausted; running out of budget is a
-distinct result, never conflated with a negative answer.
+Both are pruned backtracking, independent of the structural solvers.
+"No cycle" is reported only after the search space is exhausted; running
+out of budget (``OracleBudget``: a node cap and a deadline) is a distinct
+result, never conflated with a negative answer.  A found cycle is checked
+by ``validate_ham_cycle`` before it is returned.
 
-Pruning rules, checked at every expansion:
-  * an unvisited vertex whose possible cycle-neighbors (unvisited
-    neighbors, plus the path endpoints where adjacent) number < 2 kills
-    the branch;
+Pair search, run when ``oracle_solve`` gets a split partition (K, I).
+``solve`` passes one for every instance outside the polynomial premises.
+In a Hamiltonian cycle each independent vertex u sits between two clique
+vertices a, b (Burkard and Hammer, "A note on Hamiltonian split graphs",
+JCTB 1980).  Read each pair as an edge ab of a multigraph on K: G has a
+Hamiltonian cycle iff every u can be given a pair of its clique
+neighbours so that these |I| edges form a linear forest, or, when
+|I| = |K|, one cycle through all of K.  The cycle is read off by walking
+each path with ab expanded into a-u-b and chaining the paths and the
+unused clique vertices along clique edges.  The search branches only on
+I.  One node is one partial assignment examined.
+  * |I| > |K| refutes by pigeonhole, with no node spent;
+  * no clique vertex takes a third edge, and an endpoint map rejects an
+    edge that would close a cycle (only the last edge may, when
+    |I| = |K|);
+  * the next vertex assigned is the unassigned one with the fewest free
+    clique neighbours (degree < 2), smallest index first; fewer than two
+    kills the branch, exactly two forces the choice;
+  * when |I| = |K|, every clique vertex must still be able to reach
+    degree 2 from the unassigned independent vertices it sees, and a
+    pair must contain the vertices that only it can still serve.
+
+Vertex-order search, run without a partition: the reference for any
+graph, used by ``split-hc oracle``, by the cross-checks of ``run_batch``
+and the benchmark, and by the tests, so it stays an independent check of
+the pair search.  It grows a path from vertex 0, extending to the
+smallest admissible neighbour first.  One node is one path examined.
+  * an unvisited vertex whose possible cycle-neighbours (unvisited
+    neighbours, plus the path ends where adjacent) number < 2 kills the
+    branch;
   * the unvisited region must stay reachable from the path's moving end;
   * degree-2 vertices force both incident edges, checked once up front
     (three forced edges at a vertex, or a premature forced cycle, refute
-    immediately);
-  * with a split partition supplied, |I| > |K| refutes by pigeonhole.
-
-Search order is deterministic: start at vertex 0, extend to the smallest
-admissible neighbor first.
+    immediately).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InvalidCertificate
 from .graph import Graph, HamCycle, validate_ham_cycle
 from .split import SplitPartition
 
-__all__ = ["OracleBudget", "OracleResult", "CountResult", "oracle_solve", "oracle_count"]
+__all__ = ["OracleBudget", "OracleResult", "oracle_solve"]
 
 DEFAULT_NODE_LIMIT = 100_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -62,15 +85,6 @@ class OracleResult:
     @property
     def decided(self) -> bool:
         return self.kind != "exhausted"
-
-
-@dataclass(frozen=True)
-class CountResult:
-    """kind is 'count' or 'exhausted'; counts are up to rotation/reflection."""
-
-    kind: str
-    count: int = 0
-    nodes: int = 0
 
 
 class _Budget:
@@ -195,20 +209,40 @@ def _viable(adj: list[list[int]], start: int, end: int, visited: int, n: int) ->
     return _reachable_covers(adj, end, visited, n)
 
 
+
+
 def oracle_solve(g: Graph, budget: OracleBudget | None = None,
                  partition: SplitPartition | None = None) -> OracleResult:
-    """Decide Hamiltonicity exactly, constructing a cycle when one exists."""
-    budget = budget or OracleBudget()
-    if partition is not None and len(partition.independent) > len(partition.clique):
-        return OracleResult("no_cycle")
+    """Decide Hamiltonicity exactly, constructing a cycle when one exists.
+
+    With a split ``partition`` (K a clique, I independent, any such
+    partition of ``g``) the pair search runs; without one, the
+    vertex-order search, which needs no structure.
+    """
+    b = _Budget(budget or OracleBudget())
+    try:
+        if partition is None:
+            order = _order_search(g, b)
+        else:
+            order = _pair_search(g, partition, b)
+    except _Exhausted:
+        return OracleResult("exhausted", None, b.nodes)
+    if order is None:
+        return OracleResult("no_cycle", None, b.nodes)
+    cycle = HamCycle(tuple(order))
+    if not validate_ham_cycle(g, cycle):
+        raise InvalidCertificate(f"oracle cycle {cycle.order} fails validation")
+    return OracleResult("cycle", cycle, b.nodes)
+
+
+def _order_search(g: Graph, b: _Budget) -> list[int] | None:
+    """Vertex order from vertex 0, or None when no Hamiltonian cycle exists."""
     adj = _prepare(g)
     if adj is None:
-        return OracleResult("no_cycle")
+        return None
     n = g.n
-    verdict = _forced_edge_refutation(adj, n)
-    if verdict == "no":
-        return OracleResult("no_cycle")
-    b = _Budget(budget)
+    if _forced_edge_refutation(adj, n) == "no":
+        return None
     path = [0]
 
     def extend(visited: int) -> bool:
@@ -229,53 +263,150 @@ def oracle_solve(g: Graph, budget: OracleBudget | None = None,
             path.pop()
         return False
 
-    try:
-        if extend(1):
-            cycle = HamCycle(tuple(path))
-            if not validate_ham_cycle(g, cycle):
-                raise InvalidCertificate(f"oracle cycle {cycle.order} fails validation")
-            return OracleResult("cycle", cycle, b.nodes)
-        return OracleResult("no_cycle", None, b.nodes)
-    except _Exhausted:
-        return OracleResult("exhausted", None, b.nodes)
+    return path if extend(1) else None
 
 
-def oracle_count(g: Graph, budget: OracleBudget | None = None) -> CountResult:
-    """Count distinct Hamiltonian cycles up to rotation and reflection.
+def _pair_search(g: Graph, p: SplitPartition, b: _Budget) -> list[int] | None:
+    """Give each independent vertex a pair of clique neighbours so that the
+    pairs, read as edges on K, form a linear forest (one cycle through all
+    of K when |I| = |K|); return the cycle, or None when none exists."""
+    clique, indep = p.clique, p.independent
+    n, n_k, n_i = g.n, len(clique), len(indep)
+    if n_i > n_k or n < 3:
+        return None
+    closing = n_i == n_k
+    kset = p.clique_set
+    # Independent vertices go by their index j in p.independent.
+    opts = [[a for a in g.neighbors(u).tolist() if a in kset] for u in indep]
+    seers: list[list[int]] = [[] for _ in range(n)]
+    for j, o in enumerate(opts):
+        for a in o:
+            seers[a].append(j)
+    # Degree of each clique vertex in the multigraph of chosen pairs.
+    vdeg = [0] * n
+    # end[a] is the other end of the path ending at a (a itself when bare);
+    # stale once a is interior, where the degree cap stops any lookup.
+    end = list(range(n))
+    # Clique neighbours with vdeg < 2, per independent vertex.
+    free = [len(o) for o in opts]
+    # Unassigned independent neighbours.  With |I| = |K| every clique
+    # vertex needs degree 2, so vdeg[a] + supply[a] >= 2 at every node.
+    supply = [len(s) for s in seers]
+    pair: list[tuple[int, int] | None] = [None] * n_i
+    if closing and any(supply[a] < 2 for a in clique):
+        return None
 
-    Cycles are anchored at vertex 0 with the smaller second-vs-last
-    neighbor orientation, so each undirected cycle is counted once.
-    """
-    budget = budget or OracleBudget()
-    adj = _prepare(g)
-    if adj is None:
-        return CountResult("count", 0)
-    n = g.n
-    b = _Budget(budget)
-    path = [0]
-    total = 0
+    def pairs(u: int, last: bool) -> Iterator[tuple[int, int]]:
+        # Clique vertices that only u's pair can still bring to degree 2
+        # (u is already out of supply).
+        short = [a for a in opts[u] if closing and vdeg[a] + supply[a] < 2]
+        if len(short) > 2:
+            return
+        cand = [a for a in opts[u] if vdeg[a] < 2]
+        for x, a in enumerate(cand):
+            for c in cand[x + 1:]:
+                # A pair closing a cycle (end[a] == c) is only the last
+                # pair's job when |I| = |K|: |K| - 1 acyclic edges then
+                # form one path through K, whose ends are the only free
+                # clique vertices.
+                if (all(s == a or s == c for s in short)
+                        and (end[a] != c or (closing and last))):
+                    yield a, c
 
-    def extend(visited: int) -> None:
-        nonlocal total
+    def place(u: int, a: int, c: int) -> tuple[int, int, bool]:
+        """Assign (a, c) to u.  Returns the old ends of a and c, for
+        ``unplace``, and False when an unassigned vertex is left with
+        fewer than two free clique neighbours."""
+        pair[u] = (a, c)
+        ea, ec = end[a], end[c]
+        end[ea], end[ec] = ec, ea
+        alive = True
+        for v in (a, c):
+            vdeg[v] += 1
+            if vdeg[v] == 2:
+                for j in seers[v]:
+                    free[j] -= 1
+                    if free[j] < 2 and pair[j] is None:
+                        alive = False
+        return ea, ec, alive
+
+    def unplace(u: int, ea: int, ec: int) -> None:
+        a, c = pair[u]
+        for v in (a, c):
+            if vdeg[v] == 2:
+                for j in seers[v]:
+                    free[j] += 1
+            vdeg[v] -= 1
+        # place wrote only these two entries.
+        end[ea], end[ec] = a, c
+        pair[u] = None
+
+    # Depth-first on an explicit stack, so that depth is not bounded by
+    # recursion.  A frame is [u, u's remaining pairs, old ends or None].
+    frames: list[list] = []
+    while True:
         if not b.tick():
             raise _Exhausted
-        end = path[-1]
-        if len(path) == n:
-            if 0 in adj[end] and path[1] < path[-1]:
-                total += 1
-            return
-        if not _viable(adj, 0, end, visited, n):
-            return
-        for w in adj[end]:
-            wb = 1 << w
-            if visited & wb:
-                continue
-            path.append(w)
-            extend(visited | wb)
-            path.pop()
+        if len(frames) == n_i:
+            return _pair_cycle(clique, indep, pair)
+        u, fewest = -1, n_k + 1
+        for j in range(n_i):
+            if pair[j] is None and free[j] < fewest:
+                u, fewest = j, free[j]
+        if fewest >= 2:
+            if closing:
+                for a in opts[u]:
+                    supply[a] -= 1
+            frames.append([u, pairs(u, len(frames) == n_i - 1), None])
+        # Advance the deepest frame to its next live pair, popping the
+        # frames that have none left.
+        while frames:
+            top = frames[-1]
+            u = top[0]
+            if top[2] is not None:
+                unplace(u, *top[2])
+                top[2] = None
+            for a, c in top[1]:
+                ea, ec, alive = place(u, a, c)
+                if alive:
+                    top[2] = (ea, ec)
+                    break
+                unplace(u, ea, ec)
+            if top[2] is not None:
+                break
+            frames.pop()
+            if closing:
+                for a in opts[u]:
+                    supply[a] += 1
+        else:
+            return None
 
-    try:
-        extend(1)
-        return CountResult("count", total, b.nodes)
-    except _Exhausted:
-        return CountResult("exhausted", total, b.nodes)
+
+def _pair_cycle(clique: tuple[int, ...], indep: tuple[int, ...],
+                pair: list[tuple[int, int]]) -> list[int]:
+    """Walk each path of the pair forest expanding edge ab into a-u-b, then
+    chain paths and bare clique vertices along clique edges."""
+    links: dict[int, list[tuple[int, int]]] = {a: [] for a in clique}
+    for u, (a, c) in zip(indep, pair):
+        links[a].append((c, u))
+        links[c].append((a, u))
+    order: list[int] = []
+    seen: set[int] = set()
+    # Paths start at an end; |I| = |K| leaves one cycle, entered anywhere.
+    starts = [a for a in clique if len(links[a]) == 1] or [clique[0]]
+    for a in starts + list(clique):
+        if a in seen:
+            continue
+        came = -1
+        while True:
+            order.append(a)
+            seen.add(a)
+            step = next(((c, u) for c, u in links[a] if u != came), None)
+            if step is None:
+                break
+            c, came = step
+            order.append(came)
+            if c in seen:
+                break
+            a = c
+    return order

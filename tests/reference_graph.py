@@ -1,0 +1,97 @@
+"""Graph helpers only the tests use.
+
+Small named graphs, connected components by depth-first search, and the
+naive induced-star search that ``split.star_free_level`` is checked
+against.  None of it is on a path the package runs.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
+
+from splithc.graph import Graph, graph_from_edges
+
+
+def find_induced_star(g: Graph, arms: int) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest witness (center, arm tuple) of an induced K_{1,s}, or None.
+
+    Naive enumeration over centers with independence pruning; intended for
+    small arm counts (s <= 5) and test-scale graphs.  Split-aware callers
+    should prefer ``split.star_free_level``.
+    """
+    if arms < 1:
+        raise ValueError("arm count must be >= 1")
+    for center in range(g.n):
+        nbrs = [int(u) for u in g.neighbors(center)]
+        if len(nbrs) < arms:
+            continue
+        witness = _independent_subset(g, nbrs, arms)
+        if witness is not None:
+            return center, witness
+    return None
+
+
+def _independent_subset(g: Graph, candidates: list[int], k: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest k-subset of ``candidates`` that is independent."""
+    chosen: list[int] = []
+
+    def extend(start: int) -> bool:
+        if len(chosen) == k:
+            return True
+        # Not enough candidates left to finish.
+        if len(candidates) - start < k - len(chosen):
+            return False
+        for i in range(start, len(candidates)):
+            c = candidates[i]
+            if all(not g.has_edge(c, x) for x in chosen):
+                chosen.append(c)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if extend(0):
+        return tuple(chosen)
+    return None
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of connected components, each sorted, smallest-first."""
+    seen = np.zeros(g.n, dtype=bool)
+    comps: list[list[int]] = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack = [s]
+        seen[s] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(int(w))
+        comps.append(sorted(comp))
+    return comps
+
+
+def complete_graph(n: int) -> Graph:
+    return graph_from_edges(n, combinations(range(n), 2))
+
+
+def cycle_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def petersen_graph() -> Graph:
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return graph_from_edges(10, edges)

@@ -6,16 +6,13 @@ from splithc.errors import IndexOutOfRange, SelfLoop
 from splithc.graph import (
     HamCycle,
     OrientedPath,
-    complete_graph,
-    cycle_graph,
-    find_induced_star,
     graph_from_edges,
     induced_subgraph,
-    path_graph,
     validate_ham_cycle,
 )
 
 from conftest import brute_find_star, permute_graph
+from reference_graph import complete_graph, cycle_graph, find_induced_star, path_graph
 
 
 def test_graph_from_edges_triangle():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from splithc.cli import main
 from splithc.errors import InvalidCertificate, ParseError
-from splithc.graph import Graph, complete_graph, graph_from_edges, petersen_graph
+from splithc.graph import Graph, graph_from_edges
 from splithc.io import (
     _parse_canonical,
     parse_cycle,
@@ -28,6 +28,7 @@ from reference_io import (
     loop_edges,
     unique_graph_from_edges,
 )
+from reference_graph import complete_graph, petersen_graph
 
 
 def test_graph_roundtrip_bit_exact():

@@ -1,19 +1,18 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
-from splithc.graph import (
-    complete_graph,
-    cycle_graph,
-    graph_from_edges,
-    path_graph,
-    petersen_graph,
-    validate_ham_cycle,
-)
-from splithc.oracle import CountResult, OracleBudget, oracle_count, oracle_solve
-from splithc.split import recognize_split
+from splithc.generators import GenSpec, big_delta2_instance, enumerate_small_split, generate
+from splithc.graph import Graph, graph_from_edges, validate_ham_cycle
+from splithc.oracle import OracleBudget, oracle_solve
+from splithc.reduction import reduce_to_split
+from splithc.split import NotSplit, SplitPartition, recognize_split
 
-from conftest import brute_has_ham_cycle, permute_graph
+from conftest import brute_has_ham_cycle, mk_split, near_split_graphs, permute_graph
+from reference_graph import complete_graph, cycle_graph, path_graph, petersen_graph
+from reference_oracle import CountResult, oracle_count
 
 
 def test_k3_and_p3():
@@ -69,6 +68,9 @@ def test_budget_exhaustion_is_reported():
     g = complete_graph(9)
     res = oracle_solve(g, OracleBudget(nodes=1, seconds=60))
     assert res.kind == "exhausted"
+    trap = _hall_trap(5)
+    res = oracle_solve(trap, OracleBudget(nodes=1, seconds=60), partition=recognize_split(trap))
+    assert res.kind == "exhausted"
     with pytest.raises(ValueError):
         OracleBudget(nodes=0)
 
@@ -96,3 +98,133 @@ def test_invalid_cycle_raises_even_under_optimization(monkeypatch):
     monkeypatch.setattr(oracle, "validate_ham_cycle", lambda g, cycle: False)
     with pytest.raises(InvalidCertificate):
         oracle_solve(complete_graph(4))
+    g = mk_split(4, [(0, 1), (2, 3)])
+    with pytest.raises(InvalidCertificate):
+        oracle_solve(g, partition=recognize_split(g))
+
+
+def _partition(g: Graph, clique) -> SplitPartition:
+    kset = frozenset(clique)
+    d_i = {v: len(g.neighbor_set(v) - kset) for v in sorted(kset)}
+    return SplitPartition(tuple(sorted(kset)), tuple(v for v in range(g.n) if v not in kset),
+                          d_i, max(d_i.values(), default=0))
+
+
+def _split_partitions(g: Graph):
+    """Every (clique, independent set) partition of ``g``: the maximum
+    ones that ``recognize_split`` returns and all the others."""
+    for mask in range(1 << g.n):
+        k = [v for v in range(g.n) if mask >> v & 1]
+        i = [v for v in range(g.n) if not mask >> v & 1]
+        if (all(g.has_edge(a, b) for a, b in combinations(k, 2))
+                and not any(g.has_edge(a, b) for a, b in combinations(i, 2))):
+            yield _partition(g, k)
+
+
+def _hall_trap(s: int) -> Graph:
+    """s independent vertices all on the same s clique vertices, plus three
+    spare clique vertices: s pairs inside s vertices must close a cycle, so
+    there is no Hamiltonian cycle, and the pair search finds that out only
+    by trying every path through those s vertices."""
+    return mk_split(s + 3, [range(s)] * s)
+
+
+def _assert_pair_search(g: Graph, p: SplitPartition, want: bool,
+                        budget: OracleBudget | None = None) -> None:
+    res = oracle_solve(g, budget, partition=p)
+    assert res.decided and res.has_cycle == want, (sorted(g.edges()), p.clique)
+    if res.has_cycle:
+        assert validate_ham_cycle(g, res.cycle)
+
+
+def test_pair_search_every_small_split_partition():
+    small_k = balanced = 0
+    for n in range(1, 8):
+        for g in enumerate_small_split(n):
+            want = brute_has_ham_cycle(g)
+            assert oracle_solve(g).has_cycle == want
+            for p in _split_partitions(g):
+                _assert_pair_search(g, p, want)
+                small_k += len(p.clique) <= 2
+                balanced += len(p.clique) == len(p.independent)
+    assert small_k and balanced
+
+
+@settings(deadline=None, max_examples=300)
+@given(near_split_graphs(max_n=8))
+def test_pair_search_on_near_split_graphs(g: Graph):
+    p = recognize_split(g)
+    if isinstance(p, NotSplit):
+        return
+    want = brute_has_ham_cycle(g)
+    assert oracle_solve(g).has_cycle == want
+    _assert_pair_search(g, p, want)
+
+
+# The generator families and sizes of the benchmark's small-mix workload
+# (bench/workloads.py); bipartite sources contribute both reduction images.
+SMALL_MIX = [
+    ("SplitDelta3InPremise", {"k": 12, "i": 10}, [0]),
+    ("SplitDelta2", {"k": 12, "i": 8}, range(1, 11)),
+    ("SplitDelta2", {"k": 16, "i": 12, "p3": 0.5}, range(1, 9)),
+    ("ClawFreeSplit", {"k": 8, "i": 2}, range(1, 5)),
+    ("ClawFreeSplit", {"k": 9, "i": 3}, range(1, 5)),
+    ("ClawFreeSplit", {"k": 12, "i": 5}, range(1, 5)),
+    ("SplitK14Free", {"k": 9, "i": 6}, range(1, 13)),
+    ("SplitDelta3InPremise", {"k": 10, "i": 8}, range(1, 7)),
+    ("SplitDelta3InPremise", {"k": 11, "i": 9}, range(1, 3)),
+    ("SplitRandom", {"k": 7, "i": 5}, range(1, 25)),
+    ("PlantedHC", {"n": 12}, range(1, 25)),
+    ("BipartiteDeg3", {"na": 8, "nb": 8, "plant": 1}, range(1, 9)),
+    ("BipartiteDeg3", {"na": 8, "nb": 8}, range(1, 5)),
+]
+
+
+def test_pair_search_on_small_mix_families():
+    budget = OracleBudget(nodes=2_000_000, seconds=60)
+    graphs = 0
+    for family, params, seeds in SMALL_MIX:
+        for seed in seeds:
+            inst = generate(GenSpec(family, params, seed))
+            if family == "BipartiteDeg3":
+                red = reduce_to_split(inst)
+                images = [red.h1, red.h2]
+            else:
+                images = [inst.graph]
+            for g in images:
+                old = oracle_solve(g, budget)
+                assert old.decided, (family, params, seed)
+                if g.n <= 9:
+                    assert old.has_cycle == brute_has_ham_cycle(g)
+                _assert_pair_search(g, recognize_split(g), old.has_cycle, budget)
+                graphs += 1
+    assert graphs == 123
+
+
+def test_pair_search_deadline_is_exhaustion():
+    # Past the deadline the search stops at its next clock check (every
+    # 2048 nodes) and reports exhaustion, never a negative answer.
+    g = _hall_trap(5)
+    p = recognize_split(g)
+    full = oracle_solve(g, partition=p)
+    assert full.kind == "no_cycle" and full.nodes > 2048
+    res = oracle_solve(g, OracleBudget(seconds=1e-9), partition=p)
+    assert res.kind == "exhausted" and res.nodes == 2048
+
+
+def test_pair_search_node_counts():
+    # Draws the vertex-order search exhausts 2M nodes on; counted, not timed.
+    specs = [GenSpec("SplitRandom", {"k": 20, "i": 15}, s) for s in range(1, 5)]
+    specs += [GenSpec("PlantedHC", {"n": 28}, s) for s in range(1, 5)]
+    for spec in specs:
+        g = generate(spec).graph
+        res = oracle_solve(g, OracleBudget(nodes=100), partition=recognize_split(g))
+        assert res.decided and res.nodes <= 100, spec
+        if res.has_cycle:
+            assert validate_ham_cycle(g, res.cycle)
+
+
+def test_pair_search_depth_is_not_bound_by_recursion():
+    # 1100 independent vertices, one search level each.
+    g = big_delta2_instance(1101, 1100)
+    _assert_pair_search(g, recognize_split(g), True)

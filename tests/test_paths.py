@@ -14,9 +14,9 @@ from splithc.paths import (
     hc_delta2,
 )
 from splithc.split import recognize_split
-from splithc.graph import connected_components
 
 from conftest import check_path_system, mk_split
+from reference_graph import connected_components
 
 
 def test_degree_two_subgraph_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from splithc.errors import DegreeTooHigh, NotBipartite, UsesCliqueEdge
 from splithc.generators import GenSpec, generate
-from splithc.graph import HamCycle, cycle_graph, graph_from_edges, validate_ham_cycle
+from splithc.graph import HamCycle, graph_from_edges, validate_ham_cycle
 from splithc.oracle import oracle_solve
 from splithc.reduction import (
     BipartiteInstance,
@@ -14,6 +14,8 @@ from splithc.reduction import (
     verify_k15_free,
 )
 from splithc.split import NotSplit, recognize_split
+
+from reference_graph import cycle_graph
 
 
 def test_c6_example():

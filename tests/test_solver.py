@@ -4,12 +4,13 @@ import pytest
 
 from splithc.errors import NotSplitGraph
 from splithc.generators import GenSpec, big_delta2_instance, enumerate_small_split, generate
-from splithc.graph import complete_graph, cycle_graph, graph_from_edges, path_graph, validate_ham_cycle
+from splithc.graph import graph_from_edges, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.solver import hc_claw_free, hc_delta1, solve
 from splithc.split import recognize_split, split_is_two_connected, star_free_level
 
 from conftest import mk_split
+from reference_graph import complete_graph, cycle_graph, path_graph
 
 
 def test_solve_k4():
@@ -143,6 +144,29 @@ def test_oracle_fallback_tagging():
     out = solve(g)
     assert out.method == "OracleFallback"
     assert out.has_cycle == oracle_solve(g).has_cycle
+
+
+def test_oracle_fallback_calls_the_traced_globals(monkeypatch):
+    # bench/spans.py attributes oracle and validation work by replacing
+    # these two module globals; a solve that bypasses them goes unmeasured.
+    from splithc import oracle, solver
+
+    calls = {"oracle": 0, "validate": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "oracle_solve", counting("oracle", solver.oracle_solve))
+    monkeypatch.setattr(oracle, "validate_ham_cycle", counting("validate", oracle.validate_ham_cycle))
+    # Clique vertex 0 sees three independent vertices and clique vertex 5,
+    # which sees none of them: an induced 4-star.
+    g = mk_split(6, [(0, 1), (0, 2), (0, 3, 4)])
+    out = solve(g)
+    assert out.method == "OracleFallback" and out.has_cycle
+    assert calls == {"oracle": 1, "validate": 1}
 
 
 def test_oracle_nodes_reported():

@@ -5,7 +5,7 @@ import pytest
 
 from splithc.errors import InvalidPartition
 from splithc.generators import GenSpec, generate
-from splithc.graph import complete_graph, cycle_graph, graph_from_edges, path_graph
+from splithc.graph import graph_from_edges
 from splithc.split import (
     NotSplit,
     NotTwoConnected,
@@ -17,6 +17,7 @@ from splithc.split import (
 )
 
 from conftest import brute_find_star, brute_is_split, mk_split
+from reference_graph import complete_graph, cycle_graph, path_graph
 
 
 def test_recognize_c4_witness():

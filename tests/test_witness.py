@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from splithc import split
 from splithc.errors import WitnessNotFound
 from splithc.generators import big_delta2_instance
-from splithc.graph import Graph, complete_graph, graph_from_edges
+from splithc.graph import Graph, graph_from_edges
 from splithc.split import NotSplit, recognize_split
 
 from conftest import assert_induced_witness, near_split_graphs
+from reference_graph import complete_graph
 
 
 def _check(g: Graph) -> bool:
