@@ -14,7 +14,6 @@ from pathlib import Path
 from . import io as gio
 from .errors import NotSplitGraph, OracleBudgetExceeded, SplitHCError
 from .generators import FAMILIES, GenSpec, generate
-from .graph import validate_ham_cycle
 from .oracle import OracleBudget, oracle_solve
 from .reduction import bipartite_from_graph, reduce_to_split
 from .solver import solve
@@ -75,6 +74,9 @@ def _cmd_verify(args) -> int:
     g, _ = gio.read_graph(args.graph)
     cycle = gio.parse_cycle(Path(args.cycle).read_text(encoding="utf-8"))
     order = cycle.order
+    if g.n < 3:
+        print("invalid: a cycle needs at least 3 vertices")
+        return 1
     if sorted(order) != list(range(g.n)):
         print("invalid: not a permutation of the vertex set")
         return 1

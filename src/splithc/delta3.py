@@ -15,16 +15,18 @@ constraints, and the domination of the clique by the triple's
 neighborhoods, as correctness assertions: a failure raises
 ``CensusViolation`` naming the violated rule.
 
-The cycle is then built by two bounded searches.  The weave arranges all
-paths in a circle, with v1, v2 and v3 at three of the junctions and clique
-edges at the others.  When no such arrangement exists, re-embedding
-absorbs one member of the triple into a rerouted path (one path plus a
-spare clique block, through a small exhaustive search) and weaves the
-rest.  Every cycle is validated edge by edge before it is returned.  If
-both searches fail, a ``CaseFallthrough`` is raised whose id says whether
-a search hit its node cap (``delta3-cap``) or both ran to completion
-(``delta3``); the caller routes the instance to the exact solver and
-logs it, so an invalid cycle is never emitted.
+The cycle is then built by two bounded searches under one node cap.  The
+weave arranges all paths in a circle, with v1, v2 and v3 at three of the
+junctions and clique edges at the others; it is the construction that
+uses the path system.  When no such arrangement exists, the pair search
+of ``oracle`` runs on the whole graph with its split partition: it gives
+every independent vertex two clique neighbours so that the pairs, read
+as edges on the clique side, form a linear forest (Burkard and Hammer,
+JCTB 1980).  Every cycle is validated edge by edge before it is
+returned.  If both searches fail, a ``CaseFallthrough`` is raised whose
+id says whether a search hit its node cap (``delta3-cap``) or both ran
+to completion (``delta3``); the caller routes the instance to the exact
+solver and logs it, so an invalid cycle is never emitted.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from itertools import combinations
 
 from .errors import CaseFallthrough, CensusViolation, PremiseViolated
 from .graph import Graph, HamCycle, OrientedPath, induced_subgraph, validate_ham_cycle
+from .oracle import OracleBudget, oracle_solve
 from .paths import PathSystem, ShortCycleWitness, assemble_paths, find_short_cycle
 from .split import SplitPartition
 
@@ -43,8 +46,8 @@ __all__ = [
     "construct_cycle",
 ]
 
-_WEAVE_NODE_CAP = 60_000
-_REEMBED_NODE_CAP = 200_000
+# Node cap of both tiers, read at call time.
+_NODE_CAP = 60_000
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,6 @@ class Delta3Context:
     n_i_v: tuple[int, int, int]
     system: PathSystem
     census: dict[int, int]
-
-    def singletons(self) -> list[int]:
-        return [q.head for q in self.system.paths if len(q) == 1]
 
 
 def _census_of(system: PathSystem) -> dict[int, int]:
@@ -145,7 +145,7 @@ def _weave(ctx: Delta3Context) -> tuple[HamCycle | None, bool]:
     junction is a clique edge.  Deterministic bounded backtracking.
 
     Returns the validated cycle or None, and whether the search stopped
-    at ``_WEAVE_NODE_CAP`` rather than running to completion."""
+    at ``_NODE_CAP`` rather than running to completion."""
     g = ctx.g
     blocks = [list(q.order) for q in ctx.system.paths]
     nblocks = len(blocks)
@@ -171,7 +171,7 @@ def _weave(ctx: Delta3Context) -> tuple[HamCycle | None, bool]:
         return x
 
     assign: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    budget = [_WEAVE_NODE_CAP]
+    budget = [_NODE_CAP]
     comp_size = {b: 1 for b in range(nblocks)}
 
     def place(idx: int) -> bool:
@@ -266,106 +266,19 @@ def _stitch(blocks: list[list[int]], assign: dict) -> list[int] | None:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Local re-embedding: reroute one path plus a spare clique vertex so that a
-# hard-to-place member of the triple rides inside a block.
-
-
-def _ham_path_exact(g: Graph, verts: list[int],
-                    kset: frozenset) -> tuple[list[int] | None, bool]:
-    """A Hamiltonian path of the induced subgraph on ``verts`` with both
-    endpoints in the clique; exhaustive up to ``_REEMBED_NODE_CAP`` nodes.
-    Returns the path or None, and whether the cap was hit."""
-    vs = sorted(verts)
-    idx = {x: i for i, x in enumerate(vs)}
-    n = len(vs)
-    adj = [[idx[int(w)] for w in g.neighbors(x) if int(w) in idx] for x in vs]
-    nodes = [_REEMBED_NODE_CAP]
-    k_ids = [i for i, x in enumerate(vs) if x in kset]
-    path: list[int] = []
-
-    def dfs(visited: int) -> bool:
-        nodes[0] -= 1
-        if nodes[0] <= 0:
-            return False
-        if len(path) == n:
-            return vs[path[-1]] in kset
-        end = path[-1]
-        for w in adj[end]:
-            if visited & (1 << w):
-                continue
-            path.append(w)
-            if dfs(visited | (1 << w)):
-                return True
-            path.pop()
-        return False
-
-    for a in k_ids:
-        path[:] = [a]
-        if dfs(1 << a):
-            return [vs[i] for i in path], False
-    return None, nodes[0] <= 0
-
-
-def _reembed(ctx: Delta3Context) -> tuple[HamCycle | None, bool]:
-    """Absorb one of v1, v2, v3 into a rerouted block, then weave again.
-
-    Returns the cycle or None, and whether any inner search hit its cap."""
-    g = ctx.g
-    capped = False
-    kset = ctx.partition.clique_set
-    # Prefer spare clique vertices other than the apex: its two junction
-    # slots are usually needed for the remaining triple members.
-    singles = sorted(ctx.singletons(), key=lambda w: (w == ctx.v, w))
-    for u in ctx.n_i_v:
-        nbrs = set(int(w) for w in g.neighbors(u))
-        host_paths = [q for q in ctx.system.paths
-                      if len(q) >= 3 and nbrs & set(q.order)]
-        for q in sorted(host_paths, key=lambda q: (-len(q), q.head)):
-            spares: list[list[int]] = [[w] for w in singles]
-            spares += [list(r.order) for r in ctx.system.paths
-                       if len(r) == 3 and r is not q]
-            for spare in spares:
-                verts = list(q.order) + [u] + spare
-                if len(verts) > 15:
-                    continue
-                new_block, hit = _ham_path_exact(g, verts, kset)
-                capped |= hit
-                if new_block is None:
-                    continue
-                reduced = _reembedded_context(ctx, q, spare, new_block, u)
-                got, hit = _weave(reduced)
-                capped |= hit
-                if got is not None:
-                    return got, capped
-    return None, capped
-
-
-def _reembedded_context(ctx: Delta3Context, host: OrientedPath, spare: list[int],
-                        new_block: list[int], absorbed: int) -> Delta3Context:
-    """Context with host+spare replaced by the rerouted block and the
-    absorbed triple member dropped from the junction specials."""
-    spare_key = tuple(spare)
-    paths = [q for q in ctx.system.paths
-             if q is not host and tuple(q.order) != spare_key]
-    paths.append(OrientedPath(tuple(new_block)))
-    remaining = tuple(u for u in ctx.n_i_v if u != absorbed)
-    return Delta3Context(ctx.g, ctx.partition, ctx.v, remaining,  # type: ignore[arg-type]
-                         PathSystem(tuple(paths), ()), ctx.census)
-
-
 def construct_cycle(ctx: Delta3Context) -> HamCycle:
-    """Build a Hamiltonian cycle by weaving, then by re-embedding.
+    """Build a Hamiltonian cycle by weaving, then by the pair search.
 
     The census was checked by ``prepare_context``; here every emitted
-    cycle is validated.  When neither search finds a cycle a
-    ``CaseFallthrough`` is raised: ``delta3-cap`` if some search stopped
-    at its node cap, ``delta3`` if both searched exhaustively.
+    cycle is validated.  When neither tier finds a cycle a
+    ``CaseFallthrough`` is raised: ``delta3-cap`` if a tier stopped at
+    its node cap, ``delta3`` if both searched exhaustively.
     """
     got, capped = _weave(ctx)
     if got is None:
-        got, hit = _reembed(ctx)
-        capped |= hit
+        res = oracle_solve(ctx.g, OracleBudget(nodes=_NODE_CAP), partition=ctx.partition)
+        got = res.cycle
+        capped |= res.kind == "exhausted"
     if got is None:
         raise CaseFallthrough("delta3-cap" if capped else "delta3", ctx.census)
     if not validate_ham_cycle(ctx.g, got):

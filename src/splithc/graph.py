@@ -109,26 +109,6 @@ class OrientedPath:
     def head(self) -> int:
         return self.order[0]
 
-    @property
-    def tail(self) -> int:
-        return self.order[-1]
-
-    def reverse(self) -> "OrientedPath":
-        return OrientedPath(self.order[::-1])
-
-    def subpath(self, a: int, b: int) -> "OrientedPath":
-        """The contiguous segment from ``a`` to ``b``, either direction."""
-        i, j = self.order.index(a), self.order.index(b)
-        if i <= j:
-            return OrientedPath(self.order[i:j + 1])
-        return OrientedPath(self.order[j:i + 1][::-1])
-
-    def is_path_in(self, g: Graph) -> bool:
-        o = self.order
-        if len(set(o)) != len(o) or not o:
-            return False
-        return all(g.has_edge(o[i], o[i + 1]) for i in range(len(o) - 1))
-
 
 def _as_edge_array(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     if isinstance(edges, np.ndarray):

@@ -38,7 +38,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,9 +257,9 @@ def run_batch(manifest_path: str | Path, oracle_budget: OracleBudget | None = No
     """Solve every manifest instance, cross-check against the oracle, and
     emit the report; discrepancies are the tool's most important signal.
 
-    Records are ordered by instance id.  Oracle cross-checks are skipped
-    (marked "-") when the oracle exhausts its budget; a discrepancy is
-    counted only for decided disagreements.
+    Records are ordered by instance id.  A discrepancy is counted only for
+    decided disagreements: an oracle cross-check that exhausts its budget
+    is ignored, and nothing in the record marks it.
     """
     manifest_path = Path(manifest_path)
     entries = sorted(parse_manifest(manifest_path.read_text(encoding="utf-8")),

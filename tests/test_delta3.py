@@ -205,6 +205,9 @@ def test_construct_cycle_validates_everywhere():
         cycle = construct_cycle(ctx)
         assert validate_ham_cycle(g, cycle)
         built += 1
+        # Measured, not proven: the pair search has never backtracked on
+        # an in-premise context.
+        assert oracle_solve(g, partition=p).nodes <= len(p.independent) + 1
         if g.n <= 18:
             assert oracle_solve(g, budget).has_cycle
     assert built >= 100
@@ -213,7 +216,7 @@ def test_construct_cycle_validates_everywhere():
 def test_weave_cap_hit_is_reported(monkeypatch):
     g = _premise_instance(3)
     ctx = _context(g)
-    monkeypatch.setattr(delta3, "_WEAVE_NODE_CAP", 1)
+    monkeypatch.setattr(delta3, "_NODE_CAP", 1)
     with pytest.raises(CaseFallthrough) as exc:
         construct_cycle(ctx)
     assert exc.value.claim_id == "delta3-cap"
@@ -224,12 +227,15 @@ def test_weave_cap_hit_is_reported(monkeypatch):
 
 
 def test_known_completeness_gap():
-    # Both searches run to completion without a cycle on this instance,
-    # the one in-premise miss across the test and benchmark corpora.
+    # The weave misses this in-premise instance; the pair-search tier
+    # builds its cycle, so solve needs no oracle round.
     g = _premise_instance(0, k=12, i=10)
-    with pytest.raises(CaseFallthrough) as exc:
-        construct_cycle(_context(g))
-    assert exc.value.claim_id == "delta3"
+    cycle = construct_cycle(_context(g))
+    assert validate_ham_cycle(g, cycle)
+    out = solve(g)
+    assert out.method == "Delta3"
+    assert out.anomaly is None
+    assert validate_ham_cycle(g, out.cycle)
 
 
 def test_verdict_iff_no_short_cycle():

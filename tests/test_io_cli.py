@@ -235,6 +235,12 @@ def test_cli_solve_and_verify(tmp_path: Path):
     cyc.write_text("0 1 3 3\n", encoding="utf-8")
     assert main(["verify", str(gpath), str(cyc)]) == 1
 
+    # No cycle has fewer than three vertices, even where 0 1 is an edge.
+    k2 = tmp_path / "k2.graph"
+    k2.write_text("split-hc v1 2 1\n0 1\n", encoding="utf-8")
+    cyc.write_text("0 1\n", encoding="utf-8")
+    assert main(["verify", str(k2), str(cyc)]) == 1
+
 
 def test_cli_verify_reports_first_bad_edge(tmp_path: Path, capsys):
     gpath = tmp_path / "c4.graph"
@@ -299,6 +305,19 @@ def test_cli_oracle_fallback_gate(tmp_path: Path):
     write_graph(gpath, g)
     assert main(["solve", str(gpath)]) == 2
     assert main(["solve", str(gpath), "--oracle-fallback"]) == 0
+
+
+def test_cli_solves_delta3_gap_instance(tmp_path: Path, capsys):
+    # The weave misses this in-premise instance; the engine's pair-search
+    # tier answers it, so no oracle opt-in is needed.
+    gpath = tmp_path / "gap.graph"
+    assert main(["gen", "SplitDelta3InPremise", "k=12", "i=10",
+                 "--seed", "0", "--out", str(gpath)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(gpath)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: cycle\n" in out
+    assert "method: Delta3\n" in out
 
 
 def test_cli_gen_reduce_flow(tmp_path: Path):

@@ -13,3 +13,49 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _bound_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's imports, with their line numbers."""
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return bound
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere, in string annotations, or listed in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+    for ann in annotations:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used |= _used_names(ast.parse(sub.value, mode="eval"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {e.value for e in ast.walk(node.value)
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return used
+
+
+def test_package_has_no_unused_imports():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    found = []
+    for f in files:
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        used = _used_names(tree)
+        found += [f"{f.name}:{line} {name}"
+                  for name, line in _bound_names(tree).items() if name not in used]
+    assert not found, found
+
