@@ -7,8 +7,9 @@ rows are sorted, which makes every "pick an arbitrary vertex" step in the
 algorithms deterministic (smallest index wins).
 
 The cycle checker ``validate_ham_cycle`` is deliberately primitive - a
-length check, a permutation check and one adjacency probe per consecutive
-pair - and shares no code with any solver, so it can serve as an
+length check, a permutation check and one batched adjacency probe
+(``Graph.has_edges``) over all consecutive pairs, the closing pair
+included - and shares no code with any solver, so it can serve as an
 independent certificate validator.
 """
 
@@ -63,6 +64,32 @@ class Graph:
         row = self.neighbors(u)
         i = int(np.searchsorted(row, v))
         return i < row.shape[0] and int(row[i]) == v
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """``has_edge(us[i], vs[i])`` for every i, as one boolean array.
+
+        One binary search per query, all run together: ``pos`` counts up
+        the row entries below v in power-of-two steps, largest first, so a
+        row of degree d is done after ``d.bit_length()`` rounds of a few
+        array ops each.  Vertices must lie in ``[0, n)``.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        vs = np.asarray(vs, dtype=np.int64)
+        pos = self.indptr[us]
+        end = self.indptr[us + 1]
+        last = end - 1
+        rounds = int((end - pos).max(initial=0)).bit_length()
+        for r in reversed(range(rounds)):
+            step = 1 << r
+            # A probe past the row reads its last entry instead; if that is
+            # below v, so is the whole row, and pos moves past the row.  An
+            # empty row reads some other entry ("clip" maps -1 to 0) and is
+            # not found either way.
+            probe = np.minimum(pos + (step - 1), last)
+            np.add(pos, step, out=pos, where=self.indices.take(probe, mode="clip") < vs)
+        found = pos < end
+        found[found] = self.indices[pos[found]] == vs[found]
+        return found
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as Python ints (u, v) with u < v, lexicographically."""
@@ -196,4 +223,5 @@ def validate_ham_cycle(g: Graph, cycle: "HamCycle | Sequence[int]") -> bool:
         if not isinstance(v, (int, np.integer)) or v < 0 or v >= n or v in seen:
             return False
         seen.add(v)
-    return all(g.has_edge(order[i], order[(i + 1) % n]) for i in range(n))
+    ring = np.asarray(order + order[:1], dtype=np.int64)
+    return bool(g.has_edges(ring[:-1], ring[1:]).all())

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .errors import PremiseViolated
 from .graph import Graph, HamCycle, OrientedPath, validate_ham_cycle
 from .split import SplitPartition
@@ -86,15 +88,12 @@ class PathSystem:
 
 def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
     """Collect degree-2 independent vertices and their neighborhoods."""
-    va = tuple(u for u in p.independent if g.degree(u) == 2)
-    vb_set: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for u in va:
-        for w in g.neighbors(u):
-            w = int(w)
-            vb_set.add(w)
-            edges.append((u, w))
-    return DegreeTwoSubgraph(va, tuple(sorted(vb_set)), tuple(sorted(edges)))
+    ind = np.asarray(p.independent, dtype=np.int64)
+    va = ind[g.degrees()[ind] == 2]
+    first = g.indptr[va]
+    us, lo, hi = va.tolist(), g.indices[first].tolist(), g.indices[first + 1].tolist()
+    return DegreeTwoSubgraph(tuple(us), tuple(sorted({*lo, *hi})),
+                             tuple(sorted([*zip(us, lo), *zip(us, hi)])))
 
 
 def _find_cycle(adj: dict[int, list[int]], banned: int | None = None) -> list[int] | None:
@@ -157,15 +156,17 @@ def _canonical_cycle(cycle: list[int], kset: frozenset) -> tuple[int, ...]:
     return tuple(rot)
 
 
-def find_short_cycle(g: Graph, p: SplitPartition) -> ShortCycleWitness | None:
+def find_short_cycle(g: Graph, p: SplitPartition, *,
+                     h: DegreeTwoSubgraph | None = None) -> ShortCycleWitness | None:
     """A cycle of H missing a clique vertex, or None.
 
     When every vb vertex has H-degree <= 2 the components of H are paths
     and cycles and the scan is linear; otherwise (clique vertices seeing
     up to three degree-2 vertices) each clique vertex is tried as the
-    excluded one.
+    excluded one.  ``h`` is H when the caller has built it already.
     """
-    h = build_degree_two_subgraph(g, p)
+    if h is None:
+        h = build_degree_two_subgraph(g, p)
     if not h.va:
         return None
     adj = h.adjacency()
@@ -260,7 +261,8 @@ def _initial_paths(h: DegreeTwoSubgraph) -> list[list[int]]:
     return paths
 
 
-def assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
+def assemble_paths(g: Graph, p: SplitPartition, *,
+                   h: DegreeTwoSubgraph | None = None) -> PathSystem:
     """Run the insertion procedure; requires delta_i <= 2 and no cycle in H.
 
     Every independent vertex ends up on exactly one alternating path with
@@ -274,11 +276,13 @@ def assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
     one is the smallest vertex of the highest class.  A vertex's class
     depends only on the endpoint status and path of its clique neighbors,
     and an insertion changes those at no more than four clique vertices;
-    only the vertices that see one of them are reclassified.
+    only the vertices that see one of them are reclassified.  ``h`` is H
+    when the caller has built it already.
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
-    h = build_degree_two_subgraph(g, p)
+    if h is None:
+        h = build_degree_two_subgraph(g, p)
     paths: dict[int, list[int]] = {}
     endpoint_of: dict[int, int] = {}
     on_path: set[int] = set()
@@ -418,13 +422,14 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2")
-    witness = find_short_cycle(g, p)
+    h = build_degree_two_subgraph(g, p)
+    witness = find_short_cycle(g, p, h=h)
     if witness is not None:
         return witness
     if len(p.independent) > len(p.clique):
         raise PremiseViolated("independent side larger than clique side")
     if len(p.independent) == len(p.clique):
-        return _spanning_h_cycle(g, p, build_degree_two_subgraph(g, p))
-    ps = assemble_paths(g, p)
+        return _spanning_h_cycle(g, p, h)
+    ps = assemble_paths(g, p, h=h)
     return join_paths_into_cycle(g, ps)
 

@@ -124,14 +124,11 @@ def _partition_from(g: Graph, clique: Iterable[int]) -> SplitPartition:
     # K is a verified clique, so each member sees the other |K|-1 inside.
     kset = frozenset(int(v) for v in clique)
     independent = tuple(v for v in range(g.n) if v not in kset)
-    k_inner = len(kset) - 1
-    d_i = {}
-    delta = 0
-    for v in sorted(kset):
-        c = g.degree(v) - k_inner
-        d_i[v] = c
-        delta = max(delta, c)
-    return SplitPartition(tuple(sorted(kset)), independent, d_i, delta)
+    deg = g.degrees().tolist()
+    ks = sorted(kset)
+    k_inner = len(ks) - 1
+    outside = [deg[v] - k_inner for v in ks]
+    return SplitPartition(tuple(ks), independent, dict(zip(ks, outside)), max([0, *outside]))
 
 
 def _verify_candidate(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> None:
@@ -162,11 +159,12 @@ def upgrade_to_maximum_clique(g: Graph, clique: Iterable[int], independent: Iter
 def _upgrade_unchecked(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> SplitPartition:
     kset = set(int(v) for v in clique)
     iset = sorted(set(int(v) for v in independent))
+    deg = g.degrees().tolist()
     while True:
         k_len = len(kset)
         mover = None
         for u in iset:
-            if g.degree(u) >= k_len and sum(1 for w in g.neighbors(u) if int(w) in kset) == k_len:
+            if deg[u] >= k_len and sum(1 for w in g.neighbors(u) if int(w) in kset) == k_len:
                 mover = u
                 break
         if mover is None:

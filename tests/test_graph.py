@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from splithc.errors import IndexOutOfRange, SelfLoop
+from splithc.generators import big_delta2_instance
 from splithc.graph import (
     HamCycle,
     OrientedPath,
@@ -10,6 +12,7 @@ from splithc.graph import (
     induced_subgraph,
     validate_ham_cycle,
 )
+from splithc.solver import solve
 
 from conftest import brute_find_star, is_path_in, permute_graph
 from reference_graph import complete_graph, cycle_graph, find_induced_star, path_graph
@@ -74,6 +77,10 @@ def test_validate_rejects_malformed():
     assert not validate_ham_cycle(k4, [0, 1, 2, 2])       # repeat
     assert not validate_ham_cycle(k4, [0, 1, 2, 9])       # out of range
     assert not validate_ham_cycle(k4, HamCycle((0, 1, 2, "x")))  # type: ignore[arg-type]
+    assert not validate_ham_cycle(k4, [0, 1, 2, -1])      # negative
+    assert not validate_ham_cycle(k4, [0, 1, 2, 3, 0])    # long
+    assert not validate_ham_cycle(k4, [0, 1, 2, 3.0])     # float  # type: ignore[list-item]
+    assert validate_ham_cycle(k4, [0, True, 2, 3])        # bool is an int
 
 
 def test_validate_invariant_under_relabeling():
@@ -89,6 +96,115 @@ def test_validate_invariant_under_relabeling():
         before = validate_ham_cycle(g, cycle)
         after = validate_ham_cycle(permute_graph(g, perm), [perm[v] for v in cycle])
         assert before == after
+
+
+def _edge_set(g) -> set[tuple[int, int]]:
+    """Both orientations of every edge, read from ``g.edges()``."""
+    pairs = set(g.edges())
+    return pairs | {(v, u) for u, v in pairs}
+
+
+def _brute_valid(adj: set[tuple[int, int]], n: int, order) -> bool:
+    return (n >= 3 and sorted(int(v) for v in order) == list(range(n))
+            and all((int(order[i]), int(order[(i + 1) % n])) in adj for i in range(n)))
+
+
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.divmod(np.arange(n * n, dtype=np.int64), n)
+
+
+def _random_graph(rng: random.Random, n: int, density: float, cycle=()):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    edges += [(cycle[i], cycle[(i + 1) % n]) for i in range(len(cycle))]
+    return graph_from_edges(n, edges)
+
+
+def test_has_edges_matches_edge_set():
+    rng = random.Random(11)
+    for _ in range(60):
+        n = rng.randrange(1, 25)
+        g = _random_graph(rng, n, rng.random())
+        adj = _edge_set(g)
+        us, vs = _all_pairs(n)
+        got = g.has_edges(us, vs)
+        assert got.dtype == bool
+        assert got.tolist() == [(u, v) in adj for u, v in zip(us.tolist(), vs.tolist())]
+
+
+def test_has_edges_row_boundaries():
+    # Vertex 0 is isolated; the last vertex is a star centre, so its row
+    # ends at len(indices) and its degree is a power of two.
+    for d in (1, 2, 4, 8, 16, 32, 64):
+        n = d + 2
+        star = graph_from_edges(n, [(n - 1, w) for w in range(1, n - 1)])
+        assert star.degree(0) == 0 and star.degree(n - 1) == d
+        assert star.indptr[n] == len(star.indices)
+        for g in (star, complete_graph(d + 1)):
+            adj = _edge_set(g)
+            us, vs = _all_pairs(g.n)
+            assert g.has_edges(us, vs).tolist() == [
+                (u, v) in adj for u, v in zip(us.tolist(), vs.tolist())]
+
+
+def test_edgeless_graph_is_rejected_not_raised():
+    for n in (0, 1, 3, 5):
+        g = graph_from_edges(n, [])
+        assert len(g.indices) == 0
+        us, vs = _all_pairs(n)
+        assert not g.has_edges(us, vs).any()
+        assert not validate_ham_cycle(g, list(range(n)))
+    assert g.has_edges([], []).shape == (0,)
+
+
+def test_validate_matches_brute_force():
+    rng = random.Random(5)
+    for trial in range(400):
+        n = rng.randrange(3, 10)
+        cycle = list(range(n))
+        rng.shuffle(cycle)
+        g = _random_graph(rng, n, rng.random(), cycle if trial % 2 else ())
+        adj = _edge_set(g)
+        order = list(range(n))
+        rng.shuffle(order)
+        i, j = rng.sample(range(n), 2)
+        swapped = cycle[:]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        for o in (order, cycle, swapped):
+            want = _brute_valid(adj, n, o)
+            assert validate_ham_cycle(g, o) == want
+            assert validate_ham_cycle(g, [np.int64(v) for v in o]) == want
+            assert validate_ham_cycle(g, HamCycle(tuple(np.array(o, dtype=np.int64)))) == want
+
+
+def test_validate_big_ladder_with_one_non_edge():
+    k = 2500
+    g = big_delta2_instance(k, 1000, 700)
+    n = g.n
+
+    def adjacent(u: int, v: int) -> bool:
+        # Linear scan of the CSR row: no binary search involved.
+        return bool((g.indices[g.indptr[u]:g.indptr[u + 1]] == v).any())
+
+    def non_edges(o) -> int:
+        return sum(not adjacent(o[i], o[(i + 1) % n]) for i in range(n))
+
+    order = list(solve(g).cycle.order)
+    assert validate_ham_cycle(g, order) and non_edges(order) == 0
+    # Reversing order[i+1..j] swaps the edges (a_i, a_i+1), (a_j, a_j+1) for
+    # (a_i, a_j), (a_i+1, a_j+1).  With a_i, a_j, a_j+1 in the clique 0..k-1
+    # and a_i+1 independent and not adjacent to a_j+1, exactly one cycle
+    # edge becomes a non-edge.
+    i = next(i for i in range(n - 1) if order[i] < k <= order[i + 1])
+    j = next(j for j in range(i + 2, n - 1)
+             if order[j] < k and order[j + 1] < k and not adjacent(order[i + 1], order[j + 1]))
+    broken = order[:i + 1] + order[i + 1:j + 1][::-1] + order[j + 1:]
+    assert sorted(broken) == list(range(n)) and non_edges(broken) == 1
+    assert not validate_ham_cycle(g, broken)
+    # The same cycle rotated so the non-edge is the closing pair.
+    wrap = broken[j + 1:] + broken[:j + 1]
+    assert not adjacent(wrap[-1], wrap[0]) and non_edges(wrap) == 1
+    assert not validate_ham_cycle(g, wrap)
+    assert not validate_ham_cycle(g, [np.int64(v) for v in wrap])
 
 
 def test_find_induced_star_examples():

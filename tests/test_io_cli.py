@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from splithc.io import (
     parse_graph,
     parse_manifest,
     pretty_report,
+    read_graph,
     render_cycle,
     render_graph,
     run_batch,
@@ -248,8 +250,14 @@ def test_cli_verify_reports_first_bad_edge(tmp_path: Path, capsys):
     cyc = tmp_path / "cycle.txt"
     cyc.write_text("0 1 3 2\n", encoding="utf-8")
     assert main(["verify", str(gpath), str(cyc)]) == 1
-    out = capsys.readouterr().out
-    assert "1 3" in out
+    assert capsys.readouterr().out == "invalid: 1 3 is not an edge\n"
+    # Path 0-1-2-3 plus the chord 1-3: in 0 1 2 3 only the closing pair
+    # 3 0 is missing; 0 2 1 3 misses 0 2 first, then 3 0.
+    write_graph(gpath, graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 3)]))
+    for text, bad in (("0 1 2 3\n", "3 0"), ("0 2 1 3\n", "0 2"), ("2 1 0 3\n", "0 3")):
+        cyc.write_text(text, encoding="utf-8")
+        assert main(["verify", str(gpath), str(cyc)]) == 1
+        assert capsys.readouterr().out == f"invalid: {bad} is not an edge\n"
 
 
 def test_cli_exit_codes(tmp_path: Path, capsys):
@@ -327,7 +335,13 @@ def test_cli_gen_reduce_flow(tmp_path: Path):
     assert main(["reduce", str(out), "--out-prefix", str(tmp_path / "red")]) == 0
     assert (tmp_path / "red.h1.graph").exists()
     assert (tmp_path / "red.h2.graph").exists()
-    assert (tmp_path / "red.manifest").exists()
+    # Degree histogram counted a second way: endpoints of the edge list.
+    g, _ = read_graph(out)
+    deg = Counter(v for e in g.edges() for v in e)
+    hist = Counter(deg[v] for v in range(g.n))
+    want = "degree-histogram: " + " ".join(f"{d}:{c}" for d, c in sorted(hist.items()))
+    lines = (tmp_path / "red.manifest").read_text(encoding="utf-8").splitlines()
+    assert lines[3] == want
     assert main(["solve", str(tmp_path / "red.h1.graph"), "--oracle-fallback"]) == 0
 
 

@@ -59,3 +59,18 @@ def test_package_has_no_unused_imports():
                   for name, line in _bound_names(tree).items() if name not in used]
     assert not found, found
 
+
+
+def test_graph_module_imports_no_solver():
+    # The certificate checker in graph.py must share no code with a solver.
+    tree = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "splithc"]
+        elif isinstance(node, ast.ImportFrom) and (node.level or
+                                                   (node.module or "").split(".")[0] == "splithc"):
+            module = (node.module or "").removeprefix("splithc").lstrip(".")
+            names = [module] if module else [a.name for a in node.names]
+            found += [name for name in names if name != "errors"]
+    assert not found, found
