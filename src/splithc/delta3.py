@@ -15,24 +15,23 @@ constraints, and the domination of the clique by the triple's
 neighborhoods, as correctness assertions: a failure raises
 ``CensusViolation`` naming the violated rule.
 
-The cycle is then built by two bounded searches under one node cap.  The
-weave arranges all paths in a circle, with v1, v2 and v3 at three of the
-junctions and clique edges at the others; it is the construction that
-uses the path system.  When no such arrangement exists, the pair search
-of ``oracle`` runs on the whole graph with its split partition: it gives
-every independent vertex two clique neighbours so that the pairs, read
-as edges on the clique side, form a linear forest (Burkard and Hammer,
-JCTB 1980).  Every cycle is validated edge by edge before it is
-returned.  If both searches fail, a ``CaseFallthrough`` is raised whose
-id says whether a search hit its node cap (``delta3-cap``) or both ran
-to completion (``delta3``); the caller routes the instance to the exact
-solver and logs it, so an invalid cycle is never emitted.
+The cycle is then built by the pair search of ``oracle`` on the whole
+graph with its split partition: it gives every independent vertex two
+clique neighbours so that the pairs, read as edges on the clique side,
+form a linear forest (Burkard and Hammer, JCTB 1980).  Any cycle that
+threads v1, v2 and v3 between the ends of the system paths is among the
+ones it can find, so it replaces the paper's weave; its node count is
+bounded only by measurement (at most |I| + 1 on every in-premise context
+tried), so it runs under a node cap.  Every cycle is validated edge by
+edge before it is returned.  If the search fails, a ``CaseFallthrough``
+is raised whose id says whether it hit its node cap (``delta3-cap``) or
+ran to completion (``delta3``); the caller routes the instance to the
+exact solver and logs it, so an invalid cycle is never emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import CaseFallthrough, CensusViolation, PremiseViolated
 from .graph import Graph, HamCycle, OrientedPath, induced_subgraph, validate_ham_cycle
@@ -46,7 +45,7 @@ __all__ = [
     "construct_cycle",
 ]
 
-# Node cap of both tiers, read at call time.
+# Node cap of the pair search, read at call time.
 _NODE_CAP = 60_000
 
 
@@ -135,152 +134,18 @@ def prepare_context(g: Graph, p: SplitPartition) -> Delta3Context | ShortCycleWi
     return Delta3Context(g, p, v, n_i_v, system, census)
 
 
-# ---------------------------------------------------------------------------
-# Generic junction assembly ("weave")
-
-
-def _weave(ctx: Delta3Context) -> tuple[HamCycle | None, bool]:
-    """Arrange all system paths in a circle, placing v1, v2, v3 at three
-    junctions whose flanking block ends are their neighbors; every other
-    junction is a clique edge.  Deterministic bounded backtracking.
-
-    Returns the validated cycle or None, and whether the search stopped
-    at ``_NODE_CAP`` rather than running to completion."""
-    g = ctx.g
-    blocks = [list(q.order) for q in ctx.system.paths]
-    nblocks = len(blocks)
-    ports: list[tuple[int, int]] = [(b, s) for b in range(nblocks) for s in (0, 1)]
-
-    def pvert(port: tuple[int, int]) -> int:
-        b, s = port
-        return blocks[b][0 if s == 0 else -1]
-
-    cands: dict[int, list[tuple[int, int]]] = {}
-    for u in ctx.n_i_v:
-        cs = [pt for pt in ports if g.has_edge(u, pvert(pt))]
-        cs.sort(key=lambda pt: (pvert(pt), pt))
-        cands[u] = cs
-    specials = sorted(ctx.n_i_v, key=lambda u: (len(cands[u]), u))
-    used: set[tuple[int, int]] = set()
-    comp = list(range(nblocks))
-
-    # No path compression: component merges must be undoable on backtrack.
-    def find(x: int) -> int:
-        while comp[x] != x:
-            x = comp[x]
-        return x
-
-    assign: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    budget = [_NODE_CAP]
-    comp_size = {b: 1 for b in range(nblocks)}
-
-    def place(idx: int) -> bool:
-        if budget[0] <= 0:
-            return False
-        if idx == len(specials):
-            return True
-        u = specials[idx]
-        free = [pt for pt in cands[u] if pt not in used]
-        for pa, pb in combinations(free, 2):
-            budget[0] -= 1
-            if budget[0] <= 0:
-                return False
-            ra, rb = find(pa[0]), find(pb[0])
-            closing = ra == rb
-            if closing:
-                # Allowed only as the final junction of a circle of all blocks.
-                if idx != len(specials) - 1 or comp_size[ra] != nblocks:
-                    continue
-            used.add(pa)
-            used.add(pb)
-            saved = (comp[ra], comp[rb], comp_size.get(rb, 0), comp_size.get(ra, 0))
-            if not closing:
-                comp[ra] = rb
-                comp_size[rb] = comp_size.get(rb, 0) + comp_size.get(ra, 0)
-            assign[u] = (pa, pb)
-            if place(idx + 1):
-                return True
-            del assign[u]
-            used.discard(pa)
-            used.discard(pb)
-            comp[ra], comp[rb] = saved[0], saved[1]
-            comp_size[rb], comp_size[ra] = saved[2], saved[3]
-        return False
-
-    if not place(0):
-        return None, budget[0] <= 0
-    cyc = _stitch(blocks, assign)
-    if cyc is None:
-        return None, False
-    cycle = HamCycle(tuple(cyc))
-    return (cycle if validate_ham_cycle(g, cycle) else None), False
-
-
-def _stitch(blocks: list[list[int]], assign: dict) -> list[int] | None:
-    """Turn the junction assignment into one cyclic vertex order."""
-    attach: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
-    for u, (pa, pb) in assign.items():
-        attach[pa] = (u, pb)
-        attach[pb] = (u, pa)
-    unvisited = set(range(len(blocks)))
-    chains: list[list[int]] = []
-    while unvisited:
-        start = None
-        for b in sorted(unvisited, key=lambda b: (min(blocks[b]), b)):
-            for s in (0, 1):
-                if (b, s) not in attach:
-                    start = (b, s)
-                    break
-            if start:
-                break
-        closed_walk = start is None
-        if closed_walk:
-            b = min(unvisited)
-            start = (b, 0)
-        seq: list[int] = []
-        cur_b, enter = start
-        first_port = start
-        while True:
-            blk = blocks[cur_b]
-            if cur_b not in unvisited:
-                return None
-            unvisited.remove(cur_b)
-            seq.extend(blk if enter == 0 else blk[::-1])
-            exit_port = (cur_b, 1 - enter)
-            hook = attach.get(exit_port)
-            if hook is None:
-                break
-            u, (nb, ns) = hook
-            if closed_walk and (nb, ns) == first_port:
-                seq.append(u)
-                break
-            seq.append(u)
-            cur_b, enter = nb, ns
-        chains.append(seq)
-        if closed_walk and unvisited:
-            return None
-    chains.sort(key=lambda c: c[0])
-    out: list[int] = []
-    for c in chains:
-        out.extend(c)
-    return out
-
-
 def construct_cycle(ctx: Delta3Context) -> HamCycle:
-    """Build a Hamiltonian cycle by weaving, then by the pair search.
+    """Build a Hamiltonian cycle by the pair search on the whole graph.
 
     The census was checked by ``prepare_context``; here every emitted
-    cycle is validated.  When neither tier finds a cycle a
-    ``CaseFallthrough`` is raised: ``delta3-cap`` if a tier stopped at
-    its node cap, ``delta3`` if both searched exhaustively.
+    cycle is validated.  When the search finds no cycle a
+    ``CaseFallthrough`` is raised: ``delta3-cap`` if it stopped at its
+    node cap, ``delta3`` if it searched exhaustively.
     """
-    got, capped = _weave(ctx)
-    if got is None:
-        res = oracle_solve(ctx.g, OracleBudget(nodes=_NODE_CAP), partition=ctx.partition)
-        got = res.cycle
-        capped |= res.kind == "exhausted"
-    if got is None:
-        raise CaseFallthrough("delta3-cap" if capped else "delta3", ctx.census)
-    if not validate_ham_cycle(ctx.g, got):
-        raise CaseFallthrough("delta3-validate", got.order)
-    return got
+    res = oracle_solve(ctx.g, OracleBudget(nodes=_NODE_CAP), partition=ctx.partition)
+    if not res.has_cycle:
+        raise CaseFallthrough("delta3-cap" if res.kind == "exhausted" else "delta3",
+                              ctx.census)
+    if not validate_ham_cycle(ctx.g, res.cycle):
+        raise CaseFallthrough("delta3-validate", res.cycle.order)
+    return res.cycle

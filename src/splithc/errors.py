@@ -77,7 +77,9 @@ class CaseFallthrough(SplitHCError):
 
 
 class InvalidCertificate(SplitHCError):
-    """A cycle built by the package failed the independent checker.
+    """A cycle or reduction image built by the package failed its
+    independent check (a cycle not Hamiltonian, an image not split or not
+    K_{1,5}-free).
 
     Raised in place of emitting it; this signals a bug in a construction,
     never a property of the input.

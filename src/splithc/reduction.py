@@ -128,7 +128,8 @@ def _image(b: BipartiteInstance, clique_side: tuple[int, ...]) -> Graph:
 
 
 def reduce_to_split(b: BipartiteInstance) -> ReductionOutput:
-    """Build both split images and run all the asserted validators."""
+    """Build both split images and validate them: each must be split and
+    K_{1,5}-free, else ``InvalidCertificate`` is raised."""
     h1 = _image(b, b.part_a)
     h2 = _image(b, b.part_b)
     other1 = tuple(v for v in range(b.graph.n) if v not in set(b.part_a))
@@ -137,10 +138,10 @@ def reduce_to_split(b: BipartiteInstance) -> ReductionOutput:
     p2 = upgrade_to_maximum_clique(h2, b.part_b, other2)
     for h, p in ((h1, p1), (h2, p2)):
         if isinstance(recognize_split(h), NotSplit):
-            raise AssertionError("reduction image failed split recognition")
+            raise InvalidCertificate("reduction image failed split recognition")
         check = verify_k15_free(h, p)
         if check is not True:
-            raise AssertionError(f"reduction image has an induced 5-star: {check}")
+            raise InvalidCertificate(f"reduction image has an induced 5-star: {check}")
     return ReductionOutput(h1, h2, p1, p2, b)
 
 

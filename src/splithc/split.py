@@ -383,58 +383,37 @@ class StarLevels:
     witness5: tuple[int, tuple[int, ...]] | None = None
 
 
-def _coverage_witness(center: int, arm_candidates: list[int],
-                      masks: dict[int, int], full: int) -> int | None:
-    """Smallest clique vertex nonadjacent to every listed I vertex.
-
-    The center itself is adjacent to all of them, so it is never returned.
-    """
-    covered = 0
-    for u in arm_candidates:
-        covered |= masks[u]
-    uncovered = full & ~covered
-    if uncovered == 0:
-        return None
-    return (uncovered & -uncovered).bit_length() - 1
-
-
-def _find_split_star(g: Graph, p: SplitPartition, s: int,
-                     masks: dict[int, int], full: int) -> tuple[int, tuple[int, ...]] | None:
+def _find_split_star(g: Graph, p: SplitPartition, s: int) -> tuple[int, tuple[int, ...]] | None:
     """Witness of an induced K_{1,s} in a split graph, or None.
 
     Only clique centers can host one (the neighborhood of an I vertex is
     a clique) and at most one arm lies in K; so a witness at v exists iff
-    d_i[v] >= s, or d_i[v] = s-1 and some clique vertex avoids all of
-    N(v) & I.
+    d_i[v] >= s, or d_i[v] = s-1 and the rows of N(v) & I, which lie in
+    K, cover fewer than |K| vertices.  The extra arm is then the smallest
+    clique vertex outside them (never v, which they all contain).
     """
     kset = p.clique_set
     for v in p.clique:
         di = p.d_i[v]
+        if di < s - 1:
+            continue
+        arms = [u for u in g.neighbors(v).tolist() if u not in kset]
         if di >= s:
-            arms = tuple(u for u in map(int, g.neighbors(v)) if u not in kset)[:s]
-            return v, arms
-        if di == s - 1:
-            arms = [u for u in map(int, g.neighbors(v)) if u not in kset]
-            w = _coverage_witness(v, arms, masks, full)
-            if w is not None:
-                return v, tuple(sorted(arms + [w]))
+            return v, tuple(arms[:s])
+        covered: set[int] = set()
+        for u in arms:
+            covered.update(g.neighbors(u).tolist())
+        if len(covered) < len(p.clique):
+            w = next(x for x in p.clique if x not in covered)
+            return v, tuple(sorted(arms + [w]))
     return None
 
 
 def star_free_level(g: Graph, p: SplitPartition) -> StarLevels:
     """Classify K_{1,3}/K_{1,4}/K_{1,5}-freeness with witness stars."""
-    masks: dict[int, int] = {}
-    full = 0
-    for v in p.clique:
-        full |= 1 << v
-    for u in p.independent:
-        m = 0
-        for w in g.neighbors(u):
-            m |= 1 << int(w)
-        masks[u] = m
-    w3 = _find_split_star(g, p, 3, masks, full)
-    w4 = _find_split_star(g, p, 4, masks, full) if w3 is not None else None
-    w5 = _find_split_star(g, p, 5, masks, full) if w4 is not None else None
+    w3 = _find_split_star(g, p, 3)
+    w4 = _find_split_star(g, p, 4) if w3 is not None else None
+    w5 = _find_split_star(g, p, 5) if w4 is not None else None
     return StarLevels(
         claw_free=w3 is None,
         k14_free=w4 is None,

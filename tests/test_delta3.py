@@ -227,8 +227,9 @@ def test_weave_cap_hit_is_reported(monkeypatch):
 
 
 def test_known_completeness_gap():
-    # The weave misses this in-premise instance; the pair-search tier
-    # builds its cycle, so solve needs no oracle round.
+    # No cycle of this in-premise instance contains the whole path system,
+    # so the paper's weave misses it; the pair search on G builds one, so
+    # solve needs no oracle round.
     g = _premise_instance(0, k=12, i=10)
     cycle = construct_cycle(_context(g))
     assert validate_ham_cycle(g, cycle)

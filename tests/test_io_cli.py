@@ -316,8 +316,8 @@ def test_cli_oracle_fallback_gate(tmp_path: Path):
 
 
 def test_cli_solves_delta3_gap_instance(tmp_path: Path, capsys):
-    # The weave misses this in-premise instance; the engine's pair-search
-    # tier answers it, so no oracle opt-in is needed.
+    # The paper's weave misses this in-premise instance; the engine's pair
+    # search on the whole graph answers it, so no oracle opt-in is needed.
     gpath = tmp_path / "gap.graph"
     assert main(["gen", "SplitDelta3InPremise", "k=12", "i=10",
                  "--seed", "0", "--out", str(gpath)]) == 0

@@ -163,3 +163,21 @@ def test_map_back_rejects_cycle_outside_source(monkeypatch):
                         lambda h, c: h is not g and real(h, c))
     with pytest.raises(InvalidCertificate):
         map_solution_back(b, r1.cycle, r2.cycle)
+
+
+def test_reduction_image_check_raises_invalid_certificate(monkeypatch, tmp_path, capsys):
+    # A failed image check is a package error (exit 2 from the CLI), not a
+    # bare AssertionError that the CLI would print as a traceback.
+    from splithc import reduction
+    from splithc.cli import main
+    from splithc.errors import InvalidCertificate
+    from splithc.io import write_graph
+
+    g = cycle_graph(6)
+    monkeypatch.setattr(reduction, "verify_k15_free", lambda h, p: (0, (1, 2, 3, 4, 5)))
+    with pytest.raises(InvalidCertificate, match="induced 5-star"):
+        reduce_to_split(BipartiteInstance(g, (0, 2, 4), (1, 3, 5)))
+    gpath = tmp_path / "c6.graph"
+    write_graph(gpath, g)
+    assert main(["reduce", str(gpath), "--out-prefix", str(tmp_path / "red")]) == 2
+    assert capsys.readouterr().err.startswith("error: reduction image has an induced 5-star")

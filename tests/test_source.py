@@ -4,14 +4,23 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "splithc"
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_package_has_no_assert_statements():
-    # ``python -O`` strips asserts, so a check in the package must raise.
+    # ``python -O`` strips asserts, so a check in the package must raise,
+    # and raise a ``SplitHCError`` that the CLI reports with exit code 2,
+    # not a bare ``AssertionError``.
     files = sorted(PACKAGE.glob("*.py"))
     assert files
     found = [f"{f.name}:{node.lineno}"
              for f in files
              for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert not found, found
 
 

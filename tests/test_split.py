@@ -170,6 +170,12 @@ def test_star_levels_k14_witness():
     assert all(not g.has_edge(a, b) for a in arms for b in arms if a < b)
 
 
+def assert_induced_star(g, leaves, center, arms):
+    assert len(arms) == leaves == len(set(arms)) and center not in arms
+    assert all(g.has_edge(center, a) for a in arms)
+    assert not any(g.has_edge(a, b) for a, b in combinations(arms, 2))
+
+
 def test_star_levels_agree_with_brute():
     rng = random.Random(21)
     for _ in range(120):
@@ -182,6 +188,9 @@ def test_star_levels_agree_with_brute():
         assert st.claw_free == (brute_find_star(g, 3) is None)
         assert st.k14_free == (brute_find_star(g, 4) is None)
         assert st.k15_free == (brute_find_star(g, 5) is None)
+        for leaves, witness in ((3, st.witness3), (4, st.witness4), (5, st.witness5)):
+            if witness is not None:
+                assert_induced_star(g, leaves, *witness)
 
 
 def test_k14_free_implies_delta_at_most_3():
