@@ -1,7 +1,8 @@
 """Certified Hamiltonian-cycle solving on split graphs.
 
-Polynomial constructive solvers for split graphs without induced 3- or
-4-leaf stars (with short-cycle certificates of infeasibility), the
+Polynomial constructive solvers for K_{1,4}-free split graphs (path
+assembly for delta_i <= 2, claw-free included; the census engine for
+delta_i = 3) with short-cycle certificates of infeasibility, the
 reduction producing 5-star-free split instances from bipartite
 max-degree-3 sources, and an exact oracle plus seeded generators forming
 the verification harness.
@@ -33,7 +34,7 @@ from .paths import (
     assemble_paths,
     hc_delta2,
 )
-from .solver import SolveOutcome, solve, hc_delta1, hc_claw_free
+from .solver import SolveOutcome, solve
 from .delta3 import Delta3Context, prepare_context, construct_cycle
 from .oracle import OracleBudget, OracleResult, oracle_solve
 from .reduction import (
@@ -55,7 +56,7 @@ __all__ = [
     "upgrade_to_maximum_clique", "is_two_connected", "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
-    "SolveOutcome", "solve", "hc_delta1", "hc_claw_free",
+    "SolveOutcome", "solve",
     "Delta3Context", "prepare_context", "construct_cycle",
     "OracleBudget", "OracleResult", "oracle_solve",
     "BipartiteInstance", "ReductionOutput", "bipartite_from_graph",

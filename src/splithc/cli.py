@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .errors import NotSplitGraph, OracleBudgetExceeded, SplitHCError
+from .errors import InvalidParameter, NotSplitGraph, OracleBudgetExceeded, SplitHCError
 from .generators import FAMILIES, GenSpec, generate
 from .oracle import OracleBudget, oracle_solve
 from .reduction import bipartite_from_graph, reduce_to_split
@@ -23,7 +23,10 @@ from .split import NotSplit, recognize_split
 
 
 def _budget(args) -> OracleBudget:
-    return OracleBudget(nodes=int(args.budget), seconds=float(args.seconds))
+    try:
+        return OracleBudget(nodes=args.budget, seconds=args.seconds)
+    except ValueError as exc:
+        raise InvalidParameter(f"--budget {args.budget} --seconds {args.seconds}: {exc}") from None
 
 
 def _cmd_recognize(args) -> int:
@@ -97,19 +100,21 @@ def _cmd_reduce(args) -> int:
     b = bipartite_from_graph(g)
     out = reduce_to_split(b)
     prefix = Path(args.out_prefix)
-    gio.write_graph(prefix.with_suffix(".h1.graph"), out.h1, clique=b.part_a)
-    gio.write_graph(prefix.with_suffix(".h2.graph"), out.h2, clique=b.part_b)
+    h1, h2, man = (prefix.parent / (prefix.name + ext)
+                   for ext in (".h1.graph", ".h2.graph", ".manifest"))
+    gio.write_graph(h1, out.h1, clique=b.part_a)
+    gio.write_graph(h2, out.h2, clique=b.part_b)
     hist = np.bincount(g.degrees()).tolist()
     manifest = [
         f"# reduction of {args.graph}",
         "partA: " + " ".join(map(str, b.part_a)),
         "partB: " + " ".join(map(str, b.part_b)),
         "degree-histogram: " + " ".join(f"{d}:{c}" for d, c in enumerate(hist) if c),
-        f"h1: {prefix.with_suffix('.h1.graph').name}",
-        f"h2: {prefix.with_suffix('.h2.graph').name}",
+        f"h1: {h1.name}",
+        f"h2: {h2.name}",
     ]
-    prefix.with_suffix(".manifest").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    print(f"wrote {prefix.with_suffix('.h1.graph')} and {prefix.with_suffix('.h2.graph')}")
+    man.write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    print(f"wrote {h1} and {h2}")
     return 0
 
 

@@ -126,7 +126,8 @@ class GenerationExhausted(SplitHCError):
 
 class InvalidParameter(SplitHCError):
     """A generator was given an unknown family name, a parameter its
-    family does not read, or not given one it requires."""
+    family does not read, or not given one it requires; or an oracle
+    budget limit given on the command line is not positive."""
 
 
 class OracleBudgetExceeded(SplitHCError):

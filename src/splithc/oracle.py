@@ -67,7 +67,8 @@ class OracleBudget:
     seconds: float = DEFAULT_TIME_LIMIT
 
     def __post_init__(self) -> None:
-        if self.nodes <= 0 or self.seconds <= 0:
+        # Written so that NaN, which compares False both ways, is refused.
+        if not (self.nodes > 0 and self.seconds > 0):
             raise ValueError("budget limits must be positive")
 
 

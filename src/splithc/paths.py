@@ -22,7 +22,9 @@ All arbitrary choices resolve to the smallest vertex index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -44,12 +46,14 @@ __all__ = [
 @dataclass(frozen=True)
 class DegreeTwoSubgraph:
     """H: degree-2 independent vertices (va) against their clique
-    neighbors (vb), with all va-vb edges of the host graph."""
+    neighbors (vb), with all va-vb edges of the host graph.  ``adjacency``
+    is built once per H and shared by its readers, which must not mutate it."""
 
     va: tuple[int, ...]
     vb: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
+    @cached_property
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {v: [] for v in self.va + self.vb}
         for u, v in self.edges:
@@ -169,7 +173,7 @@ def find_short_cycle(g: Graph, p: SplitPartition, *,
         h = build_degree_two_subgraph(g, p)
     if not h.va:
         return None
-    adj = h.adjacency()
+    adj = h.adjacency
     kset = p.clique_set
     k_all = set(p.clique)
     off_h = sorted(k_all - set(h.vb))
@@ -236,9 +240,7 @@ def _degree_two_cycles(adj: dict[int, list[int]]) -> list[list[int]]:
 
 def _initial_paths(h: DegreeTwoSubgraph) -> list[list[int]]:
     """Path components of H (H must be acyclic here)."""
-    adj = h.adjacency()
-    if any(len(adj[v]) > 2 for v in h.vb):
-        raise PremiseViolated("vb vertex with three degree-2 neighbors in path assembly")
+    adj = h.adjacency
     seen: set[int] = set()
     paths: list[list[int]] = []
     endpoints = sorted(v for v in adj if len(adj[v]) == 1)
@@ -394,29 +396,11 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     return PathSystem(tuple(oriented), tuple(events))
 
 
-def _spanning_h_cycle(g: Graph, p: SplitPartition, h: DegreeTwoSubgraph) -> HamCycle:
-    adj = h.adjacency()
-    cycles = _degree_two_cycles(adj)
-    if len(cycles) != 1 or len(cycles[0]) != g.n:
-        raise PremiseViolated("expected a single spanning cycle in H")
-    return HamCycle(_canonical_cycle(cycles[0], p.clique_set))
-
-
-def join_paths_into_cycle(g: Graph, ps: PathSystem) -> HamCycle:
-    """Concatenate a path system along clique edges and close the cycle."""
-    order: list[int] = []
-    for q in ps.paths:
-        order.extend(q.order)
-    cycle = HamCycle(tuple(order))
-    if not validate_ham_cycle(g, cycle):
-        raise PremiseViolated("path system did not close into a Hamiltonian cycle")
-    return cycle
-
-
 def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
-    """Solve the delta_i = 2 case: a short cycle, or a constructed cycle.
+    """Solve the delta_i <= 2 case: a short cycle, or a constructed cycle.
 
-    Premise (enforced by the dispatcher): split, 2-connected, K_{1,4}-free.
+    Premise (enforced by the dispatcher): split, 2-connected, delta_i <= 2,
+    hence K_{1,4}-free (an induced K_{1,4} needs three independent arms).
     With delta_i <= 2 and minimum degree 2, |I| <= |K| always holds; when
     |I| = |K| the degree-two subgraph is itself the spanning cycle.
     """
@@ -429,7 +413,14 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
     if len(p.independent) > len(p.clique):
         raise PremiseViolated("independent side larger than clique side")
     if len(p.independent) == len(p.clique):
-        return _spanning_h_cycle(g, p, h)
-    ps = assemble_paths(g, p, h=h)
-    return join_paths_into_cycle(g, ps)
-
+        cycles = _degree_two_cycles(h.adjacency)
+        if len(cycles) != 1 or len(cycles[0]) != g.n:
+            raise PremiseViolated("expected a single spanning cycle in H")
+        order = _canonical_cycle(cycles[0], p.clique_set)
+    else:
+        # Concatenate the path system along clique edges.
+        order = tuple(chain.from_iterable(q.order for q in assemble_paths(g, p, h=h).paths))
+    cycle = HamCycle(order)
+    if not validate_ham_cycle(g, cycle):
+        raise PremiseViolated("constructed order is not a Hamiltonian cycle")
+    return cycle

@@ -290,6 +290,16 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     assert main(["solve", str(p3)]) == 0
     assert main(["solve", str(p3), "--require-cycle"]) == 1
 
+    # Oracle budgets must be positive; NaN would switch the deadline off.
+    manifest.write_text("p3 file p3.graph\n", encoding="utf-8")
+    for flags in (["--budget", "0"], ["--budget", "-5"], ["--seconds", "-1"],
+                  ["--seconds", "0"], ["--seconds", "nan"]):
+        for cmd in (["solve", str(p3)], ["oracle", str(p3)],
+                    ["batch", str(manifest), "--out", str(tmp_path / "r.txt")]):
+            capsys.readouterr()
+            assert main([*cmd, *flags]) == 2, (cmd, flags)
+            assert capsys.readouterr().err.startswith("error: "), (cmd, flags)
+
 
 def test_cli_not_split_near_clique(tmp_path: Path, capsys):
     from conftest import assert_induced_witness
@@ -343,6 +353,14 @@ def test_cli_gen_reduce_flow(tmp_path: Path):
     lines = (tmp_path / "red.manifest").read_text(encoding="utf-8").splitlines()
     assert lines[3] == want
     assert main(["solve", str(tmp_path / "red.h1.graph"), "--oracle-fallback"]) == 0
+    # Dotted prefixes keep their tail: run.1 and run.2 must not both
+    # write run.h1.graph.
+    for tag in ("1", "2"):
+        assert main(["reduce", str(out), "--out-prefix", str(tmp_path / f"run.{tag}")]) == 0
+    names = sorted(f.name for f in tmp_path.iterdir() if f.name.startswith("run."))
+    assert names == [f"run.{t}.{ext}" for t in "12" for ext in ("h1.graph", "h2.graph", "manifest")]
+    lines = (tmp_path / "run.2.manifest").read_text(encoding="utf-8").splitlines()
+    assert lines[-2:] == ["h1: run.2.h1.graph", "h2: run.2.h2.graph"]
 
 
 def test_manifest_parsing_and_batch(tmp_path: Path):

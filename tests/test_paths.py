@@ -32,8 +32,9 @@ def test_degree_two_subgraph_examples():
 
     g = mk_split(3, [(0, 1), (0, 1)])
     h = build_degree_two_subgraph(g, recognize_split(g))
-    adj = h.adjacency()
+    adj = h.adjacency
     assert adj[3] == [0, 1] and adj[4] == [0, 1]
+    assert h.adjacency is adj  # built once per H, shared by its readers
 
 
 def test_find_short_cycle_examples():

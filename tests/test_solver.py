@@ -6,7 +6,8 @@ from splithc.errors import NotSplitGraph
 from splithc.generators import GenSpec, big_delta2_instance, enumerate_small_split, generate
 from splithc.graph import graph_from_edges, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
-from splithc.solver import hc_claw_free, hc_delta1, solve
+from splithc.paths import hc_delta2
+from splithc.solver import solve
 from splithc.split import recognize_split, split_is_two_connected, star_free_level
 
 from conftest import mk_split
@@ -38,55 +39,59 @@ def test_solve_rejects_non_split():
         solve(cycle_graph(5))
 
 
+def _solved_cycle(g, method):
+    """Solve ``g`` and assert a validated cycle tagged ``method``."""
+    out = solve(g)
+    assert out.has_cycle and out.method == method, (out.method, out.premise)
+    assert validate_ham_cycle(g, out.cycle)
+
+
 def test_hc_delta1_examples():
-    g = mk_split(3, [(0, 1)])
-    p = recognize_split(g)
-    cycle = hc_delta1(g, p)
-    assert validate_ham_cycle(g, cycle)
-
-    k5 = complete_graph(5)
-    assert validate_ham_cycle(k5, hc_delta1(k5, recognize_split(k5)))
-
-    g = mk_split(4, [(0, 1), (2, 3)])
-    p = recognize_split(g)
-    cycle = hc_delta1(g, p)
-    assert validate_ham_cycle(g, cycle)
+    # delta_i <= 1: the path assembly places every independent vertex on
+    # disjoint clique neighbors.
+    for g in (mk_split(3, [(0, 1)]), complete_graph(5), mk_split(4, [(0, 1), (2, 3)])):
+        p = recognize_split(g)
+        assert p.delta_i <= 1
+        assert validate_ham_cycle(g, hc_delta2(g, p))
+        _solved_cycle(g, "Delta1")
 
 
 def test_claw_free_case_two_vertices():
     # K = {v, w, x} with v seeing both independents, w one, x the other:
-    # the published cycle shape (w, s, v, t, x) closes through the clique.
+    # a cycle (w, s, v, t, x) closes through the clique.
     g = mk_split(3, [(0, 1), (0, 2)])  # v=0, w=1 (s-side), x=2 (t-side)
     p = recognize_split(g)
     st = star_free_level(g, p)
     assert st.claw_free and p.delta_i == 2
-    cycle = hc_claw_free(g, p)
-    assert validate_ham_cycle(g, cycle)
+    _solved_cycle(g, "ClawFree")
     assert oracle_solve(g).has_cycle
 
 
 def test_claw_free_case_three_vertices():
-    # K = {v, x, y}, I = {s, t, u}: v~{s,t}, x~{s,u}, y~{t,u}.
+    # K = {v, x, y}, I = {s, t, u}: v~{s,t}, x~{s,u}, y~{t,u}.  |I| = |K|,
+    # so H itself is the spanning cycle.
     g = mk_split(3, [(0, 1), (0, 2), (1, 2)])
     p = recognize_split(g)
-    assert star_free_level(g, p).claw_free
-    cycle = hc_claw_free(g, p)
-    assert validate_ham_cycle(g, cycle)
+    assert star_free_level(g, p).claw_free and len(p.independent) == len(p.clique)
+    _solved_cycle(g, "ClawFree")
 
 
 def test_claw_free_delegates_to_delta1():
+    # A clique is claw-free with delta_i <= 1 and is tagged Delta1, the
+    # narrower family.
     k4 = complete_graph(4)
-    cycle = hc_claw_free(k4, recognize_split(k4))
-    assert validate_ham_cycle(k4, cycle)
+    assert star_free_level(k4, recognize_split(k4)).claw_free
+    _solved_cycle(k4, "Delta1")
 
 
 def test_claw_free_bigger_clique_chains():
-    # Extra clique vertices must chain inside the side arcs.
-    g = mk_split(6, [(0, 1, 2), (0, 3, 4)])
+    # Extra clique vertices must chain between the independent vertices.
+    # Each of them sees s or t, so clique vertex 0, which sees both, is no
+    # claw centre.
+    g = mk_split(6, [(0, 1, 2), (0, 3, 4, 5)])
     p = recognize_split(g)
-    if star_free_level(g, p).claw_free and p.delta_i == 2:
-        cycle = hc_claw_free(g, p)
-        assert validate_ham_cycle(g, cycle)
+    assert star_free_level(g, p).claw_free and p.delta_i == 2
+    _solved_cycle(g, "ClawFree")
 
 
 def test_lemma2_property_on_generated():
@@ -102,14 +107,34 @@ def test_lemma2_property_on_generated():
         assert out.method in ("Delta1", "ClawFree")
 
 
+def _expected_method(g):
+    """The method tag of ``solve``, from the classification alone."""
+    p = recognize_split(g)
+    stars = star_free_level(g, p)
+    if p.delta_i <= 1:
+        family = "Delta1"
+    elif stars.claw_free:
+        family = "ClawFree"
+    elif stars.k14_free:
+        family = f"Delta{p.delta_i}"
+    else:
+        family = "OracleFallback"
+    if family == "Delta3" and split_is_two_connected(g, p) is True:
+        # Up to 8 vertices |I| stays below the delta-3 premise floor.
+        return "OracleFallback"
+    return family
+
+
 def test_exhaustive_small_split_vs_oracle():
-    # Every split graph on up to 7 vertices: verdicts match the oracle.
-    for n in range(1, 8):
+    # Every split graph on up to 8 vertices: verdicts match the oracle,
+    # and the method tag names the premise family.
+    for n in range(1, 9):
         for g in enumerate_small_split(n):
             out = solve(g)
             orc = oracle_solve(g)
             assert orc.decided
             assert out.has_cycle == orc.has_cycle, (n, sorted(g.edges()), out.method)
+            assert out.method == _expected_method(g), (n, sorted(g.edges()), out.premise)
             if out.has_cycle:
                 assert validate_ham_cycle(g, out.cycle)
 
