@@ -22,7 +22,6 @@ from .split import (
     NoCycleCertificate,
     recognize_split,
     upgrade_to_maximum_clique,
-    is_two_connected,
     star_free_level,
 )
 from .paths import (
@@ -53,7 +52,7 @@ __all__ = [
     "Graph", "HamCycle", "OrientedPath", "graph_from_edges", "induced_subgraph",
     "validate_ham_cycle",
     "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
-    "upgrade_to_maximum_clique", "is_two_connected", "star_free_level",
+    "upgrade_to_maximum_clique", "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
     "SolveOutcome", "solve",

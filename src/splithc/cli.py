@@ -62,7 +62,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g, _ = gio.read_graph(args.graph)
-    res = oracle_solve(g, _budget(args))
+    budget = _budget(args)
+    # A split input gets the pair search; any other the vertex-order search.
+    p = recognize_split(g)
+    res = oracle_solve(g, budget, partition=None if isinstance(p, NotSplit) else p)
     if res.kind == "cycle":
         print("verdict: cycle")
         print("certificate: cycle " + ",".join(map(str, res.cycle.order)))
@@ -77,7 +80,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     g, _ = gio.read_graph(args.graph)
-    cycle = gio.parse_cycle(Path(args.cycle).read_text(encoding="utf-8"))
+    cycle = gio.parse_cycle(gio.read_text(args.cycle))
     order = cycle.order
     if g.n < 3:
         print("invalid: a cycle needs at least 3 vertices")
@@ -221,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotSplitGraph as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory, no permission, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SplitHCError as exc:

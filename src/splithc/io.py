@@ -8,15 +8,21 @@ Graph file format (one graph per file)::
 
 ``#`` starts a comment anywhere; blank lines are ignored.  Rendering is
 canonical (edges sorted lexicographically), so parse/render round-trips
-are bit-exact.
+are bit-exact.  Files are UTF-8; other bytes raise ``ParseError``.  The
+vertex count n is at most 2^31 - 1, because ``Graph.indices`` is int32;
+a larger n raises ``IndexOutOfRange`` before anything of size n is
+allocated.
 
 Parsing takes one of two paths with the same results.  A canonical file -
 the header, an optional partition line, then ``<digits> <digits>`` edge
 lines, each ended by a single ``\n``, with no self-loop and no id outside
-``[0, n)`` - has its edge block converted by numpy in one call.  Any other
-text (comments, blank lines, CRLF, tabs, signs or underscores in integers,
-integers of more than 18 digits, bad edges) goes through the line scanner,
-which is also the only place that reports an error with its line number.
+``[0, n)`` - has its edge block decoded by numpy from one scan for the
+separator bytes.  Their positions check the layout and give every id's
+last digit and length; one vectorized pass per digit place, at most 18,
+then adds the ids up in one int64 array.  Any other text (comments, blank
+lines, CRLF, tabs, signs or underscores in integers, integers of more
+than 18 digits, bad edges) goes through the line scanner, which is also
+the only place that reports an error with its line number.
 
 Report records are line-delimited and tab-separated::
 
@@ -82,7 +88,9 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
 # 18 digits so that every value fits an int64.
 _CANONICAL_HEAD = re.compile(
     r"split-hc v1 ([0-9]{1,18}) ([0-9]{1,18})\n(?:partition K:((?: [0-9]{1,18})*) ?\n)?")
-_SPACE, _NEWLINE = ord(" "), ord("\n")
+_NEWLINE = ord("\n")
+# A space and a newline byte side by side, read as one native uint16.
+_SPACE_NEWLINE = np.frombuffer(b" \n", dtype=np.uint16)[0]
 
 
 def _parse_canonical(text: str) -> tuple[int, int, tuple[int, ...] | None, np.ndarray] | None:
@@ -93,22 +101,47 @@ def _parse_canonical(text: str) -> tuple[int, int, tuple[int, ...] | None, np.nd
         return None
     n, m = int(head[1]), int(head[2])
     clique = None if head[3] is None else tuple(int(x) for x in head[3].split())
-    block = text[head.end():]
-    if not block:
+    if head.end() == len(text):
         return n, m, clique, np.empty((0, 2), dtype=np.int64)
-    raw = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    # ASCII text: byte offsets equal character offsets.
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[head.end():]
     if raw[-1] != _NEWLINE:
         return None
+    # Digit values of the block behind 18 bytes of padding, so that
+    # padded[18 - p:][i] is the digit p places left of byte i.
+    padded = np.zeros(raw.size + 18, dtype=np.uint8)
+    digit = padded[18:]
+    np.subtract(raw, np.uint8(ord("0")), out=digit)
     # Every non-digit byte is a separator.  They must alternate space,
-    # newline, and every token between them must have 1 to 18 digits.
-    seps = np.flatnonzero(raw - np.uint8(ord("0")) > 9)
-    kinds = raw[seps]
-    gaps = np.diff(seps)
-    if (seps.size % 2 or (kinds[0::2] != _SPACE).any() or (kinds[1::2] != _NEWLINE).any()
-            or not 1 <= seps[0] <= 18 or not 2 <= gaps.min() <= gaps.max() <= 19):
+    # newline (checked two bytes at a time), and every token between them
+    # must have 1 to 18 digits: a gap of 2 to 19 from the separator before
+    # (index -1 for token 0).
+    seps = np.flatnonzero(digit > 9)
+    if seps.size % 2 or (raw.take(seps).view(np.uint16) != _SPACE_NEWLINE).any():
         return None
-    edges = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 2)
-    if edges.max() >= n or (edges[:, 0] == edges[:, 1]).any():
+    ids = np.empty_like(seps)
+    ids[0] = seps[0] + 1
+    np.subtract(seps[1:], seps[:-1], out=ids[1:])
+    if not 2 <= ids.min() <= ids.max() <= 19:
+        return None
+    # Token t ends just before separator t; its digit at place p (1 = ones)
+    # is digit[seps[t] - p] while p < gap[t], and 0 from there on.  One
+    # Horner step per place, highest first, in place; ``ids`` held the
+    # gaps until now.
+    gap = ids.astype(np.uint8)
+    ids.fill(0)
+    place = np.empty(seps.size, dtype=np.uint8)
+    inside = np.empty(seps.size, dtype=bool)
+    for p in range(int(gap.max()) - 1, 0, -1):
+        # Every index is in range; "clip", unlike "raise", writes to
+        # ``place`` without an intermediate buffer.
+        np.take(padded[18 - p:], seps, out=place, mode="clip")
+        np.greater(gap, p, out=inside)
+        place *= inside
+        ids *= 10
+        ids += place
+    edges = ids.reshape(-1, 2)
+    if ids.max() >= n or (edges[:, 0] == edges[:, 1]).any():
         return None
     return n, m, clique, edges
 
@@ -157,8 +190,17 @@ def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple
     return n, m, clique, edges
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; ``ParseError`` for bytes that are not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
+                         f"{exc.start} is not UTF-8") from None
+
+
 def read_graph(path: str | Path) -> tuple[Graph, tuple[int, ...] | None]:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(read_text(path))
 
 
 def write_graph(path: str | Path, g: Graph, clique: Sequence[int] | None = None) -> None:
@@ -262,7 +304,7 @@ def run_batch(manifest_path: str | Path, oracle_budget: OracleBudget | None = No
     is ignored, and nothing in the record marks it.
     """
     manifest_path = Path(manifest_path)
-    entries = sorted(parse_manifest(manifest_path.read_text(encoding="utf-8")),
+    entries = sorted(parse_manifest(read_text(manifest_path)),
                      key=lambda e: e.instance_id)
     budget = oracle_budget or OracleBudget(nodes=2_000_000, seconds=30.0)
     lines: list[str] = []

@@ -37,7 +37,6 @@ __all__ = [
     "StarLevels",
     "recognize_split",
     "upgrade_to_maximum_clique",
-    "is_two_connected",
     "split_is_two_connected",
     "star_free_level",
 ]
@@ -278,71 +277,13 @@ def _read_witness(g: Graph, members: list[int]) -> NotSplit:
     raise WitnessNotFound(f"vertices {vs} induce no 2K2, C4 or C5")
 
 
-def is_two_connected(g: Graph) -> bool | NotTwoConnected:
-    """True iff connected, >= 3 vertices and no articulation vertex.
-
-    Generic iterative lowpoint computation; the certificate carries the
-    smallest articulation vertex.  Split-structured callers should use
-    ``split_is_two_connected`` which is linear in the sparse side.
-    """
-    n = g.n
-    if n < 3:
-        return NotTwoConnected(None, "too-small")
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    artic = [False] * n
-    timer = 0
-    stack: list[tuple[int, int]] = [(0, 0)]
-    children_of_root = 0
-    # Iterative DFS from vertex 0; (vertex, neighbor cursor) frames.
-    order_cache = [g.neighbors(v) for v in range(n)]
-    while stack:
-        v, ptr = stack[-1]
-        if ptr == 0:
-            disc[v] = low[v] = timer
-            timer += 1
-        row = order_cache[v]
-        advanced = False
-        while ptr < row.shape[0]:
-            w = int(row[ptr])
-            ptr += 1
-            if disc[w] == -1:
-                parent[w] = v
-                if v == 0:
-                    children_of_root += 1
-                stack[-1] = (v, ptr)
-                stack.append((w, 0))
-                advanced = True
-                break
-            if w != parent[v]:
-                low[v] = min(low[v], disc[w])
-        if advanced:
-            continue
-        stack[-1] = (v, ptr)
-        if ptr >= row.shape[0]:
-            stack.pop()
-            if parent[v] >= 0:
-                p = parent[v]
-                low[p] = min(low[p], low[v])
-                if parent[p] >= 0 and low[v] >= disc[p]:
-                    artic[p] = True
-    if timer < n:
-        return NotTwoConnected(None, "disconnected")
-    if children_of_root > 1:
-        artic[0] = True
-    for v in range(n):
-        if artic[v]:
-            return NotTwoConnected(v)
-    return True
-
-
 def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnected:
     """2-connectivity specialized to a split partition.
 
     With K a clique of size >= 3 the only obstructions are isolated or
     pendant independent-set vertices, so the test is linear in |I|.
-    Agrees with ``is_two_connected`` on split inputs (property-tested).
+    Agrees with networkx ``is_biconnected`` on split inputs, and a cut
+    vertex it reports is an articulation point (property-tested).
     """
     n = g.n
     if n < 3:

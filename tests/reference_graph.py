@@ -1,8 +1,9 @@
 """Graph helpers only the tests use.
 
-Small named graphs, connected components by depth-first search, and the
-naive induced-star search that ``split.star_free_level`` is checked
-against.  None of it is on a path the package runs.
+Small named graphs, connected components by depth-first search, the
+generic 2-connectivity test by lowpoints, and the naive induced-star
+search that ``split.star_free_level`` is checked against.  None of it is
+on a path the package runs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from splithc.graph import Graph, graph_from_edges
+from splithc.split import NotTwoConnected
 
 
 def find_induced_star(g: Graph, arms: int) -> tuple[int, tuple[int, ...]] | None:
@@ -76,6 +78,65 @@ def connected_components(g: Graph) -> list[list[int]]:
                     stack.append(int(w))
         comps.append(sorted(comp))
     return comps
+
+
+def is_two_connected(g: Graph) -> bool | NotTwoConnected:
+    """True iff connected, >= 3 vertices and no articulation vertex.
+
+    Generic iterative lowpoint computation; the certificate carries the
+    smallest articulation vertex.  The package runs only
+    ``split.split_is_two_connected``, which is linear in the sparse side.
+    """
+    n = g.n
+    if n < 3:
+        return NotTwoConnected(None, "too-small")
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    artic = [False] * n
+    timer = 0
+    stack: list[tuple[int, int]] = [(0, 0)]
+    children_of_root = 0
+    # Iterative DFS from vertex 0; (vertex, neighbor cursor) frames.
+    order_cache = [g.neighbors(v) for v in range(n)]
+    while stack:
+        v, ptr = stack[-1]
+        if ptr == 0:
+            disc[v] = low[v] = timer
+            timer += 1
+        row = order_cache[v]
+        advanced = False
+        while ptr < row.shape[0]:
+            w = int(row[ptr])
+            ptr += 1
+            if disc[w] == -1:
+                parent[w] = v
+                if v == 0:
+                    children_of_root += 1
+                stack[-1] = (v, ptr)
+                stack.append((w, 0))
+                advanced = True
+                break
+            if w != parent[v]:
+                low[v] = min(low[v], disc[w])
+        if advanced:
+            continue
+        stack[-1] = (v, ptr)
+        if ptr >= row.shape[0]:
+            stack.pop()
+            if parent[v] >= 0:
+                p = parent[v]
+                low[p] = min(low[p], low[v])
+                if parent[p] >= 0 and low[v] >= disc[p]:
+                    artic[p] = True
+    if timer < n:
+        return NotTwoConnected(None, "disconnected")
+    if children_of_root > 1:
+        artic[0] = True
+    for v in range(n):
+        if artic[v]:
+            return NotTwoConnected(v)
+    return True
 
 
 def complete_graph(n: int) -> Graph:

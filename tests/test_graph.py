@@ -35,6 +35,9 @@ def test_graph_from_edges_errors():
         graph_from_edges(1, [(0, 0)])
     with pytest.raises(IndexOutOfRange):
         graph_from_edges(2, [(0, 2)])
+    for bad in ([(0, -1)], np.array([[-2, 1]])):
+        with pytest.raises(IndexOutOfRange, match=r"edge \(-?\d+, -?\d+\) outside"):
+            graph_from_edges(3, bad)
     with pytest.raises(IndexOutOfRange):
         graph_from_edges(-1, [])
 

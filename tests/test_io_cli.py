@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splithc.cli import main
-from splithc.errors import InvalidCertificate, ParseError
+from splithc.errors import IndexOutOfRange, InvalidCertificate, ParseError
 from splithc.graph import Graph, graph_from_edges
 from splithc.io import (
     _parse_canonical,
@@ -129,6 +129,7 @@ LINE_MUTATIONS = {
     "leading_zero": lambda ln: "0" + ln,
     "plus": lambda ln: "+" + ln,
     "underscore": lambda ln: "0_" + ln,
+    "zeros18": lambda ln: f"{_first_int(ln):018d} " + " ".join(ln.split()[1:]),
     "zeros19": lambda ln: f"{_first_int(ln):019d} " + " ".join(ln.split()[1:]),
     "huge": lambda ln: f"{2 ** 63 + _first_int(ln)} " + " ".join(ln.split()[1:]),
     "negative": lambda ln: "-" + ln,
@@ -142,7 +143,7 @@ LINE_MUTATIONS = {
     "crlf": lambda ln: ln + "\r",
     "count": _bump_count,
 }
-EDGE_LINE_ONLY = {"zeros19", "huge", "self_loop", "out_of_range"}
+EDGE_LINE_ONLY = {"zeros18", "zeros19", "huge", "self_loop", "out_of_range"}
 INSERTIONS = ["", "  \t", "# full-line comment", "0 1", "1 0", "partition K: 2 0",
               "partition K: x", "split-hc v1 3 3"]
 
@@ -189,6 +190,48 @@ def test_parser_matches_line_scanner_per_mutation(kind: str):
         mutated[at] = _mutate_line(mutated[at], kind)
         text = "\n".join(mutated) + "\n"
         assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text), text
+
+
+def test_canonical_path_id_width_limit():
+    # 18 digits stay on the canonical path, 19 leave it, first id included.
+    text = "split-hc v1 6 2\n" + f"{1:018d} 5\n" + f"{2:018d} {3:018d}\n"
+    n, m, clique, edges = _parse_canonical(text)
+    assert (n, m, clique, edges.tolist()) == (6, 2, None, [[1, 5], [2, 3]])
+    assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
+    for first in (f"{1:019d}", f"{10 ** 18 + 1}"):
+        for text in (f"split-hc v1 12 1\n{first} 5\n", f"split-hc v1 12 2\n0 1\n{first} 5\n"):
+            assert _parse_canonical(text) is None
+            assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
+
+
+def test_canonical_ids_of_every_width():
+    # Ids of 1 to 18 digits, each written unpadded (decoded straight from
+    # the separator scan) and then zero-padded to every width 1-18.
+    vals = [10 ** (w - 1) + w for w in range(1, 19)] + [10 ** 18 - 2, 0]
+    lines = [f"{u} {v}" for u, v in zip(vals[0::2], vals[1::2])]
+    n, m, clique, edges = _parse_canonical(f"split-hc v1 {10 ** 18 - 1} {len(lines)}\n"
+                                           + "\n".join(lines) + "\n")
+    assert edges.dtype == np.int64 and edges.ravel().tolist() == vals
+    lines = [f"{w % 12:0{w}d} {(5 * w + 1) % 12:0{19 - w}d}" for w in range(1, 19)]
+    text = f"split-hc v1 12 {len(lines)}\npartition K: 0 3\n" + "\n".join(lines) + "\n"
+    assert {len(tok) for ln in lines for tok in ln.split()} == set(range(1, 19))
+    assert _parse_canonical(text) is not None
+    assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
+
+
+def test_parse_relabelled_ladder_matches_line_scanner():
+    from splithc.generators import big_delta2_instance
+
+    g = big_delta2_instance(300, 100, 30)
+    perm = np.random.default_rng(5).permutation(g.n)
+    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    relabelled = graph_from_edges(g.n, np.stack([perm[src], perm[g.indices]], axis=1))
+    text = render_graph(relabelled, perm[:300].tolist())
+    assert _parse_canonical(text) is not None
+    fast, hint = parse_graph(text)
+    ref, ref_hint = line_parse_graph(text)
+    assert _same_graph(fast, ref) and _same_graph(fast, relabelled)
+    assert hint == ref_hint == tuple(sorted(perm[:300].tolist()))
 
 
 @st.composite
@@ -299,6 +342,67 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
             capsys.readouterr()
             assert main([*cmd, *flags]) == 2, (cmd, flags)
             assert capsys.readouterr().err.startswith("error: "), (cmd, flags)
+
+
+def test_cli_input_errors_exit_2(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"split-hc v1 3 1\n0 1\xff\n")
+    with pytest.raises(ParseError, match="byte 0xff at offset 19 is not UTF-8"):
+        read_graph(bad)
+    huge = tmp_path / "huge.graph"
+    huge.write_text("split-hc v1 4000000000 1\n", encoding="utf-8")
+    for cmd, err in ((["solve", str(bad)], "not UTF-8"), (["oracle", str(bad)], "not UTF-8"),
+                     (["solve", str(tmp_path)], "Is a directory"),
+                     (["recognize", str(tmp_path)], "Is a directory"),
+                     (["solve", str(huge)], "2^31 - 1")):
+        capsys.readouterr()
+        assert main(cmd) == 2, cmd
+        out = capsys.readouterr().err
+        assert out.startswith("error: ") and err in out, (cmd, out)
+    good = tmp_path / "k4.graph"
+    write_graph(good, complete_graph(4))
+    assert main(["verify", str(good), str(bad)]) == 2
+    manifest = tmp_path / "m.manifest"
+    manifest.write_bytes(b"k4 file k4.graph \xfe\n")
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
+
+
+def test_vertex_count_bound():
+    import tracemalloc
+
+    # Refused before anything of size n is allocated.
+    tracemalloc.start()
+    try:
+        for n in (2 ** 31, 4_000_000_000):
+            with pytest.raises(IndexOutOfRange, match="2\\^31 - 1"):
+                graph_from_edges(n, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(IndexOutOfRange):
+        parse_graph("split-hc v1 4000000000 1\n0 1\n")
+
+
+def test_cli_oracle_uses_pair_search_on_split_input(tmp_path: Path, capsys):
+    # The vertex-order search runs out of its 60 s deadline on this ladder;
+    # the pair search, given the recognized partition, fits in 5,000 nodes.
+    from splithc.generators import big_delta2_instance
+
+    g = big_delta2_instance(1101, 1100)
+    gpath = tmp_path / "ladder.graph"
+    write_graph(gpath, g)
+    assert main(["oracle", str(gpath), "--budget", "5000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "verdict: cycle"
+    order = [int(v) for v in out[1].removeprefix("certificate: cycle ").split(",")]
+    assert sorted(order) == list(range(g.n))
+    assert all(g.has_edge(u, v) for u, v in zip(order, order[1:] + order[:1]))
+    # Non-split input keeps the vertex-order search.
+    pet = tmp_path / "petersen.graph"
+    write_graph(pet, petersen_graph())
+    assert main(["oracle", str(pet)]) == 0
+    assert capsys.readouterr().out == "verdict: no-cycle\ncertificate: exhaustive-search\n"
 
 
 def test_cli_not_split_near_clique(tmp_path: Path, capsys):

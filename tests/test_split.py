@@ -1,15 +1,17 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splithc.errors import InvalidPartition
 from splithc.generators import GenSpec, generate
-from splithc.graph import graph_from_edges
+from splithc.graph import Graph, graph_from_edges
 from splithc.split import (
     NotSplit,
     NotTwoConnected,
-    is_two_connected,
     recognize_split,
     split_is_two_connected,
     star_free_level,
@@ -17,7 +19,7 @@ from splithc.split import (
 )
 
 from conftest import brute_find_star, brute_is_split, mk_split
-from reference_graph import complete_graph, cycle_graph, path_graph
+from reference_graph import complete_graph, cycle_graph, is_two_connected, path_graph
 
 
 def test_recognize_c4_witness():
@@ -139,6 +141,48 @@ def test_split_two_connected_agrees_with_generic():
         generic = is_two_connected(g)
         fast = split_is_two_connected(g, p)
         assert (generic is True) == (fast is True), (g.n, sorted(g.edges()))
+
+
+def _assert_matches_networkx(g: Graph) -> None:
+    """``split_is_two_connected`` against networkx: the same verdict (a
+    Hamiltonian cycle needs 3 vertices, networkx counts K2 as biconnected),
+    and a reported cut vertex is an articulation point."""
+    p = recognize_split(g)
+    assert not isinstance(p, NotSplit)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    res = split_is_two_connected(g, p)
+    assert (res is True) == (g.n >= 3 and nx.is_biconnected(ref)), (g.n, sorted(g.edges()))
+    if res is not True and res.cut_vertex is not None:
+        assert res.cut_vertex in set(nx.articulation_points(ref)), (res, sorted(g.edges()))
+
+
+@st.composite
+def split_graphs(draw, max_k: int = 7, max_i: int = 7) -> Graph:
+    """A clique on 0..k-1 and independent vertices with any neighbours in it."""
+    k = draw(st.integers(0, max_k))
+    i_adj = [draw(st.sets(st.integers(0, k - 1))) if k else set()
+             for _ in range(draw(st.integers(0, max_i)))]
+    return mk_split(k, i_adj)
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_graphs())
+def test_split_two_connected_matches_networkx(g: Graph):
+    _assert_matches_networkx(g)
+
+
+def test_split_two_connected_matches_networkx_seeded():
+    rng = random.Random(11)
+    for _ in range(200):
+        family, params = rng.choice([
+            ("SplitRandom", {"k": rng.randrange(1, 8), "i": rng.randrange(0, 7),
+                             "p": rng.choice((0.2, 0.5, 0.8))}),
+            ("SplitDelta2", {"k": 12, "i": 8}),
+            ("ClawFreeSplit", {"k": 8, "i": 2}),
+        ])
+        _assert_matches_networkx(generate(GenSpec(family, params, rng.randrange(10**6))).graph)
 
 
 def test_star_levels_k4():
