@@ -13,6 +13,7 @@ from .graph import (
     HamCycle,
     OrientedPath,
     graph_from_edges,
+    graph_from_split,
     induced_subgraph,
     validate_ham_cycle,
 )
@@ -49,8 +50,8 @@ from .generators import GenSpec, GeneratedInstance, generate, enumerate_small_sp
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "HamCycle", "OrientedPath", "graph_from_edges", "induced_subgraph",
-    "validate_ham_cycle",
+    "Graph", "HamCycle", "OrientedPath", "graph_from_edges", "graph_from_split",
+    "induced_subgraph", "validate_ham_cycle",
     "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
     "upgrade_to_maximum_clique", "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",

@@ -110,11 +110,11 @@ def prepare_context(g: Graph, p: SplitPartition) -> Delta3Context | ShortCycleWi
     new_of_old = {o: i for i, o in enumerate(old_of_new)}
     k_new = tuple(new_of_old[w] for w in p.clique)
     i_new = tuple(new_of_old[u] for u in p.independent if u not in n_i_v)
-    kset_new = frozenset(k_new)
+    # K is a clique in h too, so a clique vertex's other neighbors are in I.
     d_i = {}
     delta = 0
     for w in k_new:
-        c = sum(1 for x in h.neighbors(w) if x not in kset_new)
+        c = h.degree(w) - (len(k_new) - 1)
         d_i[w] = c
         delta = max(delta, c)
     if delta > 2:

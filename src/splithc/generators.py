@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .errors import GenerationExhausted, InvalidParameter
-from .graph import Graph, graph_from_csr, graph_from_edges
+from .graph import Graph, graph_from_edges, graph_from_split
 from .split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
 __all__ = ["GenSpec", "GeneratedInstance", "generate", "enumerate_small_split",
@@ -559,8 +557,9 @@ def enumerate_small_split(n: int) -> Iterator[Graph]:
 
 
 def big_delta2_instance(n_clique: int, n_ind: int, extra_deg3: int = 0) -> Graph:
-    """Deterministic ladder-shaped delta_i = 2 instance built directly in
-    CSR form (the clique side is too dense for edge-list assembly).
+    """Deterministic ladder-shaped delta_i = 2 instance whose clique
+    0..k-1 is an implicit block (``graph_from_split``), so only its K-I
+    edges are stored.
 
     Independent vertex j sits between clique vertices j and j+1, forming
     one long alternating path in the degree-two subgraph (no short
@@ -570,9 +569,7 @@ def big_delta2_instance(n_clique: int, n_ind: int, extra_deg3: int = 0) -> Graph
     k, i = n_clique, n_ind
     if i + 1 + 2 * extra_deg3 > k:
         raise ValueError("ladder needs a clique wider than the independent side")
-    n = k + i
-    deg = np.full(n, k - 1, dtype=np.int64)
-    i_nbrs = []
+    edges = []
     for j in range(i):
         if j < i - extra_deg3:
             nbrs = (j, j + 1)
@@ -580,29 +577,5 @@ def big_delta2_instance(n_clique: int, n_ind: int, extra_deg3: int = 0) -> Graph
             t = j - (i - extra_deg3)
             base = i + 1 + 2 * t
             nbrs = (base, base + 1, base + 2) if base + 2 < k else (base, base + 1)
-        i_nbrs.append(nbrs)
-        deg[k + j] = len(nbrs)
-        for w in nbrs:
-            deg[w] += 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    cursor = indptr[:-1].copy()
-    base_row = np.arange(k, dtype=np.int32)
-    for w in range(k):
-        row = np.concatenate([base_row[:w], base_row[w + 1:]])
-        indices[cursor[w]:cursor[w] + k - 1] = row
-        cursor[w] += k - 1
-    for j, nbrs in enumerate(i_nbrs):
-        u = k + j
-        for w in nbrs:
-            indices[cursor[w]] = u
-            cursor[w] += 1
-        indices[indptr[u]:indptr[u] + len(nbrs)] = np.array(sorted(nbrs), dtype=np.int32)
-    # Clique rows now end with their independent neighbors appended out of
-    # order; sort each row slice that gained entries.
-    for w in range(k):
-        if deg[w] > k - 1:
-            row = indices[indptr[w]:indptr[w + 1]]
-            row.sort()
-    return graph_from_csr(n, indptr, indices)
+        edges.extend((w, k + j) for w in nbrs)
+    return graph_from_split(k + i, range(k), edges)

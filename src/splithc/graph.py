@@ -1,10 +1,22 @@
 """Immutable simple undirected graphs and certificate checkers.
 
 Vertices are dense integers ``0..n-1``.  Adjacency is stored in CSR form
-(numpy ``indptr``/``indices``) so that dense clique sides of split graphs
-with ~10^4 vertices stay cheap to build and query; per-vertex neighbor
-rows are sorted, which makes every "pick an arbitrary vertex" step in the
-algorithms deterministic (smallest index wins).
+(numpy ``indptr``/``indices``), rows sorted, which makes every "pick an
+arbitrary vertex" step in the algorithms deterministic (smallest index
+wins).
+
+A graph may also carry an implicit clique block K (``block``, a sorted
+vertex array, with the membership mask ``in_block``): every pair inside K
+is an edge, and the CSR rows store only the pairs with an endpoint outside
+K.  The invariant is that no stored row holds a K-K pair, so a K vertex's
+stored row is not its neighbourhood and no module outside this one reads
+``indptr``/``indices``.  The accessors answer for the whole graph with
+one formula each, which an empty K (the default, and every graph
+``graph_from_edges`` builds) also satisfies: a degree is the row length
+plus |K| - 1 on K, ``m`` adds C(|K|, 2), and a pair inside K is an edge.
+``neighbors(v)`` of a K vertex merges K - {v} into its row, so it costs
+O(|K| + d) rather than a slice.  The clique side of a split graph then
+costs O(|K|) memory instead of |K|^2 row entries (``graph_from_split``).
 
 The cycle checker ``validate_ham_cycle`` is deliberately primitive - a
 length check, a permutation check and one batched adjacency probe
@@ -16,7 +28,8 @@ independent certificate validator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -24,55 +37,109 @@ import numpy as np
 from .errors import IndexOutOfRange, SelfLoop
 
 
+_NO_BLOCK = np.empty(0, dtype=np.int32)
+_NO_BLOCK.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph; no loops, no parallel edges.
 
     ``indptr`` has length ``n + 1``; ``indices[indptr[v]:indptr[v+1]]`` is
-    the sorted neighbor row of ``v``.  Instances are immutable after
-    construction and safe to share across threads.
+    the sorted stored row of ``v``: its neighbors outside ``block`` for a
+    vertex of the block, all its neighbors otherwise.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
+    block: np.ndarray = field(default_factory=lambda: _NO_BLOCK)
+    in_block: np.ndarray = field(init=False, repr=False)
+    _degrees: np.ndarray = field(init=False, repr=False)
     _nbr_sets: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mask = np.zeros(self.n, dtype=bool)
+        mask[self.block] = True
+        object.__setattr__(self, "in_block", mask)
+        deg = self.indptr[1:] - self.indptr[:-1]
+        deg += (self.block.shape[0] - 1) * mask
+        deg.flags.writeable = False
+        object.__setattr__(self, "_degrees", deg)
 
     @property
     def m(self) -> int:
-        return int(self.indices.shape[0] // 2)
+        k = self.block.shape[0]
+        return int(self.indices.shape[0] // 2) + k * (k - 1) // 2
+
+    def _row(self, v: int) -> np.ndarray:
+        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+
+    @cached_property
+    def _sources(self) -> np.ndarray:
+        """The row of every stored entry: ``indices[j]`` is a neighbor of
+        ``_sources[j]``."""
+        return np.repeat(np.arange(self.n), self.indptr[1:] - self.indptr[:-1])
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return int(self._degrees[v])
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        """Every vertex's degree, as one read-only array."""
+        return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
+        """Sorted neighbors of ``v``: a view of its row, or for a block
+        vertex a new array merging K - {v} into the row, O(|K| + d)."""
+        row = self.indices[self.indptr[v]:self.indptr[v + 1]]
+        if not self.in_block[v]:
+            return row
+        others = self.block[self.block != v]
+        return np.insert(others, np.searchsorted(others, row), row)
+
+    def neighbor_rows(self, vs: Sequence[int] | np.ndarray, d: int) -> np.ndarray:
+        """``neighbors(v)`` of every v in ``vs``, each of degree ``d``, as the
+        rows of one (len(vs), d) array: one gather for the vertices outside
+        the block, a merge per block vertex."""
+        vs = np.asarray(vs, dtype=np.int64)
+        if (self._degrees[vs] != d).any():
+            raise ValueError(f"neighbor_rows needs vertices of degree {d}")
+        # A block vertex's stored row is short: its gathered row is clipped
+        # garbage, replaced by the merge below.  (An empty ``indices``
+        # cannot be gathered from; every row is then a block row.)
+        idx = self.indptr[vs][:, None] + np.arange(d)
+        rows = (self.indices.take(idx, mode="clip") if self.indices.shape[0]
+                else np.empty(idx.shape, dtype=self.indices.dtype))
+        for i in np.flatnonzero(self.in_block[vs]):
+            rows[i] = self.neighbors(vs[i])
+        return rows
 
     def neighbor_set(self, v: int) -> frozenset:
         # Memoized; a racing duplicate computation is benign.
         s = self._nbr_sets.get(v)
         if s is None:
-            s = frozenset(int(u) for u in self.neighbors(v))
+            s = frozenset(self.neighbors(v).tolist())
             self._nbr_sets[v] = s
         return s
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        row = self.neighbors(u)
+        if self.in_block[u] and self.in_block[v]:
+            return True
+        row = self._row(u)
         i = int(np.searchsorted(row, v))
         return i < row.shape[0] and int(row[i]) == v
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """``has_edge(us[i], vs[i])`` for every i, as one boolean array.
 
-        One binary search per query, all run together: ``pos`` counts up
-        the row entries below v in power-of-two steps, largest first, so a
-        row of degree d is done after ``d.bit_length()`` rounds of a few
-        array ops each.  Vertices must lie in ``[0, n)``.
+        A pair inside the block is an edge (u != v); any other pair is one
+        binary search of the stored row of u, all run together: ``pos``
+        counts up the row entries below v in power-of-two steps, largest
+        first, so a row of length d is done after ``d.bit_length()`` rounds
+        of a few array ops each.  Vertices must lie in ``[0, n)``.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -90,22 +157,52 @@ class Graph:
             np.add(pos, step, out=pos, where=self.indices.take(probe, mode="clip") < vs)
         found = pos < end
         found[found] = self.indices[pos[found]] == vs[found]
+        found |= self.in_block[us] & self.in_block[vs] & (us != vs)
         return found
+
+    def induced_degrees(self, mask: np.ndarray) -> np.ndarray:
+        """Degrees inside the subgraph induced by the vertices where the
+        boolean ``mask`` is set, for those vertices in increasing order.
+        O(n) plus the stored entries; the block adds one count."""
+        src = self._sources
+        deg = np.bincount(src[mask[src] & mask[self.indices]], minlength=self.n)
+        inner = mask & self.in_block
+        np.add(deg, np.count_nonzero(inner) - 1, out=deg, where=inner)
+        return deg[mask]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as Python ints (u, v) with u < v, lexicographically."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        return chain.from_iterable(self._edge_runs())
+
+    def _edge_runs(self) -> Iterator[Iterator[tuple[int, int]]]:
+        """``edges()`` in runs: the upper stored entries in row order, with
+        the row of each block vertex u read from ``neighbors(u)`` instead,
+        so that K - {u} is merged in."""
+        src = np.repeat(np.arange(self.n), self.indptr[1:] - self.indptr[:-1])
         upper = src < self.indices
-        return zip(src[upper].tolist(), self.indices[upper].tolist())
+        su, sv = src[upper], self.indices[upper]
+        del src, upper  # the generator's frame outlives its first run
+        starts = np.searchsorted(su, self.block).tolist()
+        stops = np.searchsorted(su, self.block, side="right").tolist()
+        done = 0
+        for u, start, stop in zip(self.block.tolist(), starts, stops):
+            yield zip(su[done:start].tolist(), sv[done:start].tolist())
+            row = self.neighbors(u)
+            yield zip(repeat(u), row[row > u].tolist())
+            done = stop
+        last = zip(su[done:].tolist(), sv[done:].tolist())
+        del su, sv
+        yield last
 
     def __eq__(self, other: object) -> bool:
+        """Equal edge sets on the same vertices, however each is stored."""
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-        )
+        # With equal counts, E(self) inside E(other) suffices: the block is
+        # a clique of other, and every stored pair is an edge of other.
+        return (self.n == other.n and self.m == other.m
+                and bool((other.induced_degrees(self.in_block) == self.block.shape[0] - 1).all())
+                and bool(other.has_edges(self._sources, self.indices).all()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -155,20 +252,45 @@ def _as_edge_array(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.
     return arr
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise IndexOutOfRange("vertex count must be nonnegative")
+    if n > np.iinfo(np.int32).max:
+        raise IndexOutOfRange(f"vertex count {n} above 2^31 - 1, the int32 id limit")
+
+
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
     """Build a graph from an edge list; duplicates are merged.
 
     Raises ``IndexOutOfRange`` or ``SelfLoop`` on bad input, and
     ``IndexOutOfRange`` for n above 2^31 - 1, beyond the int32 ``indices``.
     """
-    if n < 0:
-        raise IndexOutOfRange("vertex count must be nonnegative")
-    if n > np.iinfo(np.int32).max:
-        raise IndexOutOfRange(f"vertex count {n} above 2^31 - 1, the int32 id limit")
+    _check_vertex_count(n)
+    return _from_edge_array(n, _as_edge_array(n, edges))
+
+
+def graph_from_split(n: int, clique: Iterable[int] | np.ndarray,
+                     edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
+    """A graph whose vertices ``clique`` form the implicit block K, plus
+    ``edges``; pairs inside K are dropped like duplicates, so memory is
+    O(n + edges with an end outside K).  Raises as ``graph_from_edges``."""
+    _check_vertex_count(n)
     arr = _as_edge_array(n, edges)
+    block = np.unique(clique if isinstance(clique, np.ndarray)
+                      else np.fromiter(clique, dtype=np.int64))
+    if block.size and (block[0] < 0 or block[-1] >= n):
+        raise IndexOutOfRange(f"clique vertex {block[0] if block[0] < 0 else block[-1]} "
+                              f"outside [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[block] = True
+    arr = arr[~(mask[arr[:, 0]] & mask[arr[:, 1]])]
+    return _from_edge_array(n, arr, block.astype(np.int32))
+
+
+def _from_edge_array(n: int, arr: np.ndarray, block: np.ndarray = _NO_BLOCK) -> Graph:
     m = arr.shape[0]
     if m == 0:
-        return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32))
+        return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32), block)
     # Each edge as the keys u*n + v and v*n + u, side by side, in place.
     pairs = arr * n
     pairs[:, 0] += arr[:, 1]
@@ -189,36 +311,29 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> G
     row_base = np.floor_divide(distinct, n, out=keys[:distinct.size])
     row_base *= n
     distinct -= row_base
-    return Graph(n, indptr, distinct.astype(np.int32))
-
-
-def graph_from_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> Graph:
-    """Trusted fast constructor for generators; rows must be sorted."""
-    return Graph(n, np.asarray(indptr, dtype=np.int64), np.asarray(indices, dtype=np.int32))
+    return Graph(n, indptr, distinct.astype(np.int32), block)
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``keep``; returns (subgraph, new->old index map)."""
+    """Induced subgraph on ``keep``; returns (subgraph, new->old index map).
+
+    The kept vertices of ``g``'s block stay the block."""
     old = sorted(set(int(v) for v in keep))
     if old and (old[0] < 0 or old[-1] >= g.n):
         raise IndexOutOfRange(f"vertex {old[0] if old[0] < 0 else old[-1]} outside [0, {g.n})")
-    new_of_old = {v: i for i, v in enumerate(old)}
     mask = np.zeros(g.n, dtype=bool)
     mask[old] = True
     indptr = np.zeros(len(old) + 1, dtype=np.int64)
     rows = []
     for i, v in enumerate(old):
-        row = g.neighbors(v)
+        row = g._row(v)
         sub = row[mask[row]]
         rows.append(sub)
         indptr[i + 1] = indptr[i] + sub.shape[0]
-    if rows:
-        relabel = np.zeros(g.n, dtype=np.int32)
-        relabel[old] = np.arange(len(old), dtype=np.int32)
-        indices = relabel[np.concatenate(rows)] if indptr[-1] else np.empty(0, dtype=np.int32)
-    else:
-        indices = np.empty(0, dtype=np.int32)
-    sub = Graph(len(old), indptr, indices.astype(np.int32))
+    relabel = np.zeros(g.n, dtype=np.int32)
+    relabel[old] = np.arange(len(old), dtype=np.int32)
+    indices = relabel[np.concatenate(rows)] if indptr[-1] else np.empty(0, dtype=np.int32)
+    sub = Graph(len(old), indptr, indices, relabel[g.block[mask[g.block]]])
     return sub, tuple(old)
 
 
@@ -233,7 +348,8 @@ def validate_ham_cycle(g: Graph, cycle: "HamCycle | Sequence[int]") -> bool:
         return False
     seen = set()
     for v in order:
-        if not isinstance(v, (int, np.integer)) or v < 0 or v >= n or v in seen:
+        if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+                or v < 0 or v >= n or v in seen):
             return False
         seen.add(v)
     ring = np.asarray(order + order[:1], dtype=np.int64)

@@ -19,10 +19,12 @@ lines, each ended by a single ``\n``, with no self-loop and no id outside
 ``[0, n)`` - has its edge block decoded by numpy from one scan for the
 separator bytes.  Their positions check the layout and give every id's
 last digit and length; one vectorized pass per digit place, at most 18,
-then adds the ids up in one int64 array.  Any other text (comments, blank
-lines, CRLF, tabs, signs or underscores in integers, integers of more
-than 18 digits, bad edges) goes through the line scanner, which is also
-the only place that reports an error with its line number.
+then adds the ids up in one int64 array.  ``read_graph`` hands the file's
+bytes to the parser, so a canonical file is never decoded to text.  Any
+other text (comments, blank lines, CRLF, tabs, signs or underscores in
+integers, integers of more than 18 digits, bad edges) goes through the
+line scanner, which decodes the bytes itself and is also the only place
+that reports an error with its line number.
 
 Report records are line-delimited and tab-separated::
 
@@ -69,11 +71,12 @@ def render_graph(g: Graph, clique: Sequence[int] | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
-    """Parse the graph format; returns (graph, clique hint or None)."""
+def parse_graph(text: str | bytes) -> tuple[Graph, tuple[int, ...] | None]:
+    """Parse the graph format from text or its UTF-8 bytes; returns
+    (graph, clique hint or None)."""
     parsed = _parse_canonical(text)
     if parsed is None:
-        parsed = _scan_lines(text)
+        parsed = _scan_lines(text if isinstance(text, str) else _decode(text))
     n, m, clique, edges = parsed
     g = graph_from_edges(n, edges)
     if g.m != m:
@@ -87,24 +90,26 @@ def parse_graph(text: str) -> tuple[Graph, tuple[int, ...] | None]:
 # writes an empty partition as "partition K: ").  Integers are capped at
 # 18 digits so that every value fits an int64.
 _CANONICAL_HEAD = re.compile(
-    r"split-hc v1 ([0-9]{1,18}) ([0-9]{1,18})\n(?:partition K:((?: [0-9]{1,18})*) ?\n)?")
+    rb"split-hc v1 ([0-9]{1,18}) ([0-9]{1,18})\n(?:partition K:((?: [0-9]{1,18})*) ?\n)?")
 _NEWLINE = ord("\n")
 # A space and a newline byte side by side, read as one native uint16.
 _SPACE_NEWLINE = np.frombuffer(b" \n", dtype=np.uint16)[0]
 
 
-def _parse_canonical(text: str) -> tuple[int, int, tuple[int, ...] | None, np.ndarray] | None:
+def _parse_canonical(
+        text: str | bytes) -> tuple[int, int, tuple[int, ...] | None, np.ndarray] | None:
     """(n, m, clique, edge array) of a canonical file, or None for any
-    other text, which the line scanner then parses or rejects."""
-    head = _CANONICAL_HEAD.match(text)
-    if head is None or not text.isascii():
+    other text, which the line scanner then parses or rejects.  Works on
+    the bytes, so text is encoded first."""
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    head = _CANONICAL_HEAD.match(data)
+    if head is None or not data.isascii():
         return None
     n, m = int(head[1]), int(head[2])
     clique = None if head[3] is None else tuple(int(x) for x in head[3].split())
-    if head.end() == len(text):
+    if head.end() == len(data):
         return n, m, clique, np.empty((0, 2), dtype=np.int64)
-    # ASCII text: byte offsets equal character offsets.
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[head.end():]
+    raw = np.frombuffer(data, dtype=np.uint8)[head.end():]
     if raw[-1] != _NEWLINE:
         return None
     # Digit values of the block behind 18 bytes of padding, so that
@@ -190,17 +195,24 @@ def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple
     return n, m, clique, edges
 
 
-def read_text(path: str | Path) -> str:
-    """The UTF-8 text of a file; ``ParseError`` for bytes that are not UTF-8."""
+def _decode(data: bytes, where: str = "") -> str:
+    """``data`` as UTF-8 text; ``ParseError`` for bytes that are not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte 0x{exc.object[exc.start]:02x} at offset "
+        raise ParseError(f"{where}byte 0x{exc.object[exc.start]:02x} at offset "
                          f"{exc.start} is not UTF-8") from None
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; ``ParseError`` for bytes that are not UTF-8."""
+    return _decode(Path(path).read_bytes(), f"{path}: ")
+
+
 def read_graph(path: str | Path) -> tuple[Graph, tuple[int, ...] | None]:
-    return parse_graph(read_text(path))
+    # The bytes go to parse_graph as they are: a canonical file is never
+    # decoded, and the line scanner decodes any other.
+    return parse_graph(Path(path).read_bytes())
 
 
 def write_graph(path: str | Path, g: Graph, clique: Sequence[int] | None = None) -> None:

@@ -94,8 +94,8 @@ def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
     """Collect degree-2 independent vertices and their neighborhoods."""
     ind = np.asarray(p.independent, dtype=np.int64)
     va = ind[g.degrees()[ind] == 2]
-    first = g.indptr[va]
-    us, lo, hi = va.tolist(), g.indices[first].tolist(), g.indices[first + 1].tolist()
+    rows = g.neighbor_rows(va, 2)
+    us, lo, hi = va.tolist(), rows[:, 0].tolist(), rows[:, 1].tolist()
     return DegreeTwoSubgraph(tuple(us), tuple(sorted({*lo, *hi})),
                              tuple(sorted([*zip(us, lo), *zip(us, hi)])))
 

@@ -22,6 +22,7 @@ dispatches on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -51,11 +52,11 @@ class SplitPartition:
     d_i: Mapping[int, int]
     delta_i: int
 
-    @property
+    @cached_property
     def clique_set(self) -> frozenset:
         return frozenset(self.clique)
 
-    @property
+    @cached_property
     def independent_set(self) -> frozenset:
         return frozenset(self.independent)
 
@@ -229,14 +230,12 @@ def _forbidden_subgraph(g: Graph) -> NotSplit:
     (smaller graphs are split).
     """
     n = g.n
-    rows = np.repeat(np.arange(n), np.diff(g.indptr))
-    cols = g.indices
 
     def is_split(members: list[int], prefix: int) -> bool:
         mask = np.zeros(n, dtype=bool)
         mask[:prefix] = True
         mask[members] = True
-        deg = np.bincount(rows[mask[rows] & mask[cols]], minlength=n)[mask]
+        deg = g.induced_degrees(mask)
         # Counting sort: the degrees of the induced subgraph are below n.
         hist = np.bincount(deg)
         return _degree_sum_split(np.repeat(np.arange(hist.shape[0])[::-1], hist[::-1])) is not None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from splithc.graph import Graph, graph_from_edges
@@ -25,6 +26,17 @@ def mk_split(k: int, i_adj) -> Graph:
         for w in nbrs:
             edges.append((k + j, w))
     return graph_from_edges(k + len(i_adj), edges)
+
+
+def explicit_twin(g: Graph) -> Graph:
+    """``g`` with every row stored, the clique block included: one CSR row
+    per ``neighbors(v)``, so the twin of a wide ladder costs its rows and
+    nothing more (no edge list of Python tuples)."""
+    rows = [g.neighbors(v) for v in range(g.n)]
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([row.shape[0] for row in rows], out=indptr[1:])
+    indices = np.concatenate(rows).astype(np.int32) if rows else np.empty(0, dtype=np.int32)
+    return Graph(g.n, indptr, indices)
 
 
 def is_path_in(g: Graph, order) -> bool:

@@ -21,12 +21,15 @@ from itertools import combinations
 import numpy as np
 
 from splithc.errors import PremiseViolated
-from splithc.graph import Graph, OrientedPath
+from splithc.graph import Graph, OrientedPath, graph_from_edges
 from splithc.paths import PathSystem, _initial_paths, build_degree_two_subgraph
 from splithc.split import NotSplit, SplitPartition, _upgrade_unchecked
 
 
 def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
+    # Count through the CSR arrays of the explicit twin: a graph with an
+    # implicit clique block stores no pair inside it.
+    g = graph_from_edges(g.n, list(g.edges()))
     n = g.n
     if n == 0:
         return SplitPartition((), (), {}, 0)

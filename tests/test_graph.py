@@ -14,7 +14,7 @@ from splithc.graph import (
 )
 from splithc.solver import solve
 
-from conftest import brute_find_star, is_path_in, permute_graph
+from conftest import brute_find_star, explicit_twin, is_path_in, permute_graph
 from reference_graph import complete_graph, cycle_graph, find_induced_star, path_graph
 
 
@@ -83,7 +83,10 @@ def test_validate_rejects_malformed():
     assert not validate_ham_cycle(k4, [0, 1, 2, -1])      # negative
     assert not validate_ham_cycle(k4, [0, 1, 2, 3, 0])    # long
     assert not validate_ham_cycle(k4, [0, 1, 2, 3.0])     # float  # type: ignore[list-item]
-    assert validate_ham_cycle(k4, [0, True, 2, 3])        # bool is an int
+    assert not validate_ham_cycle(k4, [0, True, 2, 3])    # bool, not a vertex id
+    assert validate_ham_cycle(complete_graph(3), (0, 1, 2))
+    assert not validate_ham_cycle(complete_graph(3), (False, True, 2))
+    assert not validate_ham_cycle(complete_graph(3), (np.bool_(False), 1, 2))
 
 
 def test_validate_invariant_under_relabeling():
@@ -183,10 +186,13 @@ def test_validate_big_ladder_with_one_non_edge():
     k = 2500
     g = big_delta2_instance(k, 1000, 700)
     n = g.n
+    # The ladder keeps its clique implicit; its explicit twin stores every row.
+    twin = explicit_twin(g)
+    assert twin.block.size == 0 and g == twin
 
     def adjacent(u: int, v: int) -> bool:
-        # Linear scan of the CSR row: no binary search involved.
-        return bool((g.indices[g.indptr[u]:g.indptr[u + 1]] == v).any())
+        # Linear scan of the twin's CSR row: no binary search involved.
+        return bool((twin.indices[twin.indptr[u]:twin.indptr[u + 1]] == v).any())
 
     def non_edges(o) -> int:
         return sum(not adjacent(o[i], o[(i + 1) % n]) for i in range(n))

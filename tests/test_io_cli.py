@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splithc import io as io_module
 from splithc.cli import main
 from splithc.errors import IndexOutOfRange, InvalidCertificate, ParseError
 from splithc.graph import Graph, graph_from_edges
@@ -222,7 +223,9 @@ def test_canonical_ids_of_every_width():
 def test_parse_relabelled_ladder_matches_line_scanner():
     from splithc.generators import big_delta2_instance
 
-    g = big_delta2_instance(300, 100, 30)
+    ladder = big_delta2_instance(300, 100, 30)
+    # The explicit twin: the ladder itself stores no clique rows.
+    g = graph_from_edges(ladder.n, list(ladder.edges()))
     perm = np.random.default_rng(5).permutation(g.n)
     src = np.repeat(np.arange(g.n), np.diff(g.indptr))
     relabelled = graph_from_edges(g.n, np.stack([perm[src], perm[g.indices]], axis=1))
@@ -342,6 +345,26 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
             capsys.readouterr()
             assert main([*cmd, *flags]) == 2, (cmd, flags)
             assert capsys.readouterr().err.startswith("error: "), (cmd, flags)
+
+
+def test_read_graph_parses_the_file_bytes(tmp_path: Path, monkeypatch):
+    # The canonical file and a commented one, as bytes and as text.
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)])
+    canonical = render_graph(g, [0, 1])
+    commented = "# note\n" + canonical.replace("\n", "  # \u00e9\n", 2)
+    for text in (canonical, commented):
+        data = text.encode("utf-8")
+        assert _outcome(parse_graph, data) == _outcome(parse_graph, text)
+    assert _parse_canonical(canonical.encode("ascii")) is not None
+    seen = []
+    real = io_module.parse_graph
+    monkeypatch.setattr(io_module, "parse_graph", lambda data: seen.append(data) or real(data))
+    path = tmp_path / "g.graph"
+    path.write_text(canonical, encoding="utf-8")
+    got, hint = read_graph(path)
+    assert seen == [canonical.encode("ascii")] and got == g and hint == (0, 1)
+    with pytest.raises(ParseError, match="byte 0xff at offset 6 is not UTF-8"):
+        parse_graph(b"split-\xffhc v1 2 0\n")
 
 
 def test_cli_input_errors_exit_2(tmp_path: Path, capsys):

@@ -95,3 +95,14 @@ def test_graph_module_imports_no_solver():
             names = [module] if module else [a.name for a in node.names]
             found += [name for name in names if name != "errors"]
     assert not found, found
+
+
+def test_only_graph_module_reads_raw_csr():
+    # A vertex of a graph's clique block stores only its neighbours outside
+    # the block, so its CSR row is not its neighbourhood: every other module
+    # must go through the ``Graph`` accessors.
+    found = [f"{f.name}:{node.lineno} .{node.attr}"
+             for f in sorted(PACKAGE.glob("*.py")) if f.name != "graph.py"
+             for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices")]
+    assert not found, found
