@@ -1,11 +1,11 @@
 """Certified Hamiltonian-cycle solving on split graphs.
 
 Polynomial constructive solvers for K_{1,4}-free split graphs (path
-assembly for delta_i <= 2, claw-free included; the census engine for
-delta_i = 3) with short-cycle certificates of infeasibility, the
-reduction producing 5-star-free split instances from bipartite
-max-degree-3 sources, and an exact oracle plus seeded generators forming
-the verification harness.
+assembly for delta_i <= 2, claw-free included; a short-cycle gate and one
+pair search for delta_i = 3) with short-cycle certificates of
+infeasibility, the reduction producing 5-star-free split instances from
+bipartite max-degree-3 sources, and an exact oracle plus seeded
+generators forming the verification harness.
 """
 
 from .graph import (
@@ -14,7 +14,6 @@ from .graph import (
     OrientedPath,
     graph_from_edges,
     graph_from_split,
-    induced_subgraph,
     validate_ham_cycle,
 )
 from .split import (
@@ -35,7 +34,7 @@ from .paths import (
     hc_delta2,
 )
 from .solver import SolveOutcome, solve
-from .delta3 import Delta3Context, prepare_context, construct_cycle
+from .delta3 import construct_cycle
 from .oracle import OracleBudget, OracleResult, oracle_solve
 from .reduction import (
     BipartiteInstance,
@@ -51,13 +50,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "HamCycle", "OrientedPath", "graph_from_edges", "graph_from_split",
-    "induced_subgraph", "validate_ham_cycle",
+    "validate_ham_cycle",
     "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
     "upgrade_to_maximum_clique", "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
     "SolveOutcome", "solve",
-    "Delta3Context", "prepare_context", "construct_cycle",
+    "construct_cycle",
     "OracleBudget", "OracleResult", "oracle_solve",
     "BipartiteInstance", "ReductionOutput", "bipartite_from_graph",
     "reduce_to_split", "verify_k15_free", "map_solution_back",

@@ -3,8 +3,9 @@
 Expected negative outcomes (a graph that is not split, a short cycle, a
 budget that ran out) are returned as values, not raised.  Exceptions are
 reserved for contract violations: bad input, a premise that a caller
-promised but did not deliver, or an internal construction step that could
-not be completed and must be routed to the exact solver.
+promised but did not deliver, a certificate the package built that fails
+its own check, or an exact search that ran out of budget where a verdict
+was required.
 """
 
 from __future__ import annotations
@@ -48,32 +49,6 @@ class WitnessNotFound(SplitHCError):
 
 class PremiseViolated(SplitHCError):
     """A constructive routine was invoked outside its stated premise."""
-
-
-class CensusViolation(SplitHCError):
-    """A structural constraint on the path-size census failed.
-
-    This signals a mismatch between the structure theory and a concrete
-    instance; callers fall back to the exact solver and log the instance.
-    """
-
-    def __init__(self, claim_id: str, witness: object = None):
-        super().__init__(f"census constraint {claim_id} violated")
-        self.claim_id = claim_id
-        self.witness = witness
-
-
-class CaseFallthrough(SplitHCError):
-    """No branch of a constructive case analysis produced a valid cycle.
-
-    Soundness is preserved (nothing invalid is emitted); the instance is
-    routed to the exact solver and logged as a completeness gap candidate.
-    """
-
-    def __init__(self, claim_id: str, state: object = None):
-        super().__init__(f"construction fell through in {claim_id}")
-        self.claim_id = claim_id
-        self.state = state
 
 
 class InvalidCertificate(SplitHCError):

@@ -200,9 +200,15 @@ class Graph:
             return NotImplemented
         # With equal counts, E(self) inside E(other) suffices: the block is
         # a clique of other, and every stored pair is an edge of other.
-        return (self.n == other.n and self.m == other.m
-                and bool((other.induced_degrees(self.in_block) == self.block.shape[0] - 1).all())
-                and bool(other.has_edges(self._sources, self.indices).all()))
+        # Rows are symmetric, so each stored edge is probed once, as u < v.
+        if not (self.n == other.n and self.m == other.m
+                and bool((other.induced_degrees(self.in_block) == self.block.shape[0] - 1).all())):
+            return False
+        src = np.repeat(np.arange(self.n), self.indptr[1:] - self.indptr[:-1])
+        upper = src < self.indices
+        us = src[upper]
+        del src
+        return bool(other.has_edges(us, self.indices[upper]).all())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -312,29 +318,6 @@ def _from_edge_array(n: int, arr: np.ndarray, block: np.ndarray = _NO_BLOCK) -> 
     row_base *= n
     distinct -= row_base
     return Graph(n, indptr, distinct.astype(np.int32), block)
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on ``keep``; returns (subgraph, new->old index map).
-
-    The kept vertices of ``g``'s block stay the block."""
-    old = sorted(set(int(v) for v in keep))
-    if old and (old[0] < 0 or old[-1] >= g.n):
-        raise IndexOutOfRange(f"vertex {old[0] if old[0] < 0 else old[-1]} outside [0, {g.n})")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[old] = True
-    indptr = np.zeros(len(old) + 1, dtype=np.int64)
-    rows = []
-    for i, v in enumerate(old):
-        row = g._row(v)
-        sub = row[mask[row]]
-        rows.append(sub)
-        indptr[i + 1] = indptr[i] + sub.shape[0]
-    relabel = np.zeros(g.n, dtype=np.int32)
-    relabel[old] = np.arange(len(old), dtype=np.int32)
-    indices = relabel[np.concatenate(rows)] if indptr[-1] else np.empty(0, dtype=np.int32)
-    sub = Graph(len(old), indptr, indices, relabel[g.block[mask[g.block]]])
-    return sub, tuple(old)
 
 
 def validate_ham_cycle(g: Graph, cycle: "HamCycle | Sequence[int]") -> bool:

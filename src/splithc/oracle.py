@@ -8,7 +8,8 @@ by ``validate_ham_cycle`` before it is returned.
 
 Pair search, run when ``oracle_solve`` gets a split partition (K, I).
 ``solve`` passes one for every instance outside the polynomial premises,
-and the delta_i = 3 engine passes one to build its cycle.
+and the delta_i = 3 route (``delta3.construct_cycle``) passes one to
+build its cycle.
 In a Hamiltonian cycle each independent vertex u sits between two clique
 vertices a, b (Burkard and Hammer, "A note on Hamiltonian split graphs",
 JCTB 1980).  Read each pair as an edge ab of a multigraph on K: G has a

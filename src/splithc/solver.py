@@ -13,6 +13,9 @@ vertex seeing three independent vertices centres a claw.  delta_i <= 2
 implies K_{1,4}-free: an induced K_{1,4} centred in K needs three
 independent arms.  So the path assembly ``hc_delta2`` decides every
 instance with delta_i <= 2: the Delta1, ClawFree and Delta2 families.
+An in-premise delta_i = 3 instance gets the short-cycle gate and one pair
+search (``delta3.construct_cycle``); that search's result is mapped to an
+outcome by the same rule as an oracle round's, so it never runs twice.
 """
 
 from __future__ import annotations
@@ -20,15 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import delta3
-from .errors import (
-    CaseFallthrough,
-    CensusViolation,
-    NotSplitGraph,
-    OracleBudgetExceeded,
-    PremiseViolated,
-)
+from .errors import NotSplitGraph, OracleBudgetExceeded
 from .graph import Graph, HamCycle
-from .oracle import OracleBudget, oracle_solve
+from .oracle import OracleBudget, OracleResult, oracle_solve
 from .paths import ShortCycleWitness, hc_delta2
 from .split import (
     NoCycleCertificate,
@@ -52,10 +49,11 @@ class SolveOutcome:
     ``method`` names the premise family: Delta1, ClawFree, Delta2, Delta3,
     or OracleFallback (no polynomial premise), which also tags every
     instance the exact oracle decides.
-    ``anomaly`` records a construction fallthrough that forced an oracle
-    round despite the instance being in premise (a completeness-gap
-    candidate, logged by the batch harness).  ``oracle_nodes`` is the
-    search nodes the oracle spent, 0 when no oracle round ran.
+    ``anomaly`` records an in-premise delta_i = 3 search that did not
+    build a cycle within ``delta3._NODE_CAP`` nodes, so its result is
+    tagged OracleFallback (a completeness-gap candidate, logged by the
+    batch harness).  ``oracle_nodes`` is the nodes spent by the pair
+    search, the Delta3 route's or the oracle round's, 0 when none ran.
     """
 
     cycle: HamCycle | None
@@ -99,9 +97,13 @@ def solve(g: Graph, oracle_budget: OracleBudget | None = None) -> SolveOutcome:
     if family == "Delta3":
         n_i, n_k = len(p.independent), len(p.clique)
         if n_i >= DELTA3_MIN_I and n_k >= n_i:
-            return _solve_delta3(g, p, premise + ",in-premise", oracle_budget)
+            premise += ",in-premise"
+            result = delta3.construct_cycle(g, p, oracle_budget)
+            if isinstance(result, ShortCycleWitness):
+                return SolveOutcome(None, NoCycleCertificate("short_cycle", result), family, premise)
+            return _search_outcome(result, premise, delta3_route=True)
         premise += ",below-threshold"
-    return _oracle_round(g, p, premise, oracle_budget, None)
+    return _search_outcome(oracle_solve(g, oracle_budget, partition=p), premise)
 
 
 def _premise_family(g: Graph, p: SplitPartition) -> tuple[str, str]:
@@ -116,25 +118,18 @@ def _premise_family(g: Graph, p: SplitPartition) -> tuple[str, str]:
     return "OracleFallback", ",not-k14-free"
 
 
-def _solve_delta3(g: Graph, p: SplitPartition, premise: str,
-                  oracle_budget: OracleBudget | None) -> SolveOutcome:
-    try:
-        ctx = delta3.prepare_context(g, p)
-        if isinstance(ctx, ShortCycleWitness):
-            cert = NoCycleCertificate("short_cycle", ctx)
-            return SolveOutcome(None, cert, "Delta3", premise)
-        return SolveOutcome(delta3.construct_cycle(ctx), None, "Delta3", premise)
-    except (CensusViolation, CaseFallthrough, PremiseViolated) as exc:
-        tag = f"{type(exc).__name__}:{getattr(exc, 'claim_id', '')}"
-        return _oracle_round(g, p, premise, oracle_budget, tag)
-
-
-def _oracle_round(g: Graph, p: SplitPartition, premise: str,
-                  oracle_budget: OracleBudget | None, anomaly: str | None) -> SolveOutcome:
-    res = oracle_solve(g, oracle_budget, partition=p)
-    if res.kind == "cycle":
-        return SolveOutcome(res.cycle, None, "OracleFallback", premise, anomaly, res.nodes)
-    if res.kind == "no_cycle":
-        return SolveOutcome(None, NoCycleCertificate("oracle_exhaustive"),
-                            "OracleFallback", premise, anomaly, res.nodes)
-    raise OracleBudgetExceeded(f"oracle budget exhausted after {res.nodes} nodes")
+def _search_outcome(res: OracleResult, premise: str, delta3_route: bool = False) -> SolveOutcome:
+    """The outcome of a pair search: ``Delta3`` for a delta-3 route cycle
+    found within ``delta3._NODE_CAP`` nodes, ``OracleFallback`` for any
+    other decided result, with the anomaly naming why a delta-3 route
+    fell through."""
+    if not res.decided:
+        raise OracleBudgetExceeded(f"oracle budget exhausted after {res.nodes} nodes")
+    anomaly = None
+    if delta3_route:
+        if res.has_cycle and res.nodes <= delta3._NODE_CAP:
+            return SolveOutcome(res.cycle, None, "Delta3", premise, None, res.nodes)
+        anomaly = ("CaseFallthrough:delta3-cap" if res.nodes > delta3._NODE_CAP
+                   else "CaseFallthrough:delta3")
+    cert = None if res.has_cycle else NoCycleCertificate("oracle_exhaustive")
+    return SolveOutcome(res.cycle, cert, "OracleFallback", premise, anomaly, res.nodes)

@@ -1,18 +1,19 @@
 """Graph helpers only the tests use.
 
-Small named graphs, connected components by depth-first search, the
-generic 2-connectivity test by lowpoints, and the naive induced-star
-search that ``split.star_free_level`` is checked against.  None of it is
-on a path the package runs.
+Small named graphs, induced subgraphs, connected components by
+depth-first search, the generic 2-connectivity test by lowpoints, and the
+naive induced-star search that ``split.star_free_level`` is checked
+against.  None of it is on a path the package runs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
 
-from splithc.graph import Graph, graph_from_edges
+from splithc.graph import Graph, graph_from_edges, graph_from_split
 from splithc.split import NotTwoConnected
 
 
@@ -57,6 +58,28 @@ def _independent_subset(g: Graph, candidates: list[int], k: int) -> tuple[int, .
     if extend(0):
         return tuple(chosen)
     return None
+
+
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph on ``keep``; returns (subgraph, new->old index map).
+
+    The kept vertices of ``g``'s clique block stay the block.  Every other
+    edge has an end outside the block, so it is read from the
+    neighbourhood of that end, once."""
+    old = np.array(sorted(set(int(v) for v in keep)), dtype=np.int64)
+    kept = np.zeros(g.n, dtype=bool)
+    kept[old] = True
+    relabel = np.zeros(g.n, dtype=np.int64)
+    relabel[old] = np.arange(old.shape[0])
+    outside = [int(v) for v in old if not g.in_block[v]]
+    rows = [g.neighbors(v) for v in outside]
+    src = np.repeat(np.array(outside, dtype=np.int64), [row.shape[0] for row in rows])
+    dst = np.concatenate(rows).astype(np.int64) if rows else np.empty(0, dtype=np.int64)
+    # An edge between two vertices outside the block is read from both ends.
+    once = kept[dst] & (g.in_block[dst] | (src < dst))
+    edges = np.column_stack([relabel[src[once]], relabel[dst[once]]])
+    block = relabel[g.block[kept[g.block]]]
+    return graph_from_split(old.shape[0], block, edges), tuple(old.tolist())
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -9,13 +9,18 @@ from splithc.graph import (
     HamCycle,
     OrientedPath,
     graph_from_edges,
-    induced_subgraph,
     validate_ham_cycle,
 )
 from splithc.solver import solve
 
 from conftest import brute_find_star, explicit_twin, is_path_in, permute_graph
-from reference_graph import complete_graph, cycle_graph, find_induced_star, path_graph
+from reference_graph import (
+    complete_graph,
+    cycle_graph,
+    find_induced_star,
+    induced_subgraph,
+    path_graph,
+)
 
 
 def test_graph_from_edges_triangle():

@@ -16,7 +16,7 @@ from splithc.paths import (
 from splithc.split import recognize_split
 
 from conftest import check_path_system, mk_split
-from reference_graph import connected_components
+from reference_graph import connected_components, induced_subgraph
 
 
 def test_degree_two_subgraph_examples():
@@ -68,7 +68,6 @@ def test_short_cycle_witness_toughness():
         seen += 1
         s = [v for v in w.cycle if v in p.clique_set]
         keep = [v for v in range(g.n) if v not in s]
-        from splithc.graph import induced_subgraph
         sub, _ = induced_subgraph(g, keep)
         assert len(connected_components(sub)) > len(s)
         assert w.excluded in p.clique_set and w.excluded not in w.cycle

@@ -195,9 +195,12 @@ def test_oracle_fallback_calls_the_traced_globals(monkeypatch):
 
 
 def test_oracle_nodes_reported():
-    g = generate(GenSpec("SplitRandom", {"k": 7, "i": 5}, 1)).graph
-    out = solve(g)
-    assert out.method == "OracleFallback"
-    assert out.oracle_nodes == oracle_solve(g, partition=recognize_split(g)).nodes > 0
+    # The Delta3 route's one pair search is counted too.
+    for spec, method in ((GenSpec("SplitRandom", {"k": 7, "i": 5}, 1), "OracleFallback"),
+                         (GenSpec("SplitDelta3InPremise", {"k": 10, "i": 8}, 3), "Delta3")):
+        g = generate(spec).graph
+        out = solve(g)
+        assert out.method == method
+        assert out.oracle_nodes == oracle_solve(g, partition=recognize_split(g)).nodes > 0
     ladder = solve(big_delta2_instance(40, 10, 10))
     assert ladder.method == "Delta2" and ladder.oracle_nodes == 0

@@ -1,8 +1,10 @@
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "splithc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splithc"
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -106,3 +108,17 @@ def test_only_graph_module_reads_raw_csr():
              for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in ("indptr", "indices")]
     assert not found, found
+
+
+def test_trace_targets_import():
+    # ``bench/run.py --trace 1`` imports every module named in
+    # ``bench/spans.py``'s ``TARGETS`` to patch it; a deleted or renamed
+    # module would crash the traced run.  (A missing attribute is only
+    # reported as unmeasured.)
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = sorted({target[0] for target in spans.TARGETS})
+    assert "splithc.delta3" in modules
+    for name in modules:
+        importlib.import_module(name)
