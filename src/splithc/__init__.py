@@ -44,7 +44,7 @@ from .reduction import (
     verify_k15_free,
     map_solution_back,
 )
-from .generators import GenSpec, GeneratedInstance, generate, enumerate_small_split
+from .generators import GenSpec, GeneratedInstance, generate
 
 __version__ = "0.1.0"
 
@@ -60,5 +60,5 @@ __all__ = [
     "OracleBudget", "OracleResult", "oracle_solve",
     "BipartiteInstance", "ReductionOutput", "bipartite_from_graph",
     "reduce_to_split", "verify_k15_free", "map_solution_back",
-    "GenSpec", "GeneratedInstance", "generate", "enumerate_small_split",
+    "GenSpec", "GeneratedInstance", "generate",
 ]

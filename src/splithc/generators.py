@@ -1,5 +1,4 @@
-"""Seeded instance generation for every premise family, plus exhaustive
-enumeration of small split graphs up to isomorphism.
+"""Seeded instance generation for every premise family.
 
 Determinism: every generator draws from ``random.Random(seed)`` (CPython's
 Mersenne Twister, whose integer methods are stable across platforms and
@@ -16,15 +15,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Mapping
+from itertools import combinations
+from typing import Mapping
 
 from .errors import GenerationExhausted, InvalidParameter
 from .graph import Graph, graph_from_edges, graph_from_split
 from .split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
-__all__ = ["GenSpec", "GeneratedInstance", "generate", "enumerate_small_split",
-           "big_delta2_instance", "FAMILIES"]
+__all__ = ["GenSpec", "GeneratedInstance", "generate", "big_delta2_instance", "FAMILIES"]
 
 FAMILIES = (
     "SplitRandom",
@@ -243,14 +241,14 @@ def _build_split_delta3(spec: GenSpec, rng: random.Random):
     if spec.param("plant_short", 0) and rng.random() < 0.5 and k >= 2 * i - 7:
         g = _planted_short_cycle_delta3(rng, k, i)
     else:
-        g = _regular_delta3(spec, rng, k, i)
+        g = _regular_delta3(rng, k, i)
     if g is None:
         return None
     return _verified_split(g, want_delta=3, want_k14_free=True,
                            want_two_connected=True, min_i=8, k_at_least_i=True)
 
 
-def _regular_delta3(spec: GenSpec, rng: random.Random, k: int, i: int) -> Graph | None:
+def _regular_delta3(rng: random.Random, k: int, i: int) -> Graph | None:
     edges = _split_edges(k)
     u1, u2, u3 = k, k + 1, k + 2
     for u in (u1, u2, u3):
@@ -261,7 +259,7 @@ def _regular_delta3(spec: GenSpec, rng: random.Random, k: int, i: int) -> Graph 
     need = (k - 1) + 2 * (i - 3)
     base = 2 * (k - 1)
     deficit = max(0, need - base)
-    headroom = int(spec.param("cap3_extra", max(1, (k - 1) // 4)))
+    headroom = max(1, (k - 1) // 4)
     n_cap3 = min(k - 1, deficit + rng.randrange(0, headroom + 1))
     for w in rng.sample(range(1, k), n_cap3):
         caps[w] = 3
@@ -272,11 +270,10 @@ def _regular_delta3(spec: GenSpec, rng: random.Random, k: int, i: int) -> Graph 
         caps[w] -= 1
     spare = sum(caps) - 2 * (i - 3)
     degs = [2] * (i - 3)
-    p_deg3 = spec.param("pdeg3", 0.5)
     for j in range(i - 3):
         if spare <= 0:
             break
-        if rng.random() < p_deg3:
+        if rng.random() < 0.5:
             degs[j] = 3
             spare -= 1
     tail = _capacity_attach(rng, k, i, caps, degs, start=3)
@@ -333,7 +330,7 @@ def _build_claw_free(spec: GenSpec, rng: random.Random):
     """
     k = int(spec.param("k"))
     i = int(spec.param("i"))
-    if i >= 4 or spec.param("delta1", 0):
+    if i >= 4:
         # delta_i <= 1 via disjoint neighbor pairs; claw-free automatically.
         if k < 2 * i or k < 3:
             return None
@@ -379,7 +376,7 @@ def _build_claw_free(spec: GenSpec, rng: random.Random):
 def _build_bipartite_deg3(spec: GenSpec, rng: random.Random):
     na = int(spec.param("na"))
     nb = int(spec.param("nb"))
-    m = int(spec.param("m", min(3 * min(na, nb), int(1.4 * (na + nb)))))
+    m = min(3 * min(na, nb), int(1.4 * (na + nb)))
     plant = int(spec.param("plant", 0))
     part_a = tuple(range(na))
     part_b = tuple(range(na, na + nb))
@@ -448,108 +445,11 @@ _PARAMS = {
     "SplitRandom": ("k", "i", "p"),
     "SplitK14Free": ("k", "i", "p3"),
     "SplitDelta2": ("k", "i", "p3"),
-    "SplitDelta3InPremise": ("k", "i", "plant_short", "cap3_extra", "pdeg3"),
-    "ClawFreeSplit": ("k", "i", "delta1"),
-    "BipartiteDeg3": ("na", "nb", "m", "plant"),
+    "SplitDelta3InPremise": ("k", "i", "plant_short"),
+    "ClawFreeSplit": ("k", "i"),
+    "BipartiteDeg3": ("na", "nb", "plant"),
     "PlantedHC": ("n", "i", "extra"),
 }
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive enumeration of small split graphs up to isomorphism
-
-
-def _refine_colors(n: int, adj: list[set[int]]) -> list[int]:
-    colors = [len(adj[v]) for v in range(n)]
-    for _ in range(n):
-        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _canonical_key(n: int, edges: frozenset[frozenset[int]]) -> tuple:
-    """Minimum edge bitmask over all color-class-respecting relabelings."""
-    adj = [set() for _ in range(n)]
-    for e in edges:
-        a, b = sorted(e)
-        adj[a].add(b)
-        adj[b].add(a)
-    colors = _refine_colors(n, adj)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    ordered_classes = [classes[c] for c in sorted(classes)]
-
-    best: int | None = None
-    slots: list[int] = [0] * n
-
-    def label_and_score(perm_groups: list[list[int]]) -> int:
-        pos = 0
-        for grp in perm_groups:
-            for v in grp:
-                slots[v] = pos
-                pos += 1
-        bits = 0
-        for e in edges:
-            a, b = e
-            x, y = slots[a], slots[b]
-            if x > y:
-                x, y = y, x
-            bits |= 1 << (x * n + y)
-        return bits
-
-    def rec(idx: int, acc: list[list[int]]) -> None:
-        nonlocal best
-        if idx == len(ordered_classes):
-            score = label_and_score(acc)
-            if best is None or score < best:
-                best = score
-            return
-        from itertools import permutations as _perms
-        for perm in _perms(ordered_classes[idx]):
-            rec(idx + 1, acc + [list(perm)])
-
-    rec(0, [])
-    return (n, len(edges), best)
-
-
-def enumerate_small_split(n: int) -> Iterator[Graph]:
-    """All split graphs on n vertices, one per isomorphism class.
-
-    Every split graph arises as a clique prefix of some size k with a
-    multiset of independent-vertex neighborhoods, so it suffices to scan
-    row multisets per k and deduplicate by canonical form (color
-    refinement plus exact search within color classes; adequate at the
-    supported sizes).
-    """
-    if n > 8:
-        raise ValueError("enumeration supported for n <= 8")
-    if n == 0:
-        return
-    seen: set[tuple] = set()
-    out: list[tuple[tuple, Graph]] = []
-    for k in range(n, -1, -1):
-        i = n - k
-        for rows in combinations_with_replacement(range(1 << k), i):
-            edges: set[frozenset[int]] = set()
-            for a, b in combinations(range(k), 2):
-                edges.add(frozenset((a, b)))
-            for j, row in enumerate(rows):
-                for w in range(k):
-                    if row >> w & 1:
-                        edges.add(frozenset((k + j, w)))
-            key = _canonical_key(n, frozenset(edges))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((key, graph_from_edges(n, [tuple(sorted(e)) for e in edges])))
-    out.sort(key=lambda t: t[0])
-    for _, g in out:
-        yield g
 
 
 # ---------------------------------------------------------------------------

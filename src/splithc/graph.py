@@ -57,7 +57,6 @@ class Graph:
     block: np.ndarray = field(default_factory=lambda: _NO_BLOCK)
     in_block: np.ndarray = field(init=False, repr=False)
     _degrees: np.ndarray = field(init=False, repr=False)
-    _nbr_sets: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mask = np.zeros(self.n, dtype=bool)
@@ -114,14 +113,6 @@ class Graph:
         for i in np.flatnonzero(self.in_block[vs]):
             rows[i] = self.neighbors(vs[i])
         return rows
-
-    def neighbor_set(self, v: int) -> frozenset:
-        # Memoized; a racing duplicate computation is benign.
-        s = self._nbr_sets.get(v)
-        if s is None:
-            s = frozenset(self.neighbors(v).tolist())
-            self._nbr_sets[v] = s
-        return s
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:

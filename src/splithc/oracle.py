@@ -33,12 +33,18 @@ I.  One node is one partial assignment examined.
 Vertex-order search, run without a partition: the reference for any
 graph, used by ``split-hc oracle``, by the cross-checks of ``run_batch``
 and the benchmark, and by the tests, so it stays an independent check of
-the pair search.  It grows a path from vertex 0, extending to the
-smallest admissible neighbour first.  One node is one path examined.
+the pair search.  It grows a path from vertex 0, depth-first on an
+explicit stack, extending to the smallest admissible neighbour first,
+and enumerates every Hamiltonian cycle as a vertex order, once per
+direction: ``oracle_solve`` decides with the first, and the tests count
+them all.  One node is one path examined.
   * an unvisited vertex whose possible cycle-neighbours (unvisited
     neighbours, plus the path ends where adjacent) number < 2 kills the
     branch;
   * the unvisited region must stay reachable from the path's moving end;
+  * both tests run once up front, with vertex 0's degree, so that a
+    disconnected graph or one with a vertex of degree < 2 is refuted
+    before any node is spent;
   * degree-2 vertices force both incident edges, checked once up front
     (three forced edges at a vertex, or a premature forced cycle, refute
     immediately).
@@ -112,9 +118,9 @@ class _Exhausted(Exception):
     pass
 
 
-def _forced_edge_refutation(adj: list[list[int]], n: int) -> str | None:
-    """Check degree-2 forced edges; 'no' to refute, 'cycle-ok' if they
-    already form a spanning cycle, None when inconclusive."""
+def _forced_edge_refutation(adj: list[list[int]], n: int) -> bool:
+    """True when the edges that degree-2 vertices force already rule out a
+    Hamiltonian cycle: three at a vertex, or a forced cycle shorter than n."""
     forced: dict[int, set[int]] = {v: set() for v in range(n)}
     for v in range(n):
         if len(adj[v]) == 2:
@@ -123,7 +129,7 @@ def _forced_edge_refutation(adj: list[list[int]], n: int) -> str | None:
                 forced[w].add(v)
     for v in range(n):
         if len(forced[v]) > 2:
-            return "no"
+            return True
     # Walk forced chains: a closed forced walk shorter than n refutes.
     seen = set()
     for v in range(n):
@@ -139,62 +145,17 @@ def _forced_edge_refutation(adj: list[list[int]], n: int) -> str | None:
                 break
             prev, cur = cur, nxts[0]
             if cur == start:
-                return "no" if count < n else "cycle-ok"
+                return count < n
             if count > n:
                 break
-    return None
+    return False
 
 
-def _prepare(g: Graph) -> list[list[int]] | None:
-    """Adjacency lists, or None when trivially non-Hamiltonian."""
-    n = g.n
-    if n < 3:
-        return None
-    adj = [[int(w) for w in g.neighbors(v)] for v in range(n)]
-    if any(len(a) < 2 for a in adj):
-        return None
-    # Connectivity.
-    seen = 1
-    stack = [0]
-    mask = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            b = 1 << w
-            if not mask & b:
-                mask |= b
-                seen += 1
-                stack.append(w)
-    if seen != n:
-        return None
-    return adj
-
-
-def _reachable_covers(adj: list[list[int]], end: int, visited: int, n: int) -> bool:
-    """BFS from the moving end through unvisited vertices."""
-    target = ((1 << n) - 1) & ~visited
-    if target == 0:
-        return True
-    reach = 0
-    stack = [end]
-    probed = 1 << end
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            b = 1 << w
-            if visited & b or probed & b:
-                continue
-            probed |= b
-            reach |= b
-            stack.append(w)
-    return reach & target == target
-
-
-def _viable(adj: list[list[int]], start: int, end: int, visited: int, n: int) -> bool:
-    full = (1 << n) - 1
-    rest = full & ~visited
-    if rest == 0:
-        return True
+def _viable(adj: list[list[int]], end: int, visited: int, n: int) -> bool:
+    """Every unvisited vertex keeps two possible cycle-neighbours (unvisited
+    ones, the moving end, vertex 0) and is reachable from the moving end
+    through unvisited vertices."""
+    rest = ((1 << n) - 1) & ~visited
     r = rest
     while r:
         b = r & -r
@@ -202,16 +163,22 @@ def _viable(adj: list[list[int]], start: int, end: int, visited: int, n: int) ->
         r ^= b
         slots = 0
         for w in adj[u]:
-            wb = 1 << w
-            if not visited & wb or w == end or w == start:
+            if not visited >> w & 1 or w == end or w == 0:
                 slots += 1
                 if slots == 2:
                     break
         if slots < 2:
             return False
-    return _reachable_covers(adj, end, visited, n)
-
-
+    reach = 0
+    stack = [end]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            wb = 1 << w
+            if rest & wb and not reach & wb:
+                reach |= wb
+                stack.append(w)
+    return reach == rest
 
 
 def oracle_solve(g: Graph, budget: OracleBudget | None = None,
@@ -219,13 +186,13 @@ def oracle_solve(g: Graph, budget: OracleBudget | None = None,
     """Decide Hamiltonicity exactly, constructing a cycle when one exists.
 
     With a split ``partition`` (K a clique, I independent, any such
-    partition of ``g``) the pair search runs; without one, the
-    vertex-order search, which needs no structure.
+    partition of ``g``) the pair search runs; without one, the first cycle
+    that the vertex-order search enumerates, which needs no structure.
     """
     b = _Budget(budget or OracleBudget())
     try:
         if partition is None:
-            order = _order_search(g, b)
+            order = next(_order_cycles(g, b), None)
         else:
             order = _pair_search(g, partition, b)
     except _Exhausted:
@@ -238,35 +205,50 @@ def oracle_solve(g: Graph, budget: OracleBudget | None = None,
     return OracleResult("cycle", cycle, b.nodes)
 
 
-def _order_search(g: Graph, b: _Budget) -> list[int] | None:
-    """Vertex order from vertex 0, or None when no Hamiltonian cycle exists."""
-    adj = _prepare(g)
-    if adj is None:
-        return None
+def _order_cycles(g: Graph, b: _Budget) -> Iterator[tuple[int, ...]]:
+    """Every Hamiltonian cycle as a vertex order from vertex 0, once per
+    direction; raises ``_Exhausted`` when the budget runs out."""
     n = g.n
-    if _forced_edge_refutation(adj, n) == "no":
-        return None
+    if n < 3:
+        return
+    adj = [g.neighbors(v).tolist() for v in range(n)]
+    # _viable never looks at vertex 0, so its degree is checked here.  At
+    # the root _viable refutes a low degree elsewhere or a disconnected
+    # graph before any node is spent.
+    if (len(adj[0]) < 2 or not _viable(adj, 0, 1, n)
+            or _forced_edge_refutation(adj, n)):
+        return
+    # Depth-first on an explicit stack, so that depth is not bounded by
+    # recursion: frames[d] iterates the neighbours of path[d], and
+    # path[d + 1], when present, is the one being explored.
     path = [0]
-
-    def extend(visited: int) -> bool:
+    visited = 1
+    frames: list[Iterator[int]] = []
+    while True:
         if not b.tick():
             raise _Exhausted
         end = path[-1]
         if len(path) == n:
-            return 0 in adj[end]
-        if not _viable(adj, 0, end, visited, n):
-            return False
-        for w in adj[end]:
-            wb = 1 << w
-            if visited & wb:
+            if 0 in adj[end]:
+                yield tuple(path)
+        elif _viable(adj, end, visited, n):
+            frames.append(iter(adj[end]))
+        # Step to the next unvisited neighbour of the deepest frame,
+        # popping the frames that have none left.
+        while frames:
+            if len(path) > len(frames):
+                visited ^= 1 << path.pop()
+            for w in frames[-1]:
+                if not visited >> w & 1:
+                    path.append(w)
+                    visited |= 1 << w
+                    break
+            else:
+                frames.pop()
                 continue
-            path.append(w)
-            if extend(visited | wb):
-                return True
-            path.pop()
-        return False
-
-    return path if extend(1) else None
+            break
+        else:
+            return
 
 
 def _pair_search(g: Graph, p: SplitPartition, b: _Budget) -> list[int] | None:

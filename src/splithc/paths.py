@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import PremiseViolated
+from .errors import InvalidCertificate, PremiseViolated
 from .graph import Graph, HamCycle, OrientedPath, validate_ham_cycle
 from .split import SplitPartition
 
@@ -422,5 +422,5 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
         order = tuple(chain.from_iterable(q.order for q in assemble_paths(g, p, h=h).paths))
     cycle = HamCycle(order)
     if not validate_ham_cycle(g, cycle):
-        raise PremiseViolated("constructed order is not a Hamiltonian cycle")
+        raise InvalidCertificate("constructed order is not a Hamiltonian cycle")
     return cycle

@@ -137,10 +137,10 @@ def _verify_candidate(g: Graph, clique: Iterable[int], independent: Iterable[int
     if kset & iset or (kset | iset) != set(range(g.n)):
         raise InvalidPartition("clique and independent set must partition V")
     for v in kset:
-        if len(g.neighbor_set(v) & kset) != len(kset) - 1:
+        if len(kset.intersection(g.neighbors(v).tolist())) != len(kset) - 1:
             raise InvalidPartition(f"clique candidate is not complete at vertex {v}")
     for u in iset:
-        if g.neighbor_set(u) & iset:
+        if not iset.isdisjoint(g.neighbors(u).tolist()):
             raise InvalidPartition(f"independent candidate has an edge at vertex {u}")
 
 

@@ -1,15 +1,16 @@
 """Graph helpers only the tests use.
 
 Small named graphs, induced subgraphs, connected components by
-depth-first search, the generic 2-connectivity test by lowpoints, and the
+depth-first search, the generic 2-connectivity test by lowpoints, the
 naive induced-star search that ``split.star_free_level`` is checked
-against.  None of it is on a path the package runs.
+against, and the exhaustive enumeration of small split graphs up to
+isomorphism.  None of it is on a path the package runs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable
+from itertools import combinations, combinations_with_replacement
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -179,3 +180,100 @@ def petersen_graph() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return graph_from_edges(10, edges)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive enumeration of small split graphs up to isomorphism
+
+
+def _refine_colors(n: int, adj: list[set[int]]) -> list[int]:
+    colors = [len(adj[v]) for v in range(n)]
+    for _ in range(n):
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in adj[v]))) for v in range(n)]
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def _canonical_key(n: int, edges: frozenset[frozenset[int]]) -> tuple:
+    """Minimum edge bitmask over all color-class-respecting relabelings."""
+    adj = [set() for _ in range(n)]
+    for e in edges:
+        a, b = sorted(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    colors = _refine_colors(n, adj)
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(colors[v], []).append(v)
+    ordered_classes = [classes[c] for c in sorted(classes)]
+
+    best: int | None = None
+    slots: list[int] = [0] * n
+
+    def label_and_score(perm_groups: list[list[int]]) -> int:
+        pos = 0
+        for grp in perm_groups:
+            for v in grp:
+                slots[v] = pos
+                pos += 1
+        bits = 0
+        for e in edges:
+            a, b = e
+            x, y = slots[a], slots[b]
+            if x > y:
+                x, y = y, x
+            bits |= 1 << (x * n + y)
+        return bits
+
+    def rec(idx: int, acc: list[list[int]]) -> None:
+        nonlocal best
+        if idx == len(ordered_classes):
+            score = label_and_score(acc)
+            if best is None or score < best:
+                best = score
+            return
+        from itertools import permutations as _perms
+        for perm in _perms(ordered_classes[idx]):
+            rec(idx + 1, acc + [list(perm)])
+
+    rec(0, [])
+    return (n, len(edges), best)
+
+
+def enumerate_small_split(n: int) -> Iterator[Graph]:
+    """All split graphs on n vertices, one per isomorphism class.
+
+    Every split graph arises as a clique prefix of some size k with a
+    multiset of independent-vertex neighborhoods, so it suffices to scan
+    row multisets per k and deduplicate by canonical form (color
+    refinement plus exact search within color classes; adequate at the
+    supported sizes).
+    """
+    if n > 8:
+        raise ValueError("enumeration supported for n <= 8")
+    if n == 0:
+        return
+    seen: set[tuple] = set()
+    out: list[tuple[tuple, Graph]] = []
+    for k in range(n, -1, -1):
+        i = n - k
+        for rows in combinations_with_replacement(range(1 << k), i):
+            edges: set[frozenset[int]] = set()
+            for a, b in combinations(range(k), 2):
+                edges.add(frozenset((a, b)))
+            for j, row in enumerate(rows):
+                for w in range(k):
+                    if row >> w & 1:
+                        edges.add(frozenset((k + j, w)))
+            key = _canonical_key(n, frozenset(edges))
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append((key, graph_from_edges(n, [tuple(sorted(e)) for e in edges])))
+    out.sort(key=lambda t: t[0])
+    for _, g in out:
+        yield g

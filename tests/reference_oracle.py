@@ -1,7 +1,8 @@
 """Hamiltonian-cycle counting by the vertex-order search.
 
-Only the tests count cycles, so the counter lives here; it reuses the
-package's pruning and budget so that its counts check that search.
+Only the tests count cycles, so the counter lives here.  It counts the
+cycles that the package's own search enumerates, under the package's
+budget, so its counts check that search itself, not a copy of its loop.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from splithc.graph import Graph
-from splithc.oracle import OracleBudget, _Budget, _Exhausted, _prepare, _viable
+from splithc.oracle import OracleBudget, _Budget, _Exhausted, _order_cycles
 
 
 @dataclass(frozen=True)
@@ -24,39 +25,14 @@ class CountResult:
 def oracle_count(g: Graph, budget: OracleBudget | None = None) -> CountResult:
     """Count distinct Hamiltonian cycles up to rotation and reflection.
 
-    Cycles are anchored at vertex 0 with the smaller second-vs-last
-    neighbor orientation, so each undirected cycle is counted once.
+    The search yields each cycle from vertex 0 once per direction; only
+    the direction whose second vertex is smaller than its last counts.
     """
-    budget = budget or OracleBudget()
-    adj = _prepare(g)
-    if adj is None:
-        return CountResult("count", 0)
-    n = g.n
-    b = _Budget(budget)
-    path = [0]
+    b = _Budget(budget or OracleBudget())
     total = 0
-
-    def extend(visited: int) -> None:
-        nonlocal total
-        if not b.tick():
-            raise _Exhausted
-        end = path[-1]
-        if len(path) == n:
-            if 0 in adj[end] and path[1] < path[-1]:
-                total += 1
-            return
-        if not _viable(adj, 0, end, visited, n):
-            return
-        for w in adj[end]:
-            wb = 1 << w
-            if visited & wb:
-                continue
-            path.append(w)
-            extend(visited | wb)
-            path.pop()
-
     try:
-        extend(1)
-        return CountResult("count", total, b.nodes)
+        for order in _order_cycles(g, b):
+            total += order[1] < order[-1]
     except _Exhausted:
         return CountResult("exhausted", total, b.nodes)
+    return CountResult("count", total, b.nodes)

@@ -62,23 +62,23 @@ def pairwise_forbidden_subgraph(g: Graph) -> NotSplit:
                 continue
             if not (g.has_edge(a, c) or g.has_edge(a, d) or g.has_edge(b, c) or g.has_edge(b, d)):
                 return NotSplit("2K2", (a, b, c, d))
+    nbr = [frozenset(g.neighbors(v).tolist()) for v in range(g.n)]
     # C4: nonadjacent u,v with two nonadjacent common neighbors.
     for u in range(g.n):
-        nu = g.neighbor_set(u)
         for v in range(u + 1, g.n):
             if g.has_edge(u, v):
                 continue
-            common = sorted(nu & g.neighbor_set(v))
+            common = sorted(nbr[u] & nbr[v])
             for a, b in combinations(common, 2):
                 if not g.has_edge(a, b):
                     return NotSplit("C4", (u, a, v, b))
     # C5: induced five-cycle.
     for a in range(g.n):
-        for b in (x for x in g.neighbor_set(a) if x > a):
-            for c in (x for x in g.neighbor_set(b) if x > a and x != a and not g.has_edge(x, a)):
-                for d in (x for x in g.neighbor_set(c)
+        for b in (x for x in nbr[a] if x > a):
+            for c in (x for x in nbr[b] if x > a and x != a and not g.has_edge(x, a)):
+                for d in (x for x in nbr[c]
                           if x > a and x not in (b,) and not g.has_edge(x, a) and not g.has_edge(x, b)):
-                    for e in (x for x in g.neighbor_set(d)
+                    for e in (x for x in nbr[d]
                               if x > a and x not in (b, c) and g.has_edge(x, a)
                               and not g.has_edge(x, b) and not g.has_edge(x, c)):
                         return NotSplit("C5", (a, b, c, d, e))

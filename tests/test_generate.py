@@ -3,17 +3,13 @@ from itertools import combinations
 import pytest
 
 from splithc.errors import GenerationExhausted, InvalidParameter
-from splithc.generators import (
-    GenSpec,
-    big_delta2_instance,
-    enumerate_small_split,
-    generate,
-)
+from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges
 from splithc.oracle import oracle_solve
 from splithc.split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
 from conftest import brute_is_split, canonical_small
+from reference_graph import enumerate_small_split
 
 
 def test_determinism_same_seed_same_edges():
@@ -71,6 +67,13 @@ def test_generation_exhausted_on_infeasible():
     # A wrong family name is a bad parameter, not exhausted sampling.
     with pytest.raises(InvalidParameter, match=r"^unknown family NoSuchFamily \(known: "):
         generate(GenSpec("NoSuchFamily", {}, 1))
+    # Keys that no builder reads are refused, not silently ignored.
+    for family, params in (("SplitDelta3InPremise", {"k": 10, "i": 8, "cap3_extra": 2}),
+                           ("SplitDelta3InPremise", {"k": 10, "i": 8, "pdeg3": 0.5}),
+                           ("ClawFreeSplit", {"k": 8, "i": 2, "delta1": 1}),
+                           ("BipartiteDeg3", {"na": 8, "nb": 8, "m": 12})):
+        with pytest.raises(InvalidParameter, match="takes no parameter"):
+            generate(GenSpec(family, params, 1))
 
 
 def test_enumerate_counts_small():

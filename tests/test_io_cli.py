@@ -31,7 +31,7 @@ from reference_io import (
     loop_edges,
     unique_graph_from_edges,
 )
-from reference_graph import complete_graph, petersen_graph
+from reference_graph import complete_graph, cycle_graph, petersen_graph
 
 
 def test_graph_roundtrip_bit_exact():
@@ -288,6 +288,14 @@ def test_cli_solve_and_verify(tmp_path: Path):
     k2.write_text("split-hc v1 2 1\n0 1\n", encoding="utf-8")
     cyc.write_text("0 1\n", encoding="utf-8")
     assert main(["verify", str(k2), str(cyc)]) == 1
+
+
+def test_cli_oracle_deep_search(tmp_path: Path, capsys):
+    # The vertex-order search goes 1200 levels deep on a non-split cycle.
+    gpath = tmp_path / "c1200.graph"
+    write_graph(gpath, cycle_graph(1200))
+    assert main(["oracle", str(gpath)]) == 0
+    assert capsys.readouterr().out.startswith("verdict: cycle\n")
 
 
 def test_cli_verify_reports_first_bad_edge(tmp_path: Path, capsys):

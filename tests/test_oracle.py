@@ -4,20 +4,37 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from splithc.generators import GenSpec, big_delta2_instance, enumerate_small_split, generate
+from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import Graph, graph_from_edges, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.reduction import reduce_to_split
 from splithc.split import NotSplit, SplitPartition, recognize_split
 
 from conftest import brute_has_ham_cycle, mk_split, near_split_graphs, permute_graph
-from reference_graph import complete_graph, cycle_graph, path_graph, petersen_graph
+from reference_graph import (
+    complete_graph,
+    cycle_graph,
+    enumerate_small_split,
+    path_graph,
+    petersen_graph,
+)
 from reference_oracle import CountResult, oracle_count
 
 
 def test_k3_and_p3():
     assert oracle_solve(complete_graph(3)).kind == "cycle"
     assert oracle_solve(path_graph(3)).kind == "no_cycle"
+
+
+def test_order_search_refutes_up_front():
+    # A disconnected graph of minimum degree 3, and a pendant vertex 0,
+    # are refuted before the search spends a node.
+    two_k4 = graph_from_edges(8, [e for base in (0, 4)
+                                  for e in combinations(range(base, base + 4), 2)])
+    pendant = graph_from_edges(5, [(0, 1), *combinations(range(1, 5), 2)])
+    for g in (two_k4, pendant):
+        res = oracle_solve(g)
+        assert res.kind == "no_cycle" and res.nodes == 0
 
 
 def test_petersen_no_cycle():
@@ -105,7 +122,7 @@ def test_invalid_cycle_raises_even_under_optimization(monkeypatch):
 
 def _partition(g: Graph, clique) -> SplitPartition:
     kset = frozenset(clique)
-    d_i = {v: len(g.neighbor_set(v) - kset) for v in sorted(kset)}
+    d_i = {v: len(set(g.neighbors(v).tolist()) - kset) for v in sorted(kset)}
     return SplitPartition(tuple(sorted(kset)), tuple(v for v in range(g.n) if v not in kset),
                           d_i, max(d_i.values(), default=0))
 
@@ -228,3 +245,10 @@ def test_pair_search_depth_is_not_bound_by_recursion():
     # 1100 independent vertices, one search level each.
     g = big_delta2_instance(1101, 1100)
     _assert_pair_search(g, recognize_split(g), True)
+
+
+def test_order_search_depth_is_not_bound_by_recursion():
+    # 1200 path vertices, one search level each.
+    g = cycle_graph(1200)
+    res = oracle_solve(g)
+    assert res.kind == "cycle" and validate_ham_cycle(g, res.cycle)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from splithc.errors import PremiseViolated
-from splithc.generators import GenSpec, generate
+from splithc.errors import InvalidCertificate, PremiseViolated
+from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import validate_ham_cycle
 from splithc.oracle import oracle_solve
 from splithc.paths import (
@@ -140,3 +140,14 @@ def test_hc_delta2_join_example():
     g = mk_split(4, [(0, 1), (0, 1, 2)])
     out = hc_delta2(g, recognize_split(g))
     assert validate_ham_cycle(g, out)
+
+
+def test_hc_delta2_invalid_cycle_raises(monkeypatch):
+    # A constructed order that fails its check is a bug in the
+    # construction, not a premise the input broke.
+    from splithc import paths
+
+    monkeypatch.setattr(paths, "validate_ham_cycle", lambda g, cycle: False)
+    g = big_delta2_instance(6, 4)
+    with pytest.raises(InvalidCertificate):
+        hc_delta2(g, recognize_split(g))

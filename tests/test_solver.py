@@ -3,7 +3,7 @@ import random
 import pytest
 
 from splithc.errors import NotSplitGraph
-from splithc.generators import GenSpec, big_delta2_instance, enumerate_small_split, generate
+from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.paths import hc_delta2
@@ -11,7 +11,7 @@ from splithc.solver import solve
 from splithc.split import recognize_split, split_is_two_connected, star_free_level
 
 from conftest import mk_split
-from reference_graph import complete_graph, cycle_graph, path_graph
+from reference_graph import complete_graph, cycle_graph, enumerate_small_split, path_graph
 
 
 def test_solve_k4():

@@ -27,6 +27,28 @@ def test_package_has_no_assert_statements():
     assert not found, found
 
 
+def _calls_itself(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[int]:
+    """Lines where ``fn`` calls its own name, or ``self.<name>``."""
+    return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == fn.name)
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == fn.name
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "self"))]
+
+
+def test_package_has_no_recursion():
+    # Search depth grows with the input, so a function that calls itself
+    # fails with RecursionError on a large enough graph; the searches keep
+    # explicit stacks instead.
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    found = [f"{f.name}:{line} {fn.name}"
+             for f in files
+             for fn in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for line in _calls_itself(fn)]
+    assert not found, found
+
+
 def _bound_names(tree: ast.Module) -> dict[str, int]:
     """Names bound by the module's imports, with their line numbers."""
     bound: dict[str, int] = {}
