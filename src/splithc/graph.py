@@ -16,7 +16,9 @@ one formula each, which an empty K (the default, and every graph
 plus |K| - 1 on K, ``m`` adds C(|K|, 2), and a pair inside K is an edge.
 ``neighbors(v)`` of a K vertex merges K - {v} into its row, so it costs
 O(|K| + d) rather than a slice.  The clique side of a split graph then
-costs O(|K|) memory instead of |K|^2 row entries (``graph_from_split``).
+costs O(|K|) memory instead of |K|^2 row entries.  Two builders make
+blocks: ``graph_from_split``, given K, and ``_graph_from_lines``, which
+``io.parse_graph`` uses and which finds K in the edge lines of a file.
 
 The cycle checker ``validate_ham_cycle`` is deliberately primitive - a
 length check, a permutation check and one batched adjacency probe
@@ -60,10 +62,11 @@ class Graph:
 
     def __post_init__(self) -> None:
         mask = np.zeros(self.n, dtype=bool)
-        mask[self.block] = True
-        object.__setattr__(self, "in_block", mask)
         deg = self.indptr[1:] - self.indptr[:-1]
-        deg += (self.block.shape[0] - 1) * mask
+        if self.block.shape[0]:  # skipped by the many small explicit graphs
+            mask[self.block] = True
+            deg[self.block] += self.block.shape[0] - 1
+        object.__setattr__(self, "in_block", mask)
         deg.flags.writeable = False
         object.__setattr__(self, "_degrees", deg)
 
@@ -284,12 +287,64 @@ def graph_from_split(n: int, clique: Iterable[int] | np.ndarray,
     return _from_edge_array(n, arr, block.astype(np.int32))
 
 
+def _graph_from_lines(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> Graph:
+    """The graph of a file's edge lines, whose ids the parser has checked
+    (in ``[0, n)``, no self-loop); duplicates are merged.
+
+    The clique block is found here, where the lines come in, so its pairs
+    are never sorted.  The candidate K is the Hammer-Simeone prefix of the
+    raw line degrees: the top k by (degree desc, id asc), with
+    k = max{i : d_i >= i - 1}, which is a clique in a split graph.  K
+    becomes the block when every pair of it occurs among the lines, as
+    marked in a table of (k + 1)^2 bools; a count of the lines would be
+    fooled by duplicates.  The table is made only when C(k, 2) is at most
+    the number of lines m, so it holds about 2 bytes per line, a quarter of
+    the int32 edge array.  Otherwise, and when a pair is missing, the
+    graph is explicit, as ``graph_from_edges`` builds it.  O(n + m) on top
+    of the build, plus a sort of the vertices of degree >= k - 1.
+    """
+    _check_vertex_count(n)
+    arr = (edges if isinstance(edges, np.ndarray)
+           else np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2))
+    m = arr.shape[0]
+    deg = np.bincount(arr.ravel(), minlength=n)
+    # at_least[d] counts the vertices of degree >= d, so the i-th largest
+    # degree is >= i - 1 exactly when at_least[i - 1] >= i.
+    at_least = np.cumsum(np.bincount(deg)[::-1])[::-1]
+    k = int(np.count_nonzero(at_least > np.arange(at_least.shape[0])))
+    if k < 2 or k * (k - 1) // 2 > m:
+        return _from_edge_array(n, arr)
+    # The top k by (degree desc, id asc); all have degree >= k - 1.
+    cand = np.flatnonzero(deg >= k - 1)
+    top = cand[np.argsort(-deg[cand], kind="stable")[:k]]
+    # Line (u, v) goes to cell (min, max) of a (k + 1) x (k + 1) table,
+    # where a vertex outside K is position k: the lines inside K fill the
+    # upper triangle of the k x k corner exactly when K is a clique.
+    cells = np.int32 if (k + 1) ** 2 <= np.iinfo(np.int32).max else np.int64
+    pos = np.full(n, k, dtype=cells)
+    pos[top] = np.arange(k, dtype=cells)
+    ends = pos.take(arr)
+    lo = np.minimum(ends[:, 0], ends[:, 1])
+    hi = np.maximum(ends[:, 0], ends[:, 1])
+    inner = hi < k
+    lo *= k + 1
+    lo += hi
+    seen = np.zeros((k + 1, k + 1), dtype=bool)
+    seen.ravel()[lo] = True
+    if np.count_nonzero(seen[:k, :k]) != k * (k - 1) // 2:
+        return _from_edge_array(n, arr)
+    return _from_edge_array(n, arr[~inner], np.sort(top).astype(np.int32))
+
+
 def _from_edge_array(n: int, arr: np.ndarray, block: np.ndarray = _NO_BLOCK) -> Graph:
     m = arr.shape[0]
     if m == 0:
         return Graph(n, np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32), block)
-    # Each edge as the keys u*n + v and v*n + u, side by side, in place.
-    pairs = arr * n
+    # Each edge as the keys u << 32 | v and v << 32 | u, side by side, in
+    # place (int64 also where the ids are int32).  A key sorts as its pair
+    # (u, v); ids are below 2^31, so its row is key >> 32 and its column
+    # its low 31 bits.
+    pairs = np.left_shift(arr, 32, dtype=np.int64)
     pairs[:, 0] += arr[:, 1]
     pairs[:, 1] += arr[:, 0]
     keys = pairs.ravel()
@@ -301,13 +356,12 @@ def _from_edge_array(n: int, arr: np.ndarray, block: np.ndarray = _NO_BLOCK) -> 
     fresh[0] = True
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
     distinct = keys[fresh]
-    # Row v starts at the first key >= v*n, found by one binary search per
-    # row; its columns are key - v*n, one multiply in place of an int64
-    # modulo per entry (``keys`` is spare by now).
-    indptr = np.searchsorted(distinct, np.arange(n + 1, dtype=np.int64) * n)
-    row_base = np.floor_divide(distinct, n, out=keys[:distinct.size])
-    row_base *= n
-    distinct -= row_base
+    # The row starts count the rows, O(n + m) (``keys`` is spare by now).
+    rows = np.right_shift(distinct, 32, out=keys[:distinct.size])
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indptr[0] = 0
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    np.bitwise_and(distinct, 0x7FFFFFFF, out=distinct)
     return Graph(n, indptr, distinct.astype(np.int32), block)
 
 

@@ -19,12 +19,22 @@ lines, each ended by a single ``\n``, with no self-loop and no id outside
 ``[0, n)`` - has its edge block decoded by numpy from one scan for the
 separator bytes.  Their positions check the layout and give every id's
 last digit and length; one vectorized pass per digit place, at most 18,
-then adds the ids up in one int64 array.  ``read_graph`` hands the file's
+then adds the ids up in one array, int32 when no id has more than 9
+digits (in an edge block below 2^31 bytes) and int64 otherwise.  The ids
+are checked there once (below n, no self-loop) and not again by the
+build.  ``read_graph`` hands the file's
 bytes to the parser, so a canonical file is never decoded to text.  Any
 other text (comments, blank lines, CRLF, tabs, signs or underscores in
 integers, integers of more than 18 digits, bad edges) goes through the
 line scanner, which decodes the bytes itself and is also the only place
 that reports an error with its line number.
+
+Both paths end in one build, ``graph._graph_from_lines``, which finds the
+clique of a split graph where the edge lines come in: if the
+Hammer-Simeone prefix of the line degrees has all its pairs among the
+lines, it becomes the graph's implicit clique block, and its C(|K|, 2)
+lines are never sorted into rows.  Any other graph is built explicitly.
+The parsed graph is the same graph either way (``Graph.__eq__``).
 
 Report records are line-delimited and tab-separated::
 
@@ -52,7 +62,7 @@ import numpy as np
 
 from .errors import InvalidCertificate, NotSplitGraph, ParseError
 from .generators import GenSpec, generate
-from .graph import Graph, HamCycle, graph_from_edges, validate_ham_cycle
+from .graph import Graph, HamCycle, _graph_from_lines, validate_ham_cycle
 from .oracle import OracleBudget, oracle_solve
 from .solver import SolveOutcome, solve
 
@@ -78,7 +88,7 @@ def parse_graph(text: str | bytes) -> tuple[Graph, tuple[int, ...] | None]:
     if parsed is None:
         parsed = _scan_lines(text if isinstance(text, str) else _decode(text))
     n, m, clique, edges = parsed
-    g = graph_from_edges(n, edges)
+    g = _graph_from_lines(n, edges)
     if g.m != m:
         if len(edges) != m:
             raise ParseError(f"header promises {m} edges, file has {len(edges)}")
@@ -124,20 +134,24 @@ def _parse_canonical(
     seps = np.flatnonzero(digit > 9)
     if seps.size % 2 or (raw.take(seps).view(np.uint16) != _SPACE_NEWLINE).any():
         return None
-    ids = np.empty_like(seps)
-    ids[0] = seps[0] + 1
-    np.subtract(seps[1:], seps[:-1], out=ids[1:])
-    if not 2 <= ids.min() <= ids.max() <= 19:
+    # A gap fits an int32 unless the block has 2^31 bytes or more.
+    gap = np.empty(seps.size, dtype=np.int32 if raw.size < 2 ** 31 else np.int64)
+    gap[0] = seps[0] + 1
+    np.subtract(seps[1:], seps[:-1], out=gap[1:])
+    width = int(gap.max()) - 1
+    if gap.min() < 2 or width > 18:
         return None
     # Token t ends just before separator t; its digit at place p (1 = ones)
     # is digit[seps[t] - p] while p < gap[t], and 0 from there on.  One
-    # Horner step per place, highest first, in place; ``ids`` held the
-    # gaps until now.
-    gap = ids.astype(np.uint8)
+    # Horner step per place, highest first, in place.  Ids of at most 9
+    # digits take over the gaps' buffer, so they are int32 (below 2^31
+    # bytes); longer ones need an int64 buffer.
+    ids = gap if width <= 9 else np.empty(seps.size, dtype=np.int64)
+    gap = gap.astype(np.uint8)
     ids.fill(0)
     place = np.empty(seps.size, dtype=np.uint8)
     inside = np.empty(seps.size, dtype=bool)
-    for p in range(int(gap.max()) - 1, 0, -1):
+    for p in range(width, 0, -1):
         # Every index is in range; "clip", unlike "raise", writes to
         # ``place`` without an intermediate buffer.
         np.take(padded[18 - p:], seps, out=place, mode="clip")

@@ -1,5 +1,6 @@
+import random
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import networkx as nx
@@ -32,6 +33,7 @@ from reference_io import (
     unique_graph_from_edges,
 )
 from reference_graph import complete_graph, cycle_graph, petersen_graph
+from test_block_graph import _outcome as _solve_outcome, assert_twins
 
 
 def test_graph_roundtrip_bit_exact():
@@ -62,10 +64,15 @@ def test_parse_errors():
         parse_graph("split-hc v1 2 2\n0 1\n")  # promised 2 edges, has 1
 
 
-def _same_graph(a: Graph, b: Graph) -> bool:
-    return (a.n == b.n and a.indptr.dtype == b.indptr.dtype == np.int64
-            and a.indices.dtype == b.indices.dtype == np.int32
-            and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices))
+def _assert_same_graph(a: Graph, b: Graph, probes: int | None = None) -> None:
+    """``a`` and the explicit ``b`` are one graph, however ``a`` is stored:
+    n, m, every edge in order and the CSR dtypes.  Where ``a`` took a
+    clique block, it must also answer as ``b`` on every accessor."""
+    assert a.n == b.n and a.m == b.m and list(a.edges()) == list(b.edges())
+    assert a.indptr.dtype == b.indptr.dtype == np.int64
+    assert a.indices.dtype == b.indices.dtype == np.int32
+    if a.block.size:
+        assert_twins(a, b, random.Random(a.n), probes)
 
 
 @st.composite
@@ -85,7 +92,7 @@ def test_render_parse_roundtrip_random(g: Graph, clique):
     text = render_graph(g, clique)
     assert _parse_canonical(text) is not None  # rendered files take the numpy path
     g2, hint = parse_graph(text)
-    assert _same_graph(g2, g)
+    _assert_same_graph(g2, g)
     assert hint == (None if clique is None else tuple(sorted(clique)))
     assert render_graph(g2, hint) == text
 
@@ -101,12 +108,16 @@ def test_render_matches_fstring_renderer(g: Graph, clique):
 
 
 def _outcome(parse, text: str):
+    """What ``parse`` makes of ``text``, however the graph is stored: the
+    error, or n, m, every edge in order, the CSR dtypes and the hint.  A
+    graph that took a clique block must also answer as its explicit twin."""
     try:
         g, hint = parse(text)
     except ParseError as exc:
         return ("error", str(exc), exc.line_no)
-    return ("ok", g.n, g.indptr.dtype, g.indptr.tolist(), g.indices.dtype,
-            g.indices.tolist(), hint)
+    if g.block.size:
+        assert_twins(g, graph_from_edges(g.n, list(g.edges())), random.Random(g.n))
+    return ("ok", g.n, g.m, list(g.edges()), g.indptr.dtype, g.indices.dtype, hint)
 
 
 def _first_int(line: str) -> int:
@@ -233,8 +244,94 @@ def test_parse_relabelled_ladder_matches_line_scanner():
     assert _parse_canonical(text) is not None
     fast, hint = parse_graph(text)
     ref, ref_hint = line_parse_graph(text)
-    assert _same_graph(fast, ref) and _same_graph(fast, relabelled)
+    assert fast.block.tolist() == sorted(perm[:300].tolist())
+    _assert_same_graph(fast, ref, probes=60)
+    _assert_same_graph(fast, relabelled, probes=60)
     assert hint == ref_hint == tuple(sorted(perm[:300].tolist()))
+
+
+@st.composite
+def split_files(draw, max_n: int = 14):
+    """(n, lines, duplicated): a split graph under a random labeling,
+    written as edge lines in sorted order, or shuffled with some lines
+    reversed and, if ``duplicated``, some repeated."""
+    n = draw(st.integers(0, max_n))
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(0, n))
+    edges = [(perm[a], perm[b]) for a, b in combinations(range(k), 2)]
+    for j in range(k, n):
+        if k:
+            edges += [(perm[a], perm[j]) for a in draw(st.sets(st.integers(0, k - 1), max_size=4))]
+    edges = sorted(tuple(sorted(e)) for e in edges)
+    if not edges or draw(st.booleans()):
+        return n, edges, False
+    lines = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    repeats = draw(st.lists(st.sampled_from(lines), max_size=4))
+    lines = draw(st.permutations(lines + repeats))
+    return n, lines, bool(repeats)
+
+
+def _file_of(n: int, lines, m: int) -> str:
+    return f"split-hc v1 {n} {m}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_files())
+def test_parsed_split_file_equals_explicit_build(drawn):
+    n, lines, duplicated = drawn
+    want = graph_from_edges(n, lines)
+    text = _file_of(n, lines, want.m)
+    assert _parse_canonical(text) is not None
+    g, _ = parse_graph(text)
+    assert g == want and want == g and list(g.edges()) == list(want.edges())
+    # Without repeated lines the line degrees are the degrees, and the
+    # Hammer-Simeone prefix of a split graph with an edge is a clique.
+    if not duplicated:
+        assert bool(g.block.size) == (g.m > 0)
+    _assert_same_graph(g, want)
+    assert _solve_outcome(g) == _solve_outcome(want)
+
+
+def test_duplicate_line_cannot_hide_a_missing_clique_pair():
+    # K = 0..4 without the pair 0-1, which the repeated line 2 3 replaces:
+    # the lines inside K number C(5, 2) and K is still the degree prefix
+    # (degrees 5, 5, 5, 5, 4 against 2, 2), but K is no clique.
+    inner = [e for e in combinations(range(5), 2) if e != (0, 1)] + [(2, 3)]
+    lines = inner + [(0, 5), (1, 5), (0, 6), (1, 6)]
+    want = graph_from_edges(7, lines)
+    g, _ = parse_graph(_file_of(7, lines, want.m))
+    assert g.block.size == 0 and not g.has_edge(0, 1) and g == want
+    _assert_same_graph(g, want)
+    # With the pair written instead of the repeat, K is the block.
+    fixed = inner[:-1] + [(0, 1)] + lines[len(inner):]
+    g, _ = parse_graph(_file_of(7, fixed, 14))
+    assert g.block.tolist() == [0, 1, 2, 3, 4] and g.has_edge(0, 1)
+
+
+def test_non_split_file_gets_the_explicit_witness():
+    # A 6-clique whose degree prefix becomes the block, plus the induced
+    # C4 0-6-7-1; and a near-clique, whose prefix is no clique.
+    block_c4 = list(combinations(range(6), 2)) + [(0, 6), (6, 7), (1, 7)]
+    near_clique = [e for e in combinations(range(30), 2) if e not in ((0, 1), (2, 3))]
+    for n, lines, blocked in ((8, block_c4, True), (30, near_clique, False)):
+        want = graph_from_edges(n, lines)
+        g, _ = parse_graph(_file_of(n, lines, want.m))
+        assert bool(g.block.size) == blocked
+        outcome = _solve_outcome(g)
+        assert outcome[0] == "not-split" and outcome == _solve_outcome(want)
+
+
+def test_parsed_ladder_stores_only_its_independent_rows():
+    from splithc.generators import big_delta2_instance
+
+    k = 700
+    ladder = big_delta2_instance(k, 250, 80)
+    perm = np.random.default_rng(7).permutation(ladder.n)
+    ends = np.fromiter(chain.from_iterable(ladder.edges()), dtype=np.int64, count=2 * ladder.m)
+    g, _ = parse_graph(render_graph(graph_from_edges(ladder.n, perm[ends].reshape(-1, 2))))
+    assert g.block.tolist() == sorted(perm[:k].tolist())
+    k_i_edges = ladder.m - k * (k - 1) // 2
+    assert g.indices.size == 2 * k_i_edges and g.m == ladder.m
 
 
 @st.composite
@@ -260,8 +357,8 @@ def test_graph_from_edges_matches_networkx(case):
     assert all(g.neighbors(v).tolist() == sorted(ref[v]) for v in range(n))
     assert list(g.edges()) == sorted(tuple(sorted(e)) for e in ref.edges())
     assert list(g.edges()) == list(loop_edges(g))
-    assert _same_graph(g, unique_graph_from_edges(n, arr))
-    assert _same_graph(g, graph_from_edges(n, [tuple(e) for e in arr.tolist()]))
+    _assert_same_graph(g, unique_graph_from_edges(n, arr))
+    _assert_same_graph(g, graph_from_edges(n, [tuple(e) for e in arr.tolist()]))
 
 
 def test_cycle_roundtrip():
