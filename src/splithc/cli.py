@@ -16,6 +16,7 @@ import numpy as np
 from . import io as gio
 from .errors import InvalidParameter, NotSplitGraph, OracleBudgetExceeded, SplitHCError
 from .generators import FAMILIES, GenSpec, generate
+from .graph import _cycle_defect
 from .oracle import OracleBudget, oracle_solve
 from .reduction import bipartite_from_graph, reduce_to_split
 from .solver import solve
@@ -81,18 +82,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     g, _ = gio.read_graph(args.graph)
     cycle = gio.parse_cycle(gio.read_text(args.cycle))
-    order = cycle.order
-    if g.n < 3:
-        print("invalid: a cycle needs at least 3 vertices")
-        return 1
-    if sorted(order) != list(range(g.n)):
-        print("invalid: not a permutation of the vertex set")
-        return 1
-    ring = np.asarray(order + order[:1], dtype=np.int64)
-    bad = np.flatnonzero(~g.has_edges(ring[:-1], ring[1:]))
-    if bad.size:
-        u, v = ring[bad[0]:bad[0] + 2].tolist()
-        print(f"invalid: {u} {v} is not an edge")
+    defect = _cycle_defect(g, cycle.order)
+    if defect is not None:
+        print(f"invalid: {defect}")
         return 1
     print("valid")
     return 0

@@ -24,7 +24,8 @@ The cycle checker ``validate_ham_cycle`` is deliberately primitive - a
 length check, a permutation check and one batched adjacency probe
 (``Graph.has_edges``) over all consecutive pairs, the closing pair
 included - and shares no code with any solver, so it can serve as an
-independent certificate validator.
+independent certificate validator.  ``split-hc verify`` prints the first
+defect those checks find (``_cycle_defect``).
 """
 
 from __future__ import annotations
@@ -371,14 +372,30 @@ def validate_ham_cycle(g: Graph, cycle: "HamCycle | Sequence[int]") -> bool:
     Returns False on malformed input instead of raising.
     """
     order = cycle.order if isinstance(cycle, HamCycle) else tuple(cycle)
+    return _cycle_defect(g, order) is None
+
+
+def _cycle_defect(g: Graph, order: Sequence[int]) -> str | None:
+    """The first defect of ``order`` as a Hamiltonian cycle of ``g``, or None.
+
+    In turn: fewer than 3 vertices in ``g``; ``order`` not a permutation of
+    V (bool, float and str entries are not vertex ids); a consecutive pair,
+    the closing pair included, that is not an edge.
+    """
     n = g.n
-    if len(order) != n or n < 3:
-        return False
-    seen = set()
-    for v in order:
-        if (not isinstance(v, (int, np.integer)) or isinstance(v, bool)
-                or v < 0 or v >= n or v in seen):
-            return False
-        seen.add(v)
-    ring = np.asarray(order + order[:1], dtype=np.int64)
-    return bool(g.has_edges(ring[:-1], ring[1:]).all())
+    if n < 3:
+        return "a cycle needs at least 3 vertices"
+    if (len(order) != n
+            or not all(issubclass(t, (int, np.integer)) and t is not bool
+                       for t in set(map(type, order)))
+            or min(order) < 0 or max(order) >= n):
+        return "not a permutation of the vertex set"
+    ring = np.asarray(order, dtype=np.int64)
+    if np.bincount(ring, minlength=n).max() > 1:
+        return "not a permutation of the vertex set"
+    ring = np.append(ring, ring[0])
+    bad = np.flatnonzero(~g.has_edges(ring[:-1], ring[1:]))
+    if bad.size:
+        u, v = ring[bad[0]:bad[0] + 2].tolist()
+        return f"{u} {v} is not an edge"
+    return None

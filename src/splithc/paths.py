@@ -6,15 +6,19 @@ their clique neighbors.  Any cycle of H is chordless (its independent
 vertices have no edges off the cycle), and a cycle that misses at least
 one clique vertex certifies non-Hamiltonicity: deleting S = cycle & K
 isolates the cycle's independent vertices, leaving more than |S|
-components.  When no such cycle exists, H is a forest of odd paths with
-clique endpoints, and the remaining independent vertices are inserted by
-a priority rule - join two paths where possible, extend one otherwise,
-start a fresh 3-path as a last resort.  The vertices wait in one
-min-heap per rule.  An insertion changes the endpoint status or path of
-at most four clique vertices, each seen by at most two independent
-vertices, and only those independent vertices are reclassified: at most
-eight per insertion instead of every vertex left.  The assembled paths
-join into a Hamiltonian cycle along clique edges.
+components.  With delta_i <= 2 every vertex of H has H-degree at most 2,
+so H is a disjoint union of paths and cycles, and one walk
+(``DegreeTwoSubgraph.components``) lists both: the cycles feed the
+short-cycle test, the paths seed the path system.  When no short cycle
+exists, H is a forest of odd paths with clique endpoints, and the
+remaining independent vertices are inserted by a priority rule - join
+two paths where possible, extend one otherwise, start a fresh 3-path as
+a last resort.  The vertices wait in one heap keyed by (-rule class,
+vertex).  An insertion changes the endpoint status or path of at most
+four clique vertices, each seen by at most two independent vertices, and
+only those independent vertices are reclassified: at most eight per
+insertion instead of every vertex left.  The assembled paths join into a
+Hamiltonian cycle along clique edges.
 
 All arbitrary choices resolve to the smallest vertex index.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain
 
 import numpy as np
@@ -46,22 +50,43 @@ __all__ = [
 @dataclass(frozen=True)
 class DegreeTwoSubgraph:
     """H: degree-2 independent vertices (va) against their clique
-    neighbors (vb), with all va-vb edges of the host graph.  ``adjacency``
-    is built once per H and shared by its readers, which must not mutate it."""
+    neighbors (vb).  ``adjacency`` holds all va-vb edges of the host graph,
+    each vertex's list ascending, and is shared by its readers, which must
+    not mutate it; ``components`` walks it once per H."""
 
     va: tuple[int, ...]
     vb: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    adjacency: dict[int, list[int]]
 
     @cached_property
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.va + self.vb}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+    def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(paths, cycles) of H, for H of maximum degree 2.
+
+        Paths are walked from their smaller end and ordered by it; cycles
+        are walked from their smallest vertex toward its smaller neighbour,
+        and ordered by that vertex.  The paths are flooded from their ends
+        first, so every vertex is visited once.
+        """
+        adj = self.adjacency
+        order = sorted(adj)
+        seen: set[int] = set()
+        paths: list[tuple[int, ...]] = []
+        cycles: list[tuple[int, ...]] = []
+        for s in chain((v for v in order if len(adj[v]) == 1), order):
+            if s in seen:
+                continue
+            walk = [s]
+            seen.add(s)
+            prev, cur = s, adj[s][0]
+            while cur not in seen:
+                walk.append(cur)
+                seen.add(cur)
+                nxt = adj[cur]
+                if len(nxt) == 1:
+                    break
+                prev, cur = cur, (nxt[1] if nxt[0] == prev else nxt[0])
+            (paths if len(adj[s]) == 1 else cycles).append(tuple(walk))
+        return tuple(paths), tuple(cycles)
 
 
 @dataclass(frozen=True)
@@ -91,13 +116,20 @@ class PathSystem:
 
 
 def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
-    """Collect degree-2 independent vertices and their neighborhoods."""
+    """Collect degree-2 independent vertices and their neighborhoods.
+
+    ``va`` ascends, so appending each one to its two clique neighbors'
+    lists leaves every list sorted."""
     ind = np.asarray(p.independent, dtype=np.int64)
     va = ind[g.degrees()[ind] == 2]
     rows = g.neighbor_rows(va, 2)
     us, lo, hi = va.tolist(), rows[:, 0].tolist(), rows[:, 1].tolist()
-    return DegreeTwoSubgraph(tuple(us), tuple(sorted({*lo, *hi})),
-                             tuple(sorted([*zip(us, lo), *zip(us, hi)])))
+    vb = sorted({*lo, *hi})
+    adj = {u: [a, b] for u, a, b in zip(us, lo, hi)} | {w: [] for w in vb}
+    for u, a, b in zip(us, lo, hi):
+        adj[a].append(u)
+        adj[b].append(u)
+    return DegreeTwoSubgraph(tuple(us), tuple(vb), adj)
 
 
 def _find_cycle(adj: dict[int, list[int]], banned: int | None = None) -> list[int] | None:
@@ -149,15 +181,13 @@ def _forest_path(forest: dict[int, list[int]], a: int, b: int) -> list[int]:
     return path[::-1]
 
 
-def _canonical_cycle(cycle: list[int], kset: frozenset) -> tuple[int, ...]:
+def _canonical_cycle(cycle: list[int] | tuple[int, ...], kset: frozenset) -> tuple[int, ...]:
     """Rotate/reflect so the cycle starts at its smallest clique vertex and
     moves toward the smaller of that vertex's two cycle neighbors."""
     anchor = min(v for v in cycle if v in kset)
     i = cycle.index(anchor)
-    rot = cycle[i:] + cycle[:i]
-    if rot[1] > rot[-1]:
-        rot = [rot[0]] + rot[1:][::-1]
-    return tuple(rot)
+    rot = tuple(cycle[i:] + cycle[:i])
+    return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
 
 
 def find_short_cycle(g: Graph, p: SplitPartition, *,
@@ -178,7 +208,7 @@ def find_short_cycle(g: Graph, p: SplitPartition, *,
     k_all = set(p.clique)
     off_h = sorted(k_all - set(h.vb))
     if all(len(adj[v]) <= 2 for v in h.vb):
-        cycles = _degree_two_cycles(adj)
+        _, cycles = h.components
         if not cycles:
             return None
         if off_h:
@@ -206,63 +236,6 @@ def find_short_cycle(g: Graph, p: SplitPartition, *,
     return None
 
 
-def _degree_two_cycles(adj: dict[int, list[int]]) -> list[list[int]]:
-    """Cycle components of a max-degree-2 graph, smallest start first.
-
-    Path components are flooded from their endpoints first, so every
-    vertex is visited once and the scan stays linear.
-    """
-    seen: set[int] = set()
-    for s in sorted(adj):
-        if s in seen or len(adj[s]) > 1:
-            continue
-        seen.add(s)
-        prev, cur = s, (adj[s][0] if adj[s] else None)
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            nxt = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, (nxt[0] if nxt else None)
-    cycles: list[list[int]] = []
-    for s in sorted(adj):
-        if s in seen:
-            continue
-        walk = [s]
-        seen.add(s)
-        prev, cur = s, adj[s][0]
-        while cur != s:
-            walk.append(cur)
-            seen.add(cur)
-            nxt = [w for w in adj[cur] if w != prev]
-            prev, cur = cur, nxt[0]
-        cycles.append(walk)
-    return cycles
-
-
-def _initial_paths(h: DegreeTwoSubgraph) -> list[list[int]]:
-    """Path components of H (H must be acyclic here)."""
-    adj = h.adjacency
-    seen: set[int] = set()
-    paths: list[list[int]] = []
-    endpoints = sorted(v for v in adj if len(adj[v]) == 1)
-    for s in endpoints:
-        if s in seen:
-            continue
-        walk = [s]
-        seen.add(s)
-        prev, cur = s, adj[s][0]
-        while True:
-            walk.append(cur)
-            seen.add(cur)
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        paths.append(walk)
-    if len(seen) != len(adj):
-        raise PremiseViolated("cycle in degree-two subgraph during path assembly")
-    return paths
-
-
 def assemble_paths(g: Graph, p: SplitPartition, *,
                    h: DegreeTwoSubgraph | None = None) -> PathSystem:
     """Run the insertion procedure; requires delta_i <= 2 and no cycle in H.
@@ -273,23 +246,26 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     (not anticipated by the structure theory - callers route such
     instances to the exact solver and log them).
 
-    The vertices still to insert sit in one min-heap per class (the number
-    of distinct paths whose endpoints they see, capped at 2), so the next
-    one is the smallest vertex of the highest class.  A vertex's class
-    depends only on the endpoint status and path of its clique neighbors,
-    and an insertion changes those at no more than four clique vertices;
-    only the vertices that see one of them are reclassified.  ``h`` is H
-    when the caller has built it already.
+    The vertices still to insert sit in one min-heap of (-class, vertex),
+    a class being the number of distinct paths whose endpoints the vertex
+    sees, capped at 2, so the next one is the smallest vertex of the
+    highest class.  A vertex's class depends only on the endpoint status
+    and path of its clique neighbors, and an insertion changes those at no
+    more than four clique vertices; only the vertices that see one of them
+    are reclassified.  ``h`` is H when the caller has built it already.
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
     if h is None:
         h = build_degree_two_subgraph(g, p)
+    walks, cycles = h.components
+    if cycles:
+        raise PremiseViolated("cycle in degree-two subgraph during path assembly")
     paths: dict[int, list[int]] = {}
     endpoint_of: dict[int, int] = {}
     on_path: set[int] = set()
-    for pid, walk in enumerate(_initial_paths(h)):
-        paths[pid] = walk
+    for pid, walk in enumerate(walks):
+        paths[pid] = list(walk)
         endpoint_of[walk[0]] = pid
         endpoint_of[walk[-1]] = pid
         on_path.update(walk)
@@ -313,19 +289,15 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
 
     cls = {u: classify(u) for u in nbrs}
     # Lazy deletion: a heap entry is live while its vertex is still to be
-    # inserted and still in that class.  Ascending lists are valid heaps.
-    heaps: tuple[list[int], ...] = ([], [], [])
-    for u, c in cls.items():
-        heaps[c].append(u)
+    # inserted and still in that class.
+    heap = [(-c, u) for u, c in cls.items()]
+    heapify(heap)
 
     while cls:
-        for c in (2, 1, 0):
-            heap = heaps[c]
-            while heap and cls.get(heap[0]) != c:
-                heappop(heap)
-            if heap:
-                break
-        u = heappop(heap)
+        neg_c, u = heappop(heap)
+        c = -neg_c
+        if cls.get(u) != c:
+            continue
         del cls[u]
         eps = [w for w in nbrs[u] if w in endpoint_of]
         before = len(paths)
@@ -382,7 +354,7 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
                     new = classify(x)
                     if new != cls[x]:
                         cls[x] = new
-                        heappush(heaps[new], x)
+                        heappush(heap, (-new, x))
 
     out = [list(w) for w in paths.values()]
     for w in sorted(set(p.clique) - on_path):
@@ -413,7 +385,7 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
     if len(p.independent) > len(p.clique):
         raise PremiseViolated("independent side larger than clique side")
     if len(p.independent) == len(p.clique):
-        cycles = _degree_two_cycles(h.adjacency)
+        _, cycles = h.components
         if len(cycles) != 1 or len(cycles[0]) != g.n:
             raise PremiseViolated("expected a single spanning cycle in H")
         order = _canonical_cycle(cycles[0], p.clique_set)

@@ -132,10 +132,8 @@ def reduce_to_split(b: BipartiteInstance) -> ReductionOutput:
     K_{1,5}-free, else ``InvalidCertificate`` is raised."""
     h1 = _image(b, b.part_a)
     h2 = _image(b, b.part_b)
-    other1 = tuple(v for v in range(b.graph.n) if v not in set(b.part_a))
-    other2 = tuple(v for v in range(b.graph.n) if v not in set(b.part_b))
-    p1 = upgrade_to_maximum_clique(h1, b.part_a, other1)
-    p2 = upgrade_to_maximum_clique(h2, b.part_b, other2)
+    p1 = upgrade_to_maximum_clique(h1, b.part_a, b.part_b)
+    p2 = upgrade_to_maximum_clique(h2, b.part_b, b.part_a)
     for h, p in ((h1, p1), (h2, p2)):
         if isinstance(recognize_split(h), NotSplit):
             raise InvalidCertificate("reduction image failed split recognition")

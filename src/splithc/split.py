@@ -56,10 +56,6 @@ class SplitPartition:
     def clique_set(self) -> frozenset:
         return frozenset(self.clique)
 
-    @cached_property
-    def independent_set(self) -> frozenset:
-        return frozenset(self.independent)
-
 
 @dataclass(frozen=True)
 class NotSplit:
@@ -157,20 +153,13 @@ def upgrade_to_maximum_clique(g: Graph, clique: Iterable[int], independent: Iter
 
 
 def _upgrade_unchecked(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> SplitPartition:
-    kset = set(int(v) for v in clique)
-    iset = sorted(set(int(v) for v in independent))
-    deg = g.degrees().tolist()
-    while True:
-        k_len = len(kset)
-        mover = None
-        for u in iset:
-            if deg[u] >= k_len and sum(1 for w in g.neighbors(u) if int(w) in kset) == k_len:
-                mover = u
-                break
-        if mover is None:
-            break
-        kset.add(mover)
-        iset.remove(mover)
+    # An independent vertex sees only K, so it sees all of K exactly when
+    # its degree is |K|; the smallest such vertex moves.
+    kset = {int(v) for v in clique}
+    ind = np.fromiter(independent, dtype=np.int64)
+    movers = ind[g.degrees()[ind] == len(kset)]
+    if movers.size:
+        kset.add(int(movers.min()))
     return _partition_from(g, kset)
 
 

@@ -45,7 +45,7 @@ def reduced_system(g: Graph, p: SplitPartition) -> ReducedSystem | ShortCycleWit
     if witness is not None:
         return witness
     v = min(w for w in p.clique if p.d_i[w] == 3)
-    n_i_v = tuple(sorted(int(u) for u in g.neighbors(v) if u in p.independent_set))
+    n_i_v = tuple(sorted(int(u) for u in g.neighbors(v) if u not in p.clique_set))
     triple_nbrs: set[int] = set()
     for u in n_i_v:
         triple_nbrs.update(int(w) for w in g.neighbors(u))

@@ -11,7 +11,11 @@ independent side.  They are what the package ran before the degree-sum
 test, the degree-sum witness shrink and the bucket queue replaced them;
 only the tests use them, as oracles for identical partitions and path
 systems and for the non-split verdict (the two witness searches may pick
-different forbidden subgraphs).
+different forbidden subgraphs).  ``loop_upgrade`` moves independent
+vertices into K by counting each one's neighbours in K until none sees
+all of K, and ``walk_initial_paths`` walks the paths of H from their
+endpoints; the package picks the mover by degree and walks H once for
+its paths and cycles together.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 
 from splithc.errors import PremiseViolated
 from splithc.graph import Graph, OrientedPath, graph_from_edges
-from splithc.paths import PathSystem, _initial_paths, build_degree_two_subgraph
-from splithc.split import NotSplit, SplitPartition, _upgrade_unchecked
+from splithc.paths import DegreeTwoSubgraph, PathSystem, build_degree_two_subgraph
+from splithc.split import NotSplit, SplitPartition, _partition_from
 
 
 def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
@@ -48,8 +52,26 @@ def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
         cross = int(rest_mask[g.indices].astype(np.int64)[_row_select(g, rest_mask)].sum())
         if cross == 0:
             rest = [v for v in range(n) if not mask[v]]
-            return _upgrade_unchecked(g, prefix, rest)
+            return loop_upgrade(g, prefix, rest)
     return pairwise_forbidden_subgraph(g)
+
+
+def loop_upgrade(g: Graph, clique, independent) -> SplitPartition:
+    kset = set(int(v) for v in clique)
+    iset = sorted(set(int(v) for v in independent))
+    deg = g.degrees().tolist()
+    while True:
+        k_len = len(kset)
+        mover = None
+        for u in iset:
+            if deg[u] >= k_len and sum(1 for w in g.neighbors(u) if int(w) in kset) == k_len:
+                mover = u
+                break
+        if mover is None:
+            break
+        kset.add(mover)
+        iset.remove(mover)
+    return _partition_from(g, kset)
 
 
 def pairwise_forbidden_subgraph(g: Graph) -> NotSplit:
@@ -92,6 +114,32 @@ def _row_select(g: Graph, vertex_mask: np.ndarray) -> np.ndarray:
     return sel
 
 
+def walk_initial_paths(h: DegreeTwoSubgraph) -> list[list[int]]:
+    """Path components of H, each walked from its smaller endpoint, in
+    the order of those endpoints (H must be acyclic here)."""
+    adj = h.adjacency
+    seen: set[int] = set()
+    paths: list[list[int]] = []
+    endpoints = sorted(v for v in adj if len(adj[v]) == 1)
+    for s in endpoints:
+        if s in seen:
+            continue
+        walk = [s]
+        seen.add(s)
+        prev, cur = s, adj[s][0]
+        while True:
+            walk.append(cur)
+            seen.add(cur)
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+        paths.append(walk)
+    if len(seen) != len(adj):
+        raise PremiseViolated("cycle in degree-two subgraph during path assembly")
+    return paths
+
+
 def rescan_assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
@@ -99,7 +147,7 @@ def rescan_assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
     paths: dict[int, list[int]] = {}
     endpoint_of: dict[int, int] = {}
     on_path: set[int] = set()
-    for pid, walk in enumerate(_initial_paths(h)):
+    for pid, walk in enumerate(walk_initial_paths(h)):
         paths[pid] = walk
         endpoint_of[walk[0]] = pid
         endpoint_of[walk[-1]] = pid

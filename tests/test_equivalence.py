@@ -1,7 +1,8 @@
 """The degree-sum recognizer and the bucket-queue path assembly give the
 same partitions, path systems, insertion logs and error messages as the
 edge-count and rescan references in ``reference_paths``, and the same
-non-split verdicts with valid witnesses."""
+non-split verdicts with valid witnesses.  The reduction's upgrades give
+the same partitions as the reference's neighbour-counting loop."""
 
 import random
 
@@ -13,11 +14,12 @@ from splithc.errors import PremiseViolated
 from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import Graph, graph_from_edges
 from splithc.paths import assemble_paths
+from splithc.reduction import BipartiteInstance, reduce_to_split
 from splithc.split import NotSplit, recognize_split
 
 import reference_delta3
 from conftest import assert_induced_witness, near_split_graphs
-from reference_paths import edge_count_recognize_split, rescan_assemble_paths
+from reference_paths import edge_count_recognize_split, loop_upgrade, rescan_assemble_paths
 
 
 def _assembly(assemble, g: Graph, p):
@@ -92,3 +94,28 @@ def test_delta3_reduced_systems(monkeypatch):
 @pytest.mark.parametrize("shape", [(40, 10, 10), (60, 20, 15), (700, 250, 80)])
 def test_ladders(shape):
     assert_same_as_reference(big_delta2_instance(*shape))
+
+
+def test_reduction_upgrades():
+    # On parts of at most four vertices a vertex of one part often sees the
+    # whole other part, so the upgrade moves it into the clique.
+    rng = random.Random(1)
+    moves = 0
+    for _ in range(300):
+        na, nb = rng.randrange(1, 5), rng.randrange(1, 5)
+        deg = [0] * (na + nb)
+        edges = []
+        for a in range(na):
+            for b in range(na, na + nb):
+                if rng.random() < 0.6 and deg[a] < 3 and deg[b] < 3:
+                    edges.append((a, b))
+                    deg[a] += 1
+                    deg[b] += 1
+        src = BipartiteInstance(graph_from_edges(na + nb, edges), tuple(range(na)),
+                                tuple(range(na, na + nb)))
+        out = reduce_to_split(src)
+        for h, p, k, i in ((out.h1, out.partition1, src.part_a, src.part_b),
+                           (out.h2, out.partition2, src.part_b, src.part_a)):
+            assert p == loop_upgrade(h, k, i)
+            moves += len(p.clique) > len(k)
+    assert moves >= 100

@@ -83,6 +83,7 @@ def test_validate_rejects_malformed():
     k4 = complete_graph(4)
     assert not validate_ham_cycle(k4, [0, 1, 2])          # short
     assert not validate_ham_cycle(k4, [0, 1, 2, 2])       # repeat
+    assert not validate_ham_cycle(k4, [0, 1, 0, 2])       # repeat, every pair an edge
     assert not validate_ham_cycle(k4, [0, 1, 2, 9])       # out of range
     assert not validate_ham_cycle(k4, HamCycle((0, 1, 2, "x")))  # type: ignore[arg-type]
     assert not validate_ham_cycle(k4, [0, 1, 2, -1])      # negative

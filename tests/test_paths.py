@@ -1,12 +1,15 @@
 import random
+from functools import cached_property
+from itertools import combinations
 
 import pytest
 
 from splithc.errors import InvalidCertificate, PremiseViolated
 from splithc.generators import GenSpec, big_delta2_instance, generate
-from splithc.graph import validate_ham_cycle
+from splithc.graph import graph_from_edges, validate_ham_cycle
 from splithc.oracle import oracle_solve
 from splithc.paths import (
+    DegreeTwoSubgraph,
     ShortCycleWitness,
     assemble_paths,
     build_degree_two_subgraph,
@@ -23,18 +26,55 @@ def test_degree_two_subgraph_examples():
     g = mk_split(4, [(0, 1, 2), (1, 2, 3)])  # all I degrees >= 3
     p = recognize_split(g)
     h = build_degree_two_subgraph(g, p)
-    assert h.va == () and h.vb == () and h.edges == ()
+    assert h.va == () and h.vb == () and h.adjacency == {}
 
     g = mk_split(3, [(0, 1), (1, 2)])
     p = recognize_split(g)
     h = build_degree_two_subgraph(g, p)
-    assert h.va == (3, 4) and h.vb == (0, 1, 2) and len(h.edges) == 4
+    assert h.va == (3, 4) and h.vb == (0, 1, 2)
+    assert h.adjacency == {3: [0, 1], 4: [1, 2], 0: [3], 1: [3, 4], 2: [4]}
 
     g = mk_split(3, [(0, 1), (0, 1)])
     h = build_degree_two_subgraph(g, recognize_split(g))
     adj = h.adjacency
     assert adj[3] == [0, 1] and adj[4] == [0, 1]
     assert h.adjacency is adj  # built once per H, shared by its readers
+
+
+def test_components_order_on_relabeled_ids():
+    # Clique {2, 3, 4, 6, 8, 10, 11}.  Independent 0 and 5 close the cycle
+    # 0-3-5-8; independent 1 sits inside the path 4-7-10-1-6 and 9 inside
+    # 2-9-11.  So an independent vertex is the smallest on the cycle and
+    # on a path: the cycle starts at 0, not at clique vertex 3, and the
+    # path is walked from its smaller end 4 and ordered after 2-9-11.
+    k = [2, 3, 4, 6, 8, 10, 11]
+    rows = {0: (3, 8), 5: (3, 8), 7: (4, 10), 1: (6, 10), 9: (2, 11)}
+    g = graph_from_edges(12, [*combinations(k, 2), *((u, w) for u, ws in rows.items() for w in ws)])
+    p = recognize_split(g)
+    assert p.clique == tuple(k)
+    h = build_degree_two_subgraph(g, p)
+    assert h.components == (((2, 9, 11), (4, 7, 10, 1, 6)), ((0, 3, 5, 8),))
+    assert h.components is h.components
+    assert find_short_cycle(g, p, h=h) == ShortCycleWitness((3, 0, 8, 5), 2)
+    with pytest.raises(PremiseViolated, match="^cycle in degree-two subgraph during path assembly$"):
+        assemble_paths(g, p, h=h)
+
+
+def test_hc_delta2_walks_h_once(monkeypatch):
+    walks = []
+    walk = DegreeTwoSubgraph.components.func
+
+    def counted(h):
+        walks.append(h)
+        return walk(h)
+
+    prop = cached_property(counted)
+    prop.__set_name__(DegreeTwoSubgraph, "components")
+    monkeypatch.setattr(DegreeTwoSubgraph, "components", prop)
+    for g in (big_delta2_instance(40, 20, 5), mk_split(3, [(0, 1), (1, 2), (0, 2)])):
+        walks.clear()
+        assert validate_ham_cycle(g, hc_delta2(g, recognize_split(g)))
+        assert len(walks) == 1
 
 
 def test_find_short_cycle_examples():

@@ -132,15 +132,32 @@ def test_only_graph_module_reads_raw_csr():
     assert not found, found
 
 
+# Traced names that no module binds any more: the tracer reports them as
+# unmeasured.  Remove a name here once the benchmark patches it again.
+UNRESOLVED_TRACE_TARGETS = {
+    "splithc.io.graph_from_edges",
+    "splithc.solver.validate_ham_cycle",
+    "splithc.delta3.prepare_context",
+    "splithc.delta3.assemble_paths",
+    "splithc.delta3.induced_subgraph",
+    "splithc.delta3.validate_ham_cycle",
+}
+
+
 def test_trace_targets_import():
     # ``bench/run.py --trace 1`` imports every module named in
     # ``bench/spans.py``'s ``TARGETS`` to patch it; a deleted or renamed
-    # module would crash the traced run.  (A missing attribute is only
-    # reported as unmeasured.)
+    # module would crash the traced run.  A missing attribute is only
+    # reported as unmeasured, so a change that drops a traced name would
+    # silently add an unmeasured layer: every target outside the known set
+    # must resolve.
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     modules = sorted({target[0] for target in spans.TARGETS})
     assert "splithc.delta3" in modules
-    for name in modules:
-        importlib.import_module(name)
+    missing = set()
+    for mod_name, attr, *_ in spans.TARGETS:
+        if not hasattr(importlib.import_module(mod_name), attr):
+            missing.add(f"{mod_name}.{attr}")
+    assert missing <= UNRESOLVED_TRACE_TARGETS, sorted(missing - UNRESOLVED_TRACE_TARGETS)

@@ -103,8 +103,8 @@ def test_partition_clique_is_maximum():
 
 def test_partition_sets_are_cached():
     p = recognize_split(mk_split(4, [(0, 1), (1, 2)]))
-    assert p.clique_set is p.clique_set and p.independent_set is p.independent_set
-    assert p.clique_set == frozenset(range(4)) and p.independent_set == frozenset({4, 5})
+    assert p.clique_set is p.clique_set
+    assert p.clique_set == frozenset(range(4)) and p.independent == (4, 5)
 
 
 def test_upgrade_examples():
