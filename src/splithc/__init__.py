@@ -11,7 +11,6 @@ generators forming the verification harness.
 from .graph import (
     Graph,
     HamCycle,
-    OrientedPath,
     graph_from_edges,
     graph_from_split,
     validate_ham_cycle,
@@ -49,7 +48,7 @@ from .generators import GenSpec, GeneratedInstance, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "HamCycle", "OrientedPath", "graph_from_edges", "graph_from_split",
+    "Graph", "HamCycle", "graph_from_edges", "graph_from_split",
     "validate_ham_cycle",
     "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
     "upgrade_to_maximum_clique", "star_free_level",

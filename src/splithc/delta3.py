@@ -15,6 +15,15 @@ can find, so the search replaces the weave, and the census and the
 reduced system are checked by the tests as lemmas of the paper
 (``tests/reference_delta3.py``), not on the solve path.
 
+The short-cycle gate is the delta_i <= 2 walk of H, the degree-two
+subgraph of ``paths``, which needs every clique vertex to have H-degree
+at most 2.  The premise implies it.  Suppose a clique vertex w sees three
+degree-2 independent vertices u1, u2, u3.  Every other clique vertex x
+then sees one of them, or w, u1, u2, u3 and x induce a K_{1,4}.  Each
+u_j has one clique neighbour besides w, so |K| <= 4, against |K| >= 8.
+Outside the premise such a vertex makes the gate raise
+``PremiseViolated``.
+
 The search's node count is bounded only by measurement (at most |I| + 1
 on every in-premise context tried), so the solver credits the
 construction only with a cycle found within ``_NODE_CAP`` nodes; any

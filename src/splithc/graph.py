@@ -219,23 +219,6 @@ class HamCycle:
         return len(self.order)
 
 
-@dataclass(frozen=True)
-class OrientedPath:
-    """A directed traversal of a simple path (>= 1 distinct vertices)."""
-
-    order: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.order)
-
-    @property
-    def head(self) -> int:
-        return self.order[0]
-
-
 def _as_edge_array(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     if isinstance(edges, np.ndarray):
         arr = edges.astype(np.int64, copy=False).reshape(-1, 2)

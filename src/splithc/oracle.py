@@ -15,10 +15,13 @@ vertices a, b (Burkard and Hammer, "A note on Hamiltonian split graphs",
 JCTB 1980).  Read each pair as an edge ab of a multigraph on K: G has a
 Hamiltonian cycle iff every u can be given a pair of its clique
 neighbours so that these |I| edges form a linear forest, or, when
-|I| = |K|, one cycle through all of K.  The cycle is read off by walking
-each path with ab expanded into a-u-b and chaining the paths and the
-unused clique vertices along clique edges.  The search branches only on
-I.  One node is one partial assignment examined.
+|I| = |K|, one cycle through all of K.  With each u placed between its
+pair as a-u-b, the pairs form a graph of the shape of H in ``paths``, so
+the cycle is read off by H's walk (``DegreeTwoSubgraph.components``):
+the one cycle when |I| = |K|, otherwise the paths chained with the
+unused clique vertices along clique edges.  ``validate_ham_cycle``
+checks the read-off like every other oracle cycle.  The search branches
+only on I.  One node is one partial assignment examined.
   * |I| > |K| refutes by pigeonhole, with no node spent;
   * no clique vertex takes a third edge, and an endpoint map rejects an
     edge that would close a cycle (only the last edge may, when
@@ -54,10 +57,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .errors import InvalidCertificate
 from .graph import Graph, HamCycle, validate_ham_cycle
+from .paths import DegreeTwoSubgraph, _canonical_cycle
 from .split import SplitPartition
 
 __all__ = ["OracleBudget", "OracleResult", "oracle_solve"]
@@ -333,7 +338,7 @@ def _pair_search(g: Graph, p: SplitPartition, b: _Budget) -> list[int] | None:
         if not b.tick():
             raise _Exhausted
         if len(frames) == n_i:
-            return _pair_cycle(clique, indep, pair)
+            return _pair_cycle(p, pair)
         u, fewest = -1, n_k + 1
         for j in range(n_i):
             if pair[j] is None and free[j] < fewest:
@@ -367,31 +372,18 @@ def _pair_search(g: Graph, p: SplitPartition, b: _Budget) -> list[int] | None:
             return None
 
 
-def _pair_cycle(clique: tuple[int, ...], indep: tuple[int, ...],
-                pair: list[tuple[int, int]]) -> list[int]:
-    """Walk each path of the pair forest expanding edge ab into a-u-b, then
-    chain paths and bare clique vertices along clique edges."""
-    links: dict[int, list[tuple[int, int]]] = {a: [] for a in clique}
-    for u, (a, c) in zip(indep, pair):
-        links[a].append((c, u))
-        links[c].append((a, u))
-    order: list[int] = []
-    seen: set[int] = set()
-    # Paths start at an end; |I| = |K| leaves one cycle, entered anywhere.
-    starts = [a for a in clique if len(links[a]) == 1] or [clique[0]]
-    for a in starts + list(clique):
-        if a in seen:
-            continue
-        came = -1
-        while True:
-            order.append(a)
-            seen.add(a)
-            step = next(((c, u) for c, u in links[a] if u != came), None)
-            if step is None:
-                break
-            c, came = step
-            order.append(came)
-            if c in seen:
-                break
-            a = c
-    return order
+def _pair_cycle(p: SplitPartition, pair: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The cycle the pairs describe.  With each u between its two clique
+    ends the pairs form a degree-two subgraph, so its walk gives the one
+    cycle through all of K when |I| = |K|, and otherwise the paths, which
+    chain with the bare clique vertices along clique edges."""
+    adj: dict[int, list[int]] = {}
+    for u, (a, c) in zip(p.independent, pair):
+        adj[u] = [a, c]
+        adj.setdefault(a, []).append(u)
+        adj.setdefault(c, []).append(u)
+    held = tuple(a for a in p.clique if a in adj)
+    paths, cycles = DegreeTwoSubgraph(p.independent, held, adj).components
+    if cycles:
+        return _canonical_cycle(cycles[0], p.clique_set)
+    return (*chain.from_iterable(paths), *(a for a in p.clique if a not in adj))

@@ -7,13 +7,15 @@ vertices have no edges off the cycle), and a cycle that misses at least
 one clique vertex certifies non-Hamiltonicity: deleting S = cycle & K
 isolates the cycle's independent vertices, leaving more than |S|
 components.  With delta_i <= 2 every vertex of H has H-degree at most 2,
-so H is a disjoint union of paths and cycles, and one walk
+and on the delta_i = 3 route the premise |K| >= 8 implies it (see
+``delta3``), so H is a disjoint union of paths and cycles, and one walk
 (``DegreeTwoSubgraph.components``) lists both: the cycles feed the
-short-cycle test, the paths seed the path system.  When no short cycle
-exists, H is a forest of odd paths with clique endpoints, and the
-remaining independent vertices are inserted by a priority rule - join
-two paths where possible, extend one otherwise, start a fresh 3-path as
-a last resort.  The vertices wait in one heap keyed by (-rule class,
+short-cycle test, the paths seed the path system.  The walk refuses an H
+of higher degree with ``PremiseViolated``.  When no short cycle exists,
+H is a forest of odd paths with clique endpoints, and the remaining
+independent vertices are inserted by a priority rule - join two paths
+where possible, extend one otherwise, start a fresh 3-path as a last
+resort.  The vertices wait in one heap keyed by (-rule class,
 vertex).  An insertion changes the endpoint status or path of at most
 four clique vertices, each seen by at most two independent vertices, and
 only those independent vertices are reclassified: at most eight per
@@ -33,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidCertificate, PremiseViolated
-from .graph import Graph, HamCycle, OrientedPath, validate_ham_cycle
+from .graph import Graph, HamCycle, validate_ham_cycle
 from .split import SplitPartition
 
 __all__ = [
@@ -60,7 +62,8 @@ class DegreeTwoSubgraph:
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(paths, cycles) of H, for H of maximum degree 2.
+        """(paths, cycles) of H; raises ``PremiseViolated`` unless H has
+        maximum degree 2.
 
         Paths are walked from their smaller end and ordered by it; cycles
         are walked from their smallest vertex toward its smaller neighbour,
@@ -68,6 +71,9 @@ class DegreeTwoSubgraph:
         first, so every vertex is visited once.
         """
         adj = self.adjacency
+        if max(map(len, adj.values()), default=0) > 2:
+            w = min(v for v in adj if len(adj[v]) > 2)
+            raise PremiseViolated(f"clique vertex {w} has H-degree {len(adj[w])} > 2")
         order = sorted(adj)
         seen: set[int] = set()
         paths: list[tuple[int, ...]] = []
@@ -105,13 +111,15 @@ class ShortCycleWitness:
 class PathSystem:
     """Vertex-disjoint alternating paths with clique endpoints.
 
-    Uncovered clique vertices are materialized as single-vertex paths so
-    later stages see a uniform collection.  ``insertions`` records, per
-    inserted independent vertex, (rule, vertex, paths_before, paths_after)
-    for the bookkeeping properties of the construction.
+    Each path is a vertex tuple read from its smaller end; the paths go
+    longest first, then by first vertex.  Uncovered clique vertices are
+    materialized as single-vertex paths so later stages see a uniform
+    collection.  ``insertions`` records, per inserted independent vertex,
+    (rule, vertex, paths_before, paths_after) for the bookkeeping
+    properties of the construction.
     """
 
-    paths: tuple[OrientedPath, ...]
+    paths: tuple[tuple[int, ...], ...]
     insertions: tuple[tuple[str, int, int, int], ...] = ()
 
 
@@ -132,61 +140,12 @@ def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
     return DegreeTwoSubgraph(tuple(us), tuple(vb), adj)
 
 
-def _find_cycle(adj: dict[int, list[int]], banned: int | None = None) -> list[int] | None:
-    """Some cycle of the (simple) graph ``adj`` avoiding ``banned``, or None.
-
-    Union-find over edges in sorted order; the first edge closing a
-    component yields the cycle as the forest path plus that edge.
-    """
-    verts = [v for v in sorted(adj) if v != banned]
-    root = {v: v for v in verts}
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    forest: dict[int, list[int]] = {v: [] for v in verts}
-    for v in verts:
-        for w in adj[v]:
-            if w == banned or w <= v:
-                continue
-            rv, rw = find(v), find(w)
-            if rv == rw:
-                return _forest_path(forest, v, w)
-            root[rv] = rw
-            forest[v].append(w)
-            forest[w].append(v)
-    return None
-
-
-def _forest_path(forest: dict[int, list[int]], a: int, b: int) -> list[int]:
-    """The unique a..b path in a forest (BFS parents)."""
-    from collections import deque
-
-    prev = {a: a}
-    dq = deque([a])
-    while dq:
-        x = dq.popleft()
-        if x == b:
-            break
-        for y in forest[x]:
-            if y not in prev:
-                prev[y] = x
-                dq.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
-def _canonical_cycle(cycle: list[int] | tuple[int, ...], kset: frozenset) -> tuple[int, ...]:
+def _canonical_cycle(cycle: tuple[int, ...], kset: frozenset) -> tuple[int, ...]:
     """Rotate/reflect so the cycle starts at its smallest clique vertex and
     moves toward the smaller of that vertex's two cycle neighbors."""
     anchor = min(v for v in cycle if v in kset)
     i = cycle.index(anchor)
-    rot = tuple(cycle[i:] + cycle[:i])
+    rot = cycle[i:] + cycle[:i]
     return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
 
 
@@ -194,46 +153,27 @@ def find_short_cycle(g: Graph, p: SplitPartition, *,
                      h: DegreeTwoSubgraph | None = None) -> ShortCycleWitness | None:
     """A cycle of H missing a clique vertex, or None.
 
-    When every vb vertex has H-degree <= 2 the components of H are paths
-    and cycles and the scan is linear; otherwise (clique vertices seeing
-    up to three degree-2 vertices) each clique vertex is tried as the
-    excluded one.  ``h`` is H when the caller has built it already.
+    The cycles are the cycle components of H's one walk, so H must have
+    maximum degree 2 (``components`` raises ``PremiseViolated``
+    otherwise).  ``h`` is H when the caller has built it already.
     """
     if h is None:
         h = build_degree_two_subgraph(g, p)
-    if not h.va:
+    _, cycles = h.components
+    if not cycles:
         return None
-    adj = h.adjacency
     kset = p.clique_set
-    k_all = set(p.clique)
-    off_h = sorted(k_all - set(h.vb))
-    if all(len(adj[v]) <= 2 for v in h.vb):
-        _, cycles = h.components
-        if not cycles:
-            return None
-        if off_h:
-            return ShortCycleWitness(_canonical_cycle(cycles[0], kset), off_h[0])
-        if len(cycles) >= 2:
-            other_k = min(v for v in cycles[1] if v in kset)
-            return ShortCycleWitness(_canonical_cycle(cycles[0], kset), other_k)
+    # Excluded: a clique vertex off H, else one on a second cycle, else
+    # one off the only cycle.
+    excluded = next((w for w in p.clique if w not in h.adjacency), None)
+    if excluded is None and len(cycles) > 1:
+        excluded = min(v for v in cycles[1] if v in kset)
+    if excluded is None:
         on_cycle = set(cycles[0])
-        missing = sorted(k_all - on_cycle)
-        if missing:
-            return ShortCycleWitness(_canonical_cycle(cycles[0], kset), missing[0])
-        return None
-    # General case: a short cycle exists iff H - w has a cycle for some
-    # clique vertex w (w excluded), or H has a cycle while some clique
-    # vertex is not even in H.
-    if off_h:
-        cyc = _find_cycle(adj)
-        if cyc is not None:
-            return ShortCycleWitness(_canonical_cycle(cyc, kset), off_h[0])
-        return None
-    for w in sorted(h.vb):
-        cyc = _find_cycle(adj, banned=w)
-        if cyc is not None:
-            return ShortCycleWitness(_canonical_cycle(cyc, kset), w)
-    return None
+        excluded = next((w for w in p.clique if w not in on_cycle), None)
+        if excluded is None:
+            return None
+    return ShortCycleWitness(_canonical_cycle(cycles[0], kset), excluded)
 
 
 def assemble_paths(g: Graph, p: SplitPartition, *,
@@ -356,16 +296,10 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
                         cls[x] = new
                         heappush(heap, (-new, x))
 
-    out = [list(w) for w in paths.values()]
-    for w in sorted(set(p.clique) - on_path):
-        out.append([w])
-    oriented = []
-    for w in out:
-        if w[0] > w[-1]:
-            w.reverse()
-        oriented.append(OrientedPath(tuple(w)))
-    oriented.sort(key=lambda q: (-len(q), q.head))
-    return PathSystem(tuple(oriented), tuple(events))
+    out = [w[::-1] if w[0] > w[-1] else w for w in map(tuple, paths.values())]
+    out += [(w,) for w in sorted(set(p.clique) - on_path)]
+    out.sort(key=lambda q: (-len(q), q[0]))
+    return PathSystem(tuple(out), tuple(events))
 
 
 def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
@@ -391,7 +325,7 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
         order = _canonical_cycle(cycles[0], p.clique_set)
     else:
         # Concatenate the path system along clique edges.
-        order = tuple(chain.from_iterable(q.order for q in assemble_paths(g, p, h=h).paths))
+        order = tuple(chain.from_iterable(assemble_paths(g, p, h=h).paths))
     cycle = HamCycle(order)
     if not validate_ham_cycle(g, cycle):
         raise InvalidCertificate("constructed order is not a Hamiltonian cycle")

@@ -52,8 +52,7 @@ def check_path_system(g: Graph, p: SplitPartition, ps: PathSystem,
     kset = p.clique_set
     seen: set[int] = set()
     covered_i: set[int] = set()
-    for q in ps.paths:
-        o = q.order
+    for o in ps.paths:
         assert len(o) % 2 == 1, f"even path {o}"
         assert o[0] in kset and o[-1] in kset, f"endpoint off-clique {o}"
         for i, v in enumerate(o):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from splithc.graph import Graph, OrientedPath
+from splithc.graph import Graph
 from splithc.paths import PathSystem, ShortCycleWitness, assemble_paths, find_short_cycle
 from splithc.split import SplitPartition
 
@@ -61,9 +61,7 @@ def reduced_system(g: Graph, p: SplitPartition) -> ReducedSystem | ShortCycleWit
     assert not over, f"rule B: {over} see three independent vertices outside the triple"
     hp = SplitPartition(tuple(sorted(k_new)), tuple(sorted(i_new)), d_i, max(d_i.values()))
     sub_system = assemble_paths(h, hp)
-    paths = tuple(
-        OrientedPath(tuple(old_of_new[x] for x in q.order)) for q in sub_system.paths
-    )
+    paths = tuple(tuple(old_of_new[x] for x in q) for q in sub_system.paths)
     census: dict[int, int] = {}
     for q in paths:
         census[len(q)] = census.get(len(q), 0) + 1

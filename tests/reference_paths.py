@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from splithc.errors import PremiseViolated
-from splithc.graph import Graph, OrientedPath, graph_from_edges
+from splithc.graph import Graph, graph_from_edges
 from splithc.paths import DegreeTwoSubgraph, PathSystem, build_degree_two_subgraph
 from splithc.split import NotSplit, SplitPartition, _partition_from
 
@@ -219,13 +219,7 @@ def rescan_assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
         remaining.remove(u)
         events.append((rule, u, before, len(paths)))
 
-    out = [list(w) for w in paths.values()]
-    for w in sorted(set(p.clique) - on_path):
-        out.append([w])
-    oriented = []
-    for w in out:
-        if w[0] > w[-1]:
-            w.reverse()
-        oriented.append(OrientedPath(tuple(w)))
-    oriented.sort(key=lambda q: (-len(q), q.head))
-    return PathSystem(tuple(oriented), tuple(events))
+    out = [w[::-1] if w[0] > w[-1] else w for w in map(tuple, paths.values())]
+    out += [(w,) for w in sorted(set(p.clique) - on_path)]
+    out.sort(key=lambda q: (-len(q), q[0]))
+    return PathSystem(tuple(out), tuple(events))

@@ -4,10 +4,11 @@ import pytest
 
 from splithc import delta3, solver
 from splithc.delta3 import construct_cycle
+from splithc.errors import PremiseViolated
 from splithc.generators import GenSpec, generate
 from splithc.graph import validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
-from splithc.paths import ShortCycleWitness
+from splithc.paths import ShortCycleWitness, build_degree_two_subgraph, find_short_cycle
 from splithc.solver import solve
 from splithc.split import recognize_split, star_free_level
 
@@ -25,9 +26,9 @@ def find_universal_v1(g, ctx, paths):
     """The member of {v1, v2, v3} adjacent to every internal clique vertex
     of the listed paths; smallest qualifying index.  The paper guarantees
     one for two or more paths of five-plus vertices, or one 11-path."""
-    internal = [w for q in paths for w in q.order[2:-1:2]]
+    internal = [w for q in paths for w in q[2:-1:2]]
     found = [u for u in ctx.n_i_v if all(g.has_edge(u, w) for w in internal)]
-    assert found, f"no universal member of {ctx.n_i_v} for {[q.order for q in paths]}"
+    assert found, f"no universal member of {ctx.n_i_v} for {list(paths)}"
     return found[0]
 
 
@@ -43,6 +44,25 @@ def test_short_cycle_gate():
     assert found >= 1
 
 
+def test_h_degree_three_is_outside_the_walk():
+    # K_{1,4}-free with delta_i = 3 and |K| = 4: clique vertex 0 sees the
+    # three degree-2 vertices 4, 5 and 6.  The premise |K| >= 8 rules this
+    # out (the lemma in ``delta3``), so the walk of H refuses it, and
+    # ``solve`` sends it below the threshold to the oracle.
+    g = mk_split(4, [(0, 1), (0, 2), (0, 3)])
+    p = recognize_split(g)
+    assert p.delta_i == 3 and star_free_level(g, p).k14_free
+    assert build_degree_two_subgraph(g, p).adjacency[0] == [4, 5, 6]
+    with pytest.raises(PremiseViolated, match="^clique vertex 0 has H-degree 3 > 2$"):
+        find_short_cycle(g, p)
+    with pytest.raises(PremiseViolated, match="^clique vertex 0 has H-degree 3 > 2$"):
+        construct_cycle(g, p)
+    out = solve(g)
+    assert (out.verdict, out.method, out.premise) == (
+        "no-cycle", "OracleFallback", "n=7,k=4,dI=3,k14-free,below-threshold")
+    assert out.certificate.render() == "exhaustive-search"
+
+
 def test_reduced_system_shape():
     g = _premise_instance(3)
     p = recognize_split(g)
@@ -50,7 +70,7 @@ def test_reduced_system_shape():
     assert isinstance(ctx, ReducedSystem)
     assert p.d_i[ctx.v] == 3 and len(ctx.n_i_v) == 3
     # The apex is always a singleton path of the reduced system.
-    assert (ctx.v,) in [q.order for q in ctx.system.paths]
+    assert (ctx.v,) in ctx.system.paths
     # Census covers exactly the independent side minus the triple.
     total_i = sum((j - 1) // 2 * c for j, c in ctx.census.items())
     assert total_i == len(p.independent) - 3
@@ -147,7 +167,7 @@ def test_two_p5_census_and_universal():
     v1 = find_universal_v1(g, ctx, big)
     assert v1 == 10
     for q in big:
-        for w in q.order[2:-1:2]:
+        for w in q[2:-1:2]:
             assert g.has_edge(v1, w)
     _built_cycle(g)
     assert oracle_solve(g).has_cycle
@@ -179,7 +199,7 @@ def test_find_universal_v1_on_generated():
             continue
         v1 = find_universal_v1(g, ctx, big)
         for q in big:
-            for w in q.order[2:-1:2]:
+            for w in q[2:-1:2]:
                 assert g.has_edge(v1, w)
         checked += 1
     # Qualifying configurations are rare in random draws (the crafted
@@ -206,6 +226,9 @@ def test_construct_cycle_validates_everywhere():
         k, i = sizes[seed % len(sizes)]
         g = _premise_instance(seed + 2000, k=k, i=i)
         p = recognize_split(g)
+        # The lemma in ``delta3``: no clique vertex has H-degree 3.
+        h = build_degree_two_subgraph(g, p)
+        assert max((len(h.adjacency[w]) for w in h.vb), default=0) <= 2
         res = construct_cycle(g, p)
         if isinstance(res, ShortCycleWitness):
             continue

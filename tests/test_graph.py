@@ -7,19 +7,17 @@ from splithc.errors import IndexOutOfRange, SelfLoop
 from splithc.generators import big_delta2_instance
 from splithc.graph import (
     HamCycle,
-    OrientedPath,
     graph_from_edges,
     validate_ham_cycle,
 )
 from splithc.solver import solve
 
-from conftest import brute_find_star, explicit_twin, is_path_in, permute_graph
+from conftest import brute_find_star, explicit_twin, permute_graph
 from reference_graph import (
     complete_graph,
     cycle_graph,
     find_induced_star,
     induced_subgraph,
-    path_graph,
 )
 
 
@@ -247,12 +245,3 @@ def test_find_induced_star_agrees_with_brute():
                 center, arms = mine
                 assert all(g.has_edge(center, a) for a in arms)
                 assert all(not g.has_edge(a, b) for a in arms for b in arms if a < b)
-
-
-def test_oriented_path_ops():
-    p = OrientedPath((2, 5, 7, 1))
-    assert p.head == 2 and len(p) == 4 and list(p) == [2, 5, 7, 1]
-    g = path_graph(4)
-    assert is_path_in(g, (0, 1, 2, 3))
-    assert not is_path_in(g, (0, 2))
-    assert not is_path_in(g, (0, 1, 0))

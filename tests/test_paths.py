@@ -18,7 +18,7 @@ from splithc.paths import (
 )
 from splithc.split import recognize_split
 
-from conftest import check_path_system, mk_split
+from conftest import check_path_system, is_path_in, mk_split
 from reference_graph import connected_components, induced_subgraph
 
 
@@ -118,21 +118,24 @@ def test_assemble_paths_examples():
     # Whole independent side has degree 2, H one path.
     g = mk_split(3, [(0, 1)])
     ps = assemble_paths(g, recognize_split(g))
-    orders = sorted(q.order for q in ps.paths)
+    orders = sorted(ps.paths)
     assert (0, 3, 1) in orders and (2,) in orders
+    assert all(is_path_in(g, q) for q in ps.paths)
+    assert not is_path_in(g, (0, 3, 2))  # 3 and 2 are not adjacent
+    assert not is_path_in(g, (0, 3, 0))  # a repeated vertex
 
     # Insertion rule V1: frozen by hand-simulating the stated rule.
     g = mk_split(4, [(0, 1), (0, 1, 2)])
     p = recognize_split(g)
     ps = assemble_paths(g, p)
     check_path_system(g, p, ps)
-    assert [q.order for q in ps.paths] == [(1, 4, 0, 5, 2), (3,)]
+    assert list(ps.paths) == [(1, 4, 0, 5, 2), (3,)]
     assert ps.insertions == (("V1", 5, 1, 1),)
 
     # V0 rule: fresh 3-path on the two smallest neighbors.
     g = mk_split(4, [(0, 1, 2)])
     ps = assemble_paths(g, recognize_split(g))
-    assert [q.order for q in ps.paths] == [(0, 4, 1), (2,), (3,)]
+    assert list(ps.paths) == [(0, 4, 1), (2,), (3,)]
     assert ps.insertions[0][0] == "V0"
 
 
@@ -159,9 +162,9 @@ def test_insertion_counters_property():
 def test_assemble_rejects_delta3():
     g = mk_split(4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
     p = recognize_split(g)
-    if p.delta_i > 2:
-        with pytest.raises(PremiseViolated):
-            assemble_paths(g, p)
+    assert p.delta_i == 3
+    with pytest.raises(PremiseViolated):
+        assemble_paths(g, p)
 
 
 def test_hc_delta2_spanning_cycle():

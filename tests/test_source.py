@@ -106,6 +106,31 @@ def test_every_export_resolves():
     assert not found, found
 
 
+def test_no_private_function_without_caller():
+    # A private function, method or class that nothing in the package
+    # names is code that no caller uses: delete it, or move it to the
+    # tests that need it.  Dunder methods are called by the language.
+    trees = [(f.name, ast.parse(f.read_text(encoding="utf-8")))
+             for f in sorted(PACKAGE.glob("*.py"))]
+    assert trees
+    named = set()
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    found = [f"{name}:{node.lineno} {node.name}"
+             for name, tree in trees
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and node.name not in named]
+    assert not found, found
+
+
 def test_graph_module_imports_no_solver():
     # The certificate checker in graph.py must share no code with a solver.
     tree = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
