@@ -30,6 +30,7 @@ defect those checks find (``_cycle_defect``).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -271,6 +272,41 @@ def graph_from_split(n: int, clique: Iterable[int] | np.ndarray,
     return _from_edge_array(n, arr, block.astype(np.int32))
 
 
+# Every thread keeps the large buffers of its file ingest (``io.read_graph``,
+# ``io._parse_canonical``, ``_graph_from_lines``) in its own scratch, so
+# the next file reuses pages that are already mapped instead of faulting
+# in fresh ones (a 2 MB ladder file took about 2,700 faults, 3 us each on
+# a 2-core VM).  A buffer only grows, and a thread keeps at most this many
+# bytes of them; a larger ingest gets fresh arrays for what does not fit,
+# freed as usual.
+_SCRATCH_CAP = 64 << 20
+# Lines per step of ``_graph_from_lines``' clique search, so that one
+# step's positions and cells (1 MiB of intp) stay in a core's cache.
+_LINE_STEP = 1 << 15
+
+
+class _Scratch(threading.local):
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}  # role -> uint8 buffer
+
+
+_scratch = _Scratch()
+
+
+def _scratch_array(role: str, count: int, dtype: np.dtype | type) -> np.ndarray:
+    """``count`` uninitialized items of ``dtype`` in this thread's buffer
+    for ``role``.  The array is overwritten by the next call for ``role``
+    on the same thread, so nothing returned to a caller may alias it."""
+    nbytes = count * np.dtype(dtype).itemsize
+    buffers = _scratch.buffers
+    buf = buffers.get(role)
+    if buf is None or buf.shape[0] < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        if nbytes + sum(b.shape[0] for r, b in buffers.items() if r != role) <= _SCRATCH_CAP:
+            buffers[role] = buf
+    return buf[:nbytes].view(dtype)
+
+
 def _graph_from_lines(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> Graph:
     """The graph of a file's edge lines, whose ids the parser has checked
     (in ``[0, n)``, no self-loop); duplicates are merged.
@@ -282,10 +318,14 @@ def _graph_from_lines(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> 
     becomes the block when every pair of it occurs among the lines, as
     marked in a table of (k + 1)^2 bools; a count of the lines would be
     fooled by duplicates.  The table is made only when C(k, 2) is at most
-    the number of lines m, so it holds about 2 bytes per line, a quarter of
-    the int32 edge array.  Otherwise, and when a pair is missing, the
-    graph is explicit, as ``graph_from_edges`` builds it.  O(n + m) on top
-    of the build, plus a sort of the vertices of degree >= k - 1.
+    the number of lines m, so it holds about 2 bytes per line.  Otherwise,
+    and when a pair is missing, the graph is explicit, as
+    ``graph_from_edges`` builds it.  O(n + m) on top of the build, plus a
+    sort of the vertices of degree >= k - 1.
+
+    The temporaries (one step's positions and cells, the table, the mask
+    of the lines kept for the rows and those lines) live in this thread's
+    ingest scratch (``_scratch_array``); the graph owns all its arrays.
     """
     _check_vertex_count(n)
     arr = (edges if isinstance(edges, np.ndarray)
@@ -303,21 +343,36 @@ def _graph_from_lines(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> 
     top = cand[np.argsort(-deg[cand], kind="stable")[:k]]
     # Line (u, v) goes to cell (min, max) of a (k + 1) x (k + 1) table,
     # where a vertex outside K is position k: the lines inside K fill the
-    # upper triangle of the k x k corner exactly when K is a clique.
-    cells = np.int32 if (k + 1) ** 2 <= np.iinfo(np.int32).max else np.int64
-    pos = np.full(n, k, dtype=cells)
-    pos[top] = np.arange(k, dtype=cells)
-    ends = pos.take(arr)
-    lo = np.minimum(ends[:, 0], ends[:, 1])
-    hi = np.maximum(ends[:, 0], ends[:, 1])
-    inner = hi < k
-    lo *= k + 1
-    lo += hi
-    seen = np.zeros((k + 1, k + 1), dtype=bool)
-    seen.ravel()[lo] = True
-    if np.count_nonzero(seen[:k, :k]) != k * (k - 1) // 2:
+    # upper triangle of the k x k corner exactly when K is a clique.  Ids,
+    # positions and cells are intp, so no gather or scatter copies its
+    # index array.  The lines go _LINE_STEP at a time, and the rows store
+    # those with an end outside K (``outer``).
+    pos = np.full(n, k, dtype=np.intp)
+    pos[top] = np.arange(k)
+    seen = _scratch_array("seen", (k + 1) ** 2, np.bool_)
+    seen.fill(False)
+    outer = _scratch_array("outer", m, np.bool_)
+    step = min(m, _LINE_STEP)
+    ends = _scratch_array("ends", 2 * step, np.intp).reshape(step, 2)
+    cells = _scratch_array("cells", 2 * step, np.intp)
+    for s in range(0, m, step):
+        part = arr[s:s + step]
+        j = part.shape[0]
+        # The ids were checked, so "clip" never clips; "raise" would copy ``out``.
+        pos.take(part, out=ends[:j], mode="clip")
+        lo, hi = cells[:j], cells[step:step + j]
+        np.minimum(ends[:j, 0], ends[:j, 1], out=lo)
+        np.maximum(ends[:j, 0], ends[:j, 1], out=hi)
+        lo *= k + 1
+        lo += hi
+        seen[lo] = True
+        np.equal(hi, k, out=outer[s:s + j])
+    if np.count_nonzero(seen.reshape(k + 1, k + 1)[:k, :k]) != k * (k - 1) // 2:
         return _from_edge_array(n, arr)
-    return _from_edge_array(n, arr[~inner], np.sort(top).astype(np.int32))
+    kept = np.compress(outer, arr, axis=0,
+                       out=_scratch_array("kept", 2 * np.count_nonzero(outer),
+                                          arr.dtype).reshape(-1, 2))
+    return _from_edge_array(n, kept, np.sort(top).astype(np.int32))
 
 
 def _from_edge_array(n: int, arr: np.ndarray, block: np.ndarray = _NO_BLOCK) -> Graph:

@@ -16,18 +16,29 @@ allocated.
 Parsing takes one of two paths with the same results.  A canonical file -
 the header, an optional partition line, then ``<digits> <digits>`` edge
 lines, each ended by a single ``\n``, with no self-loop and no id outside
-``[0, n)`` - has its edge block decoded by numpy from one scan for the
-separator bytes.  Their positions check the layout and give every id's
-last digit and length; one vectorized pass per digit place, at most 18,
-then adds the ids up in one array, int32 when no id has more than 9
-digits (in an edge block below 2^31 bytes) and int64 otherwise.  The ids
-are checked there once (below n, no self-loop) and not again by the
-build.  ``read_graph`` hands the file's
+``[0, n)`` - has its edge block decoded by numpy, a window of whole
+lines at a time, from a scan for the separator bytes.  Their positions
+check the layout and give every id's last digit and length; one
+vectorized pass per digit place, at most 18, then adds the window's ids
+up in one array, int32 when none has more than 9 digits and int64
+otherwise, and the ids reach the build as intp.  The ids are checked
+there once (below n, no self-loop) and not again by the build.  ``read_graph`` hands the file's
 bytes to the parser, so a canonical file is never decoded to text.  Any
 other text (comments, blank lines, CRLF, tabs, signs or underscores in
 integers, integers of more than 18 digits, bad edges) goes through the
 line scanner, which decodes the bytes itself and is also the only place
 that reports an error with its line number.
+
+File ingest keeps its large buffers between files: ``read_graph`` reads
+the file with ``readinto``, and the canonical decode and the build's
+clique search write their line-sized arrays with ``out=``, all into one
+scratch per thread (``graph._scratch_array``).  A buffer only grows, and
+a thread keeps at most ``graph._SCRATCH_CAP`` bytes (64 MiB) of them; an
+ingest that needs more gets fresh arrays for the rest, freed when it
+ends, on the same path.  So the next file of a similar size faults in no
+fresh pages.  The parsed graph owns all its arrays; what aliases the
+scratch (the bytes that ``read_graph`` hands on, the canonical edge
+array) is valid until the next parse on the same thread.
 
 Both paths end in one build, ``graph._graph_from_lines``, which finds the
 clique of a split graph where the edge lines come in: if the
@@ -52,6 +63,7 @@ so corpora are reproducible from seeds alone.
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from dataclasses import dataclass
@@ -62,7 +74,7 @@ import numpy as np
 
 from .errors import InvalidCertificate, NotSplitGraph, ParseError
 from .generators import GenSpec, generate
-from .graph import Graph, HamCycle, _graph_from_lines, validate_ham_cycle
+from .graph import Graph, HamCycle, _graph_from_lines, _scratch_array, validate_ham_cycle
 from .oracle import OracleBudget, oracle_solve
 from .solver import SolveOutcome, solve
 
@@ -82,8 +94,8 @@ def render_graph(g: Graph, clique: Sequence[int] | None = None) -> str:
 
 
 def parse_graph(text: str | bytes) -> tuple[Graph, tuple[int, ...] | None]:
-    """Parse the graph format from text or its UTF-8 bytes; returns
-    (graph, clique hint or None)."""
+    """Parse the graph format from text or its UTF-8 bytes (any bytes-like
+    object); returns (graph, clique hint or None)."""
     parsed = _parse_canonical(text)
     if parsed is None:
         parsed = _scan_lines(text if isinstance(text, str) else _decode(text))
@@ -104,65 +116,100 @@ _CANONICAL_HEAD = re.compile(
 _NEWLINE = ord("\n")
 # A space and a newline byte side by side, read as one native uint16.
 _SPACE_NEWLINE = np.frombuffer(b" \n", dtype=np.uint16)[0]
+# The edge block is decoded in windows of this many bytes, each cut back
+# to its last whole line, so that the per-token arrays of one window
+# (about 64K tokens: 512 KiB of intp separator positions) stay in a
+# core's cache from one pass to the next.  np.flatnonzero has no ``out``,
+# so each window's positions are a fresh array of that size.
+_WINDOW = 1 << 18
 
 
 def _parse_canonical(
         text: str | bytes) -> tuple[int, int, tuple[int, ...] | None, np.ndarray] | None:
     """(n, m, clique, edge array) of a canonical file, or None for any
     other text, which the line scanner then parses or rejects.  Works on
-    the bytes, so text is encoded first."""
+    the bytes (any bytes-like object), so text is encoded first.
+
+    The temporaries and the intp edge array live in this thread's ingest
+    scratch (``graph._scratch_array``): the edge array is valid only until
+    the next parse on the same thread.
+    """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     head = _CANONICAL_HEAD.match(data)
-    if head is None or not data.isascii():
+    if head is None:
         return None
     n, m = int(head[1]), int(head[2])
     clique = None if head[3] is None else tuple(int(x) for x in head[3].split())
-    if head.end() == len(data):
-        return n, m, clique, np.empty((0, 2), dtype=np.int64)
     raw = np.frombuffer(data, dtype=np.uint8)[head.end():]
+    if raw.size == 0:
+        return n, m, clique, np.empty((0, 2), dtype=np.intp)
     if raw[-1] != _NEWLINE:
         return None
     # Digit values of the block behind 18 bytes of padding, so that
     # padded[18 - p:][i] is the digit p places left of byte i.
-    padded = np.zeros(raw.size + 18, dtype=np.uint8)
+    padded = _scratch_array("digits", raw.size + 18, np.uint8)
+    padded[:18] = 0
     digit = padded[18:]
     np.subtract(raw, np.uint8(ord("0")), out=digit)
-    # Every non-digit byte is a separator.  They must alternate space,
-    # newline (checked two bytes at a time), and every token between them
-    # must have 1 to 18 digits: a gap of 2 to 19 from the separator before
-    # (index -1 for token 0).
-    seps = np.flatnonzero(digit > 9)
-    if seps.size % 2 or (raw.take(seps).view(np.uint16) != _SPACE_NEWLINE).any():
+    # Every non-digit byte is a separator (so is any byte above 0x7f).
+    flags = np.greater(digit, 9, out=_scratch_array("flags", raw.size, np.bool_))
+    count = np.count_nonzero(flags)
+    if count % 2:
         return None
-    # A gap fits an int32 unless the block has 2^31 bytes or more.
-    gap = np.empty(seps.size, dtype=np.int32 if raw.size < 2 ** 31 else np.int64)
-    gap[0] = seps[0] + 1
-    np.subtract(seps[1:], seps[:-1], out=gap[1:])
-    width = int(gap.max()) - 1
-    if gap.min() < 2 or width > 18:
-        return None
-    # Token t ends just before separator t; its digit at place p (1 = ones)
-    # is digit[seps[t] - p] while p < gap[t], and 0 from there on.  One
-    # Horner step per place, highest first, in place.  Ids of at most 9
-    # digits take over the gaps' buffer, so they are int32 (below 2^31
-    # bytes); longer ones need an int64 buffer.
-    ids = gap if width <= 9 else np.empty(seps.size, dtype=np.int64)
-    gap = gap.astype(np.uint8)
-    ids.fill(0)
-    place = np.empty(seps.size, dtype=np.uint8)
-    inside = np.empty(seps.size, dtype=bool)
-    for p in range(width, 0, -1):
-        # Every index is in range; "clip", unlike "raise", writes to
-        # ``place`` without an intermediate buffer.
-        np.take(padded[18 - p:], seps, out=place, mode="clip")
-        np.greater(gap, p, out=inside)
-        place *= inside
-        ids *= 10
-        ids += place
-    edges = ids.reshape(-1, 2)
-    if ids.max() >= n or (edges[:, 0] == edges[:, 1]).any():
-        return None
-    return n, m, clique, edges
+    ids = _scratch_array("ids", count, np.intp)
+    done = start = 0
+    while start < raw.size:
+        # The separators of the window's whole lines.  They must alternate
+        # space, newline (checked two bytes at a time), and every token
+        # between them must have 1 to 18 digits: a gap of 2 to 19 from the
+        # separator before (start - 1 for the window's first token).
+        seps = np.flatnonzero(flags[start:start + _WINDOW])
+        t = seps.size - seps.size % 2
+        if t == 0:
+            return None
+        seps = seps[:t]
+        seps += start
+        place = _scratch_array("place", t, np.uint8)
+        inside = _scratch_array("inside", t, np.bool_)
+        # Every index is in range: "clip", unlike "raise", writes to
+        # ``out`` without an intermediate buffer.
+        raw.take(seps, out=place, mode="clip")
+        if np.not_equal(place.view(np.uint16), _SPACE_NEWLINE, out=inside[:t // 2]).any():
+            return None
+        gap = _scratch_array("gaps", t, np.int32)
+        gap[0] = seps[0] - start + 1
+        np.subtract(seps[1:], seps[:-1], out=gap[1:])
+        width = int(gap.max()) - 1
+        if gap.min() < 2 or width > 18:
+            return None
+        short = _scratch_array("short_gaps", t, np.uint8)
+        np.copyto(short, gap, casting="unsafe")
+        # Token j ends just before separator j; its digit at place p
+        # (1 = ones) is digit[seps[j] - p] while p < gap[j], and 0 from
+        # there on (every token has a ones digit).  One Horner step per
+        # place, highest first, in place: in int32, in the gaps' buffer,
+        # when no id of the window has more than 9 digits (an int32 step
+        # costs half an int64 one), and in the intp ids otherwise.
+        out = ids[done:done + t]
+        total = gap if width <= 9 else out
+        for p in range(width, 0, -1):
+            np.take(padded[18 - p:], seps, out=place, mode="clip")
+            if p > 1:
+                np.greater(short, p, out=inside)
+                place *= inside
+            if p == width:
+                np.copyto(total, place)
+            else:
+                total *= 10
+                total += place
+        pairs = total.reshape(-1, 2)
+        if total.max() >= n or np.equal(pairs[:, 0], pairs[:, 1], out=inside[:t // 2]).any():
+            return None
+        if total is not out:
+            np.copyto(out, total)
+        done += t
+        start = int(seps[-1]) + 1
+    return n, m, clique, ids.reshape(-1, 2)
 
 
 def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple[int, int]]]:
@@ -212,7 +259,7 @@ def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple
 def _decode(data: bytes, where: str = "") -> str:
     """``data`` as UTF-8 text; ``ParseError`` for bytes that are not UTF-8."""
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{where}byte 0x{exc.object[exc.start]:02x} at offset "
                          f"{exc.start} is not UTF-8") from None
@@ -224,9 +271,21 @@ def read_text(path: str | Path) -> str:
 
 
 def read_graph(path: str | Path) -> tuple[Graph, tuple[int, ...] | None]:
-    # The bytes go to parse_graph as they are: a canonical file is never
-    # decoded, and the line scanner decodes any other.
-    return parse_graph(Path(path).read_bytes())
+    # The file is read into this thread's ingest scratch, whose pages stay
+    # mapped between files, and parse_graph gets a view of its bytes: a
+    # canonical file is never copied or decoded, and the line scanner
+    # decodes any other.  The view is overwritten by the next read on this
+    # thread; the returned graph does not alias it.
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = memoryview(_scratch_array("file", size + 1, np.uint8))
+        got = 0
+        while got < len(buf) and (step := f.readinto(buf[got:])):
+            got += step
+        # One byte more than the size told means the file grew, or has no
+        # size (a pipe): the rest is read as bytes.
+        data = buf[:got] if got <= size else bytes(buf) + f.read()
+    return parse_graph(data)
 
 
 def write_graph(path: str | Path, g: Graph, clique: Sequence[int] | None = None) -> None:

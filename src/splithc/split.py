@@ -116,15 +116,15 @@ class NoCycleCertificate:
         return "exhaustive-search"
 
 
-def _partition_from(g: Graph, clique: Iterable[int]) -> SplitPartition:
+def _partition_from(g: Graph, kset: set[int]) -> SplitPartition:
     # K is a verified clique, so each member sees the other |K|-1 inside.
-    kset = frozenset(int(v) for v in clique)
-    independent = tuple(v for v in range(g.n) if v not in kset)
-    deg = g.degrees().tolist()
     ks = sorted(kset)
-    k_inner = len(ks) - 1
-    outside = [deg[v] - k_inner for v in ks]
-    return SplitPartition(tuple(ks), independent, dict(zip(ks, outside)), max([0, *outside]))
+    kidx = np.array(ks, dtype=np.intp)
+    rest = np.ones(g.n, dtype=bool)
+    rest[kidx] = False
+    outside = (g.degrees()[kidx] - (len(ks) - 1)).tolist()
+    return SplitPartition(tuple(ks), tuple(np.flatnonzero(rest).tolist()),
+                          dict(zip(ks, outside)), max([0, *outside]))
 
 
 def _verify_candidate(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> None:
@@ -276,12 +276,16 @@ def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnecte
     n = g.n
     if n < 3:
         return NotTwoConnected(None, "too-small")
-    for u in p.independent:
-        d = g.degree(u)
-        if d == 0:
+    # The first independent vertex of degree 0 or 1, in ``p.independent``
+    # order, decides; a 2-connected graph has none, so I is gathered only
+    # when some vertex has degree below 2.
+    low = g.degrees() < 2
+    hits = np.flatnonzero(low[list(p.independent)]) if low.any() else []
+    if len(hits):
+        u = p.independent[hits[0]]
+        if g.degree(u) == 0:
             return NotTwoConnected(None, "disconnected")
-        if d == 1:
-            return NotTwoConnected(int(g.neighbors(u)[0]))
+        return NotTwoConnected(int(g.neighbors(u)[0]))
     k = len(p.clique)
     if k == 0:
         return NotTwoConnected(None, "disconnected")  # edgeless on >= 3 vertices

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from itertools import chain, combinations
 from pathlib import Path
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splithc import graph as graph_module
 from splithc import io as io_module
 from splithc.cli import main
 from splithc.errors import IndexOutOfRange, InvalidCertificate, ParseError
-from splithc.graph import Graph, graph_from_edges
+from splithc.graph import Graph, graph_from_edges, graph_from_split
 from splithc.io import (
     _parse_canonical,
     parse_cycle,
@@ -228,6 +231,30 @@ def test_canonical_ids_of_every_width():
     text = f"split-hc v1 12 {len(lines)}\npartition K: 0 3\n" + "\n".join(lines) + "\n"
     assert {len(tok) for ln in lines for tok in ln.split()} == set(range(1, 19))
     assert _parse_canonical(text) is not None
+    assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
+
+
+@pytest.mark.parametrize("window", [24, 41, 64])
+def test_canonical_windows_split_at_whole_lines(window: int, monkeypatch):
+    # Small windows put many window ends inside lines, and small steps
+    # many step ends inside the clique search: every outcome must be the
+    # line scanner's, and a rendered file still decodes canonically.
+    monkeypatch.setattr(io_module, "_WINDOW", window)
+    monkeypatch.setattr(graph_module, "_LINE_STEP", 7)
+    g = graph_from_split(40, range(8), [(u, w) for u in range(8, 40) for w in {u % 8, 3 * u % 8}])
+    text = render_graph(g, [0, 1, 2])
+    assert _parse_canonical(text) is not None
+    assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
+    assert parse_graph(text)[0].block.tolist() == list(range(8))
+    lines = text.splitlines()
+    for kind in sorted(LINE_MUTATIONS):
+        for at in range(1, len(lines), 17):
+            mutated = list(lines)
+            mutated[at] = _mutate_line(mutated[at], kind)
+            text = "\n".join(mutated) + "\n"
+            assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text), text
+    wide = [f"{w % 12:0{w}d} {(5 * w + 1) % 12:0{19 - w}d}" for w in range(1, 19)]
+    text = f"split-hc v1 12 {len(wide)}\n" + "\n".join(wide) + "\n"
     assert _outcome(parse_graph, text) == _outcome(line_parse_graph, text)
 
 
@@ -470,6 +497,126 @@ def test_read_graph_parses_the_file_bytes(tmp_path: Path, monkeypatch):
     assert seen == [canonical.encode("ascii")] and got == g and hint == (0, 1)
     with pytest.raises(ParseError, match="byte 0xff at offset 6 is not UTF-8"):
         parse_graph(b"split-\xffhc v1 2 0\n")
+
+
+def _ladder_file(path: Path, k: int, i: int, extra: int, seed: int) -> Path:
+    """A relabelled ``big_delta2_instance`` ladder, written with its clique
+    explicit, so it parses into a block graph."""
+    from splithc.generators import big_delta2_instance
+
+    ladder = big_delta2_instance(k, i, extra)
+    perm = np.random.default_rng(seed).permutation(ladder.n)
+    ends = np.array(list(ladder.edges()), dtype=np.int64)
+    write_graph(path, graph_from_edges(ladder.n, perm[ends]))
+    return path
+
+
+def _in_thread(fn):
+    """``fn()`` run on a new thread, so with a new ingest scratch."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn()))
+        except BaseException as exc:  # re-raised on the calling thread
+            out.append((False, exc))
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _retained() -> dict:
+    return dict(graph_module._scratch.buffers)
+
+
+def _arrays(g: Graph) -> tuple:
+    return g.n, g.block.tolist(), g.indptr.tolist(), g.indices.tolist()
+
+
+def test_scratch_is_not_aliased_by_an_earlier_graph(tmp_path: Path):
+    # B is no larger than A, so it is parsed into the buffers A used.
+    a = _ladder_file(tmp_path / "a.graph", 120, 40, 10, seed=1)
+    b = _ladder_file(tmp_path / "b.graph", 110, 50, 12, seed=2)
+    text_a = a.read_text(encoding="utf-8")
+    ga, hint_a = read_graph(a)
+    assert ga.block.size == 120
+    read_graph(b)
+    ref_a, ref_hint_a = line_parse_graph(text_a)
+    assert ga == ref_a and hint_a == ref_hint_a
+    _assert_same_graph(ga, ref_a)
+    for arr in (ga.block, ga.indptr, ga.indices, ga.in_block, ga.degrees()):
+        for buf in _retained().values():
+            assert not np.shares_memory(arr, buf)
+    assert _arrays(parse_graph(text_a)[0]) == _arrays(ga)
+
+
+def test_threads_parse_into_their_own_scratch(tmp_path: Path):
+    # Three threads, one file each: more threads than most test machines
+    # have cores, so a shared buffer would be written while it is read.
+    files = [_ladder_file(tmp_path / "a.graph", 200, 60, 20, seed=3),
+             _ladder_file(tmp_path / "b.graph", 150, 70, 15, seed=4),
+             _ladder_file(tmp_path / "c.graph", 120, 40, 10, seed=7)]
+    serial = [_arrays(read_graph(f)[0]) for f in files]
+    results: list[list] = [[] for _ in files]
+
+    def parse_many(j: int) -> None:
+        for _ in range(20):
+            results[j].append(_arrays(read_graph(files[j])[0]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches inside each parse
+    try:
+        threads = [threading.Thread(target=parse_many, args=(j,)) for j in range(len(files))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert [len(r) for r in results] == [20] * len(files)
+    for want, got in zip(serial, results):
+        assert all(r == want for r in got)
+
+
+def test_second_parse_of_the_same_size_allocates_no_buffer(tmp_path: Path):
+    a = _ladder_file(tmp_path / "a.graph", 100, 30, 10, seed=5)
+    b = tmp_path / "b.graph"
+    b.write_bytes(a.read_bytes())
+
+    def parse_twice():
+        read_graph(a)
+        first = _retained()
+        read_graph(b)
+        return first, _retained()
+
+    first, second = _in_thread(parse_twice)
+    assert {"file", "digits", "flags", "gaps", "ids", "ends", "cells", "seen"} <= first.keys()
+    assert second.keys() == first.keys()
+    assert all(second[role] is buf for role, buf in first.items())
+
+
+def test_ingest_above_the_scratch_cap(tmp_path: Path, monkeypatch):
+    path = _ladder_file(tmp_path / "a.graph", 150, 50, 10, seed=6)
+    want = _in_thread(lambda: _arrays(read_graph(path)[0]))
+    cap = 1 << 16
+    assert path.stat().st_size > cap
+    monkeypatch.setattr(graph_module, "_SCRATCH_CAP", cap)
+
+    def parse():
+        g, hint = read_graph(path)
+        return g, hint, _retained()
+
+    g, hint, kept = _in_thread(parse)
+    assert _arrays(g) == want and hint is None
+    assert g == line_parse_graph(path.read_text(encoding="utf-8"))[0]
+    assert sum(buf.nbytes for buf in kept.values()) <= cap
 
 
 def test_cli_input_errors_exit_2(tmp_path: Path, capsys):
