@@ -15,7 +15,9 @@ one formula each, which an empty K (the default, and every graph
 ``graph_from_edges`` builds) also satisfies: a degree is the row length
 plus |K| - 1 on K, ``m`` adds C(|K|, 2), and a pair inside K is an edge.
 ``neighbors(v)`` of a K vertex merges K - {v} into its row, so it costs
-O(|K| + d) rather than a slice.  The clique side of a split graph then
+O(|K| + d) rather than a slice; ``stored_row(v)`` is the row alone, and
+``neighbor_lists`` reads many neighbourhoods as Python lists, slicing
+rows through memoryviews.  The clique side of a split graph then
 costs O(|K|) memory instead of |K|^2 row entries.  Two builders make
 blocks: ``graph_from_split``, given K, and ``_graph_from_lines``, which
 ``io.parse_graph`` uses and which finds K in the edge lines of a file.
@@ -77,7 +79,10 @@ class Graph:
         k = self.block.shape[0]
         return int(self.indices.shape[0] // 2) + k * (k - 1) // 2
 
-    def _row(self, v: int) -> np.ndarray:
+    def stored_row(self, v: int) -> np.ndarray:
+        """The sorted stored row of ``v``, a view, O(1): ``neighbors(v)``
+        for a vertex outside the block, and for a block vertex only its
+        neighbors outside the block."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     @cached_property
@@ -107,7 +112,7 @@ class Graph:
         rows of one (len(vs), d) array: one gather for the vertices outside
         the block, a merge per block vertex."""
         vs = np.asarray(vs, dtype=np.int64)
-        if (self._degrees[vs] != d).any():
+        if np.count_nonzero(self._degrees[vs] != d):
             raise ValueError(f"neighbor_rows needs vertices of degree {d}")
         # A block vertex's stored row is short: its gathered row is clipped
         # garbage, replaced by the merge below.  (An empty ``indices``
@@ -115,8 +120,20 @@ class Graph:
         idx = self.indptr[vs][:, None] + np.arange(d)
         rows = (self.indices.take(idx, mode="clip") if self.indices.shape[0]
                 else np.empty(idx.shape, dtype=self.indices.dtype))
-        for i in np.flatnonzero(self.in_block[vs]):
-            rows[i] = self.neighbors(vs[i])
+        if self.block.shape[0]:  # skipped by the many small explicit graphs
+            for i in self.in_block[vs].nonzero()[0]:
+                rows[i] = self.neighbors(vs[i])
+        return rows
+
+    def neighbor_lists(self, vs: Sequence[int]) -> list[list[int]]:
+        """``neighbors(v).tolist()`` of every v in ``vs``: a stored row is
+        sliced through memoryviews, a few C-level steps and no numpy call
+        per vertex, and a block vertex gets the merge."""
+        ptr, row = memoryview(self.indptr), memoryview(self.indices)
+        rows = [row[ptr[v]:ptr[v + 1]].tolist() for v in vs]
+        if self.block.shape[0]:  # skipped by the many small explicit graphs
+            for i in self.in_block[vs].nonzero()[0].tolist():
+                rows[i] = self.neighbors(vs[i]).tolist()
         return rows
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -124,7 +141,7 @@ class Graph:
             return False
         if self.in_block[u] and self.in_block[v]:
             return True
-        row = self._row(u)
+        row = self.stored_row(u)
         i = int(np.searchsorted(row, v))
         return i < row.shape[0] and int(row[i]) == v
 

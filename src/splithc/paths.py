@@ -22,6 +22,15 @@ only those independent vertices are reclassified: at most eight per
 insertion instead of every vertex left.  The assembled paths join into a
 Hamiltonian cycle along clique edges.
 
+Cost: Python steps scale with |I| + |H|, and the clique side is handled
+by array operations.  H comes from one gather and one walk; the rows of
+the other independent vertices are sliced through memoryviews
+(``Graph.neighbor_lists``); the insertion loop keeps its per-vertex state
+in flat arrays indexed by vertex id (``endpoint_of``, a list with -1 for
+no path, and ``off_path``, a bytearray).  Every assembled path has at
+least 3 vertices, so the clique vertices left over, read off ``off_path``
+with one ``nonzero``, go last as singletons in id order, unsorted.
+
 All arbitrary choices resolve to the smallest vertex index.
 """
 
@@ -201,16 +210,19 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     walks, cycles = h.components
     if cycles:
         raise PremiseViolated("cycle in degree-two subgraph during path assembly")
+    # Per vertex id: the path a vertex ends, -1 for none, and 1 while it
+    # lies on no path.
     paths: dict[int, list[int]] = {}
-    endpoint_of: dict[int, int] = {}
-    on_path: set[int] = set()
+    endpoint_of = [-1] * g.n
+    off_path = bytearray(b"\1") * g.n
     for pid, walk in enumerate(walks):
         paths[pid] = list(walk)
-        endpoint_of[walk[0]] = pid
-        endpoint_of[walk[-1]] = pid
-        on_path.update(walk)
+        endpoint_of[walk[0]] = endpoint_of[walk[-1]] = pid
+        for v in walk:
+            off_path[v] = 0
     next_pid = len(paths)
-    nbrs = {u: g.neighbors(u).tolist() for u in sorted(set(p.independent) - set(h.va))}
+    rest = sorted(set(p.independent).difference(h.va))
+    nbrs = dict(zip(rest, g.neighbor_lists(rest)))
     watchers: dict[int, list[int]] = {}
     for u, row in nbrs.items():
         for w in row:
@@ -218,14 +230,14 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     events: list[tuple[str, int, int, int]] = []
 
     def classify(u: int) -> int:
-        seen = None
+        seen = -1
         for w in nbrs[u]:
-            pid = endpoint_of.get(w)
-            if pid is not None and pid != seen:
-                if seen is not None:
+            pid = endpoint_of[w]
+            if pid >= 0 and pid != seen:
+                if seen >= 0:
                     return 2
                 seen = pid
-        return 0 if seen is None else 1
+        return 0 if seen < 0 else 1
 
     cls = {u: classify(u) for u in nbrs}
     # Lazy deletion: a heap entry is live while its vertex is still to be
@@ -239,9 +251,9 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
         if cls.get(u) != c:
             continue
         del cls[u]
-        eps = [w for w in nbrs[u] if w in endpoint_of]
         before = len(paths)
         if c == 2:
+            eps = [w for w in nbrs[u] if endpoint_of[w] >= 0]
             e1 = min(eps)
             pid1 = endpoint_of[e1]
             e2 = min(e for e in eps if endpoint_of[e] != pid1)
@@ -251,42 +263,40 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
                 p1.reverse()
             if p2[0] != e2:
                 p2.reverse()
-            del endpoint_of[e1]
-            del endpoint_of[e2]
+            endpoint_of[e1] = endpoint_of[e2] = -1
             p1.append(u)
             p1.extend(p2)
             endpoint_of[p1[-1]] = pid1
             changed = (e1, e2, p1[-1])
             rule = "V2"
         elif c == 1:
-            e = min(eps)
+            e = min(w for w in nbrs[u] if endpoint_of[w] >= 0)
             pid = endpoint_of[e]
-            off = [w for w in nbrs[u] if w not in on_path]
+            off = [w for w in nbrs[u] if off_path[w]]
             if not off:
                 raise PremiseViolated(f"no off-path clique neighbor for vertex {u}")
             w = off[0]
             pp = paths[pid]
             if pp[-1] != e:
                 pp.reverse()
-            del endpoint_of[e]
+            endpoint_of[e] = -1
             pp.extend([u, w])
             endpoint_of[w] = pid
-            on_path.add(w)
+            off_path[w] = 0
             changed = (e, w)
             rule = "V1"
         else:
-            off = [w for w in nbrs[u] if w not in on_path]
+            off = [w for w in nbrs[u] if off_path[w]]
             if len(off) < 2:
                 raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
             w1, w2 = off[0], off[1]
             paths[next_pid] = [w1, u, w2]
-            endpoint_of[w1] = next_pid
-            endpoint_of[w2] = next_pid
-            on_path.update((w1, w2))
+            endpoint_of[w1] = endpoint_of[w2] = next_pid
+            off_path[w1] = off_path[w2] = 0
             next_pid += 1
             changed = (w1, w2)
             rule = "V0"
-        on_path.add(u)
+        off_path[u] = 0
         events.append((rule, u, before, len(paths)))
         for w in changed:
             for x in watchers.get(w, ()):
@@ -297,8 +307,11 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
                         heappush(heap, (-new, x))
 
     out = [w[::-1] if w[0] > w[-1] else w for w in map(tuple, paths.values())]
-    out += [(w,) for w in sorted(set(p.clique) - on_path)]
     out.sort(key=lambda q: (-len(q), q[0]))
+    # Every path has at least 3 vertices and holds every independent
+    # vertex, so the vertices off the paths are the clique vertices left
+    # over, which go last as singletons in id order.
+    out += zip(np.frombuffer(off_path, dtype=np.bool_).nonzero()[0].tolist())
     return PathSystem(tuple(out), tuple(events))
 
 

@@ -17,6 +17,16 @@ non-split answer costs O((n + m) log n) in all.
 For vertices ``v`` in K, ``d_i[v]`` counts independent-set neighbors;
 ``delta_i`` is the maximum of those counts and is the quantity the solver
 dispatches on.
+
+Cost on the delta_i <= 2 route: Python steps scale with |I|, and the
+clique side is handled by whole-array numpy calls and C-level builtins.
+Recognition sorts the degrees once and reads K and I off one mask; the
+partition's ``clique`` tuple and ``d_i`` dict are built by ``tuple`` and
+``dict(zip(...))``.  The 2-connectivity test gathers only the vertices of
+degree below 2.  The star search visits only the centres, the clique
+vertices with d_i >= 2 (at most |E(K, I)| / 2 of them), and reads each
+one's arms from its stored row, never from the O(|K|) merged
+neighbourhood of a block vertex (``Graph.neighbors``).
 """
 
 from __future__ import annotations
@@ -45,7 +55,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitPartition:
-    """Partition (K, I) with K a maximum clique and I independent."""
+    """Partition (K, I) with K a maximum clique and I independent, each in
+    id order."""
 
     clique: tuple[int, ...]
     independent: tuple[int, ...]
@@ -116,15 +127,17 @@ class NoCycleCertificate:
         return "exhaustive-search"
 
 
-def _partition_from(g: Graph, kset: set[int]) -> SplitPartition:
-    # K is a verified clique, so each member sees the other |K|-1 inside.
-    ks = sorted(kset)
-    kidx = np.array(ks, dtype=np.intp)
-    rest = np.ones(g.n, dtype=bool)
-    rest[kidx] = False
-    outside = (g.degrees()[kidx] - (len(ks) - 1)).tolist()
-    return SplitPartition(tuple(ks), tuple(np.flatnonzero(rest).tolist()),
-                          dict(zip(ks, outside)), max([0, *outside]))
+def _partition_from(g: Graph, clique: Iterable[int] | np.ndarray) -> SplitPartition:
+    """The partition with K = ``clique``, a verified maximum clique, and
+    I = V - K, both read off one mask in id order.  Each member of K sees
+    the other |K| - 1 inside, so its d_i is its degree minus |K| - 1."""
+    in_k = np.zeros(g.n, dtype=bool)
+    in_k[clique if isinstance(clique, np.ndarray) else np.fromiter(clique, dtype=np.intp)] = True
+    ks = in_k.nonzero()[0]
+    outside = g.degrees()[ks] - (ks.shape[0] - 1)
+    klist = ks.tolist()
+    return SplitPartition(tuple(klist), tuple((~in_k).nonzero()[0].tolist()),
+                          dict(zip(klist, outside.tolist())), int(outside.max(initial=0)))
 
 
 def _verify_candidate(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> None:
@@ -149,18 +162,14 @@ def upgrade_to_maximum_clique(g: Graph, clique: Iterable[int], independent: Iter
     Raises ``InvalidPartition`` if the candidate is not a split partition.
     """
     _verify_candidate(g, clique, independent)
-    return _upgrade_unchecked(g, clique, independent)
-
-
-def _upgrade_unchecked(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> SplitPartition:
     # An independent vertex sees only K, so it sees all of K exactly when
     # its degree is |K|; the smallest such vertex moves.
-    kset = {int(v) for v in clique}
-    ind = np.fromiter(independent, dtype=np.int64)
-    movers = ind[g.degrees()[ind] == len(kset)]
+    ks = np.fromiter(clique, dtype=np.intp)
+    ind = np.fromiter(independent, dtype=np.intp)
+    movers = ind[g.degrees()[ind] == ks.shape[0]]
     if movers.size:
-        kset.add(int(movers.min()))
-    return _partition_from(g, kset)
+        ks = np.append(ks, movers.min())
+    return _partition_from(g, ks)
 
 
 def _degree_sum_split(d_sorted: np.ndarray) -> int | None:
@@ -191,18 +200,20 @@ def recognize_split(g: Graph) -> SplitPartition | NotSplit:
     Sort vertices by (degree desc, index asc) and check the degree-sum
     identity of ``_degree_sum_split``; it reads degrees only.  When it
     holds, the length-k prefix of that order is a clique and the rest
-    independent, and the prefix is upgraded to a maximum clique.  On
-    failure, ``_forbidden_subgraph`` finds an induced C4, C5 or 2K2.
+    independent, and the prefix is already a maximum clique.  On failure,
+    ``_forbidden_subgraph`` finds an induced C4, C5 or 2K2.
     """
     n = g.n
     if n == 0:
         return SplitPartition((), (), {}, 0)
     deg = g.degrees()
-    order = np.lexsort((np.arange(n), -deg))
+    order = np.argsort(-deg, kind="stable")
     k_size = _degree_sum_split(deg[order])
-    if k_size is not None:
-        return _upgrade_unchecked(g, order[:k_size].tolist(), np.sort(order[k_size:]).tolist())
-    return _forbidden_subgraph(g)
+    if k_size is None:
+        return _forbidden_subgraph(g)
+    # No independent vertex sees all of K, so no upgrade can move one: the
+    # largest degree outside the prefix, if any, is below k (k is maximal).
+    return _partition_from(g, order[:k_size])
 
 
 def _forbidden_subgraph(g: Graph) -> NotSplit:
@@ -277,15 +288,15 @@ def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnecte
     if n < 3:
         return NotTwoConnected(None, "too-small")
     # The first independent vertex of degree 0 or 1, in ``p.independent``
-    # order, decides; a 2-connected graph has none, so I is gathered only
-    # when some vertex has degree below 2.
-    low = g.degrees() < 2
-    hits = np.flatnonzero(low[list(p.independent)]) if low.any() else []
-    if len(hits):
-        u = p.independent[hits[0]]
-        if g.degree(u) == 0:
-            return NotTwoConnected(None, "disconnected")
-        return NotTwoConnected(int(g.neighbors(u)[0]))
+    # (id) order, decides.  Vertices of degree below 2 are few (a
+    # 2-connected graph has none), and the keys of ``d_i`` are K.
+    low = np.less(g.degrees(), 2)
+    if np.count_nonzero(low):
+        for u in low.nonzero()[0].tolist():
+            if u not in p.d_i:
+                if g.degree(u) == 0:
+                    return NotTwoConnected(None, "disconnected")
+                return NotTwoConnected(int(g.neighbors(u)[0]))
     k = len(p.clique)
     if k == 0:
         return NotTwoConnected(None, "disconnected")  # edgeless on >= 3 vertices
@@ -316,7 +327,8 @@ class StarLevels:
     witness5: tuple[int, tuple[int, ...]] | None = None
 
 
-def _find_split_star(g: Graph, p: SplitPartition, s: int) -> tuple[int, tuple[int, ...]] | None:
+def _find_split_star(g: Graph, p: SplitPartition, s: int,
+                     centres: list[int]) -> tuple[int, tuple[int, ...]] | None:
     """Witness of an induced K_{1,s} in a split graph, or None.
 
     Only clique centers can host one (the neighborhood of an I vertex is
@@ -324,18 +336,33 @@ def _find_split_star(g: Graph, p: SplitPartition, s: int) -> tuple[int, tuple[in
     d_i[v] >= s, or d_i[v] = s-1 and the rows of N(v) & I, which lie in
     K, cover fewer than |K| vertices.  The extra arm is then the smallest
     clique vertex outside them (never v, which they all contain).
+
+    ``centres`` lists the clique vertices with d_i >= 2 in id order, and
+    only those with d_i >= s - 1 are visited.  A centre's arms N(v) & I
+    come from its stored row (``Graph.stored_row``): the block of ``g`` is
+    a clique and I independent, so at most one block vertex lies in I, and
+    the row misses at most that one arm; only then is N(v) read whole.
+    The keys of ``d_i`` are K.
     """
-    kset = p.clique_set
-    for v in p.clique:
-        di = p.d_i[v]
+    if p.delta_i < s - 1:
+        return None
+    d_i = p.d_i
+    rows: dict[int, list[int]] = {}  # N(u) of each arm read so far
+    for v in centres:
+        di = d_i[v]
         if di < s - 1:
             continue
-        arms = [u for u in g.neighbors(v).tolist() if u not in kset]
+        arms = [u for u in g.stored_row(v).tolist() if u not in d_i]
+        if len(arms) < di:
+            arms = [u for u in g.neighbors(v).tolist() if u not in d_i]
         if di >= s:
             return v, tuple(arms[:s])
         covered: set[int] = set()
         for u in arms:
-            covered.update(g.neighbors(u).tolist())
+            row = rows.get(u)
+            if row is None:
+                row = rows[u] = g.neighbors(u).tolist()
+            covered.update(row)
         if len(covered) < len(p.clique):
             w = next(x for x in p.clique if x not in covered)
             return v, tuple(sorted(arms + [w]))
@@ -344,9 +371,13 @@ def _find_split_star(g: Graph, p: SplitPartition, s: int) -> tuple[int, tuple[in
 
 def star_free_level(g: Graph, p: SplitPartition) -> StarLevels:
     """Classify K_{1,3}/K_{1,4}/K_{1,5}-freeness with witness stars."""
-    w3 = _find_split_star(g, p, 3)
-    w4 = _find_split_star(g, p, 4) if w3 is not None else None
-    w5 = _find_split_star(g, p, 5) if w4 is not None else None
+    # A clique vertex has degree |K| - 1 + d_i and an independent one at
+    # most |K| (it sees only K), so the clique vertices with d_i >= 2, the
+    # only centres a claw can have, are the vertices of degree above |K|.
+    centres = (g.degrees() > len(p.clique)).nonzero()[0].tolist()
+    w3 = _find_split_star(g, p, 3, centres)
+    w4 = _find_split_star(g, p, 4, centres) if w3 is not None else None
+    w5 = _find_split_star(g, p, 5, centres) if w4 is not None else None
     return StarLevels(
         claw_free=w3 is None,
         k14_free=w4 is None,

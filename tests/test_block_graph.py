@@ -1,6 +1,7 @@
 """A graph with an implicit clique block answers exactly as its explicit
 twin, the same edges stored in every row by ``graph_from_edges``: on every
-accessor, on induced subgraphs, and on the solver's outcome."""
+accessor, on induced subgraphs, on the partition and star level, and on
+the solver's outcome."""
 
 import random
 from itertools import chain, combinations
@@ -15,6 +16,7 @@ from splithc.generators import big_delta2_instance
 from splithc.graph import Graph, graph_from_edges, graph_from_split
 from splithc.io import certificate_string, render_graph
 from splithc.solver import solve
+from splithc.split import NotSplit, recognize_split, star_free_level
 
 from reference_graph import induced_subgraph
 
@@ -52,6 +54,8 @@ def assert_twins(g: Graph, t: Graph, rng: random.Random, probes: int | None = No
         vs = [v for v in verts if deg[v] == d]
         assert g.neighbor_rows(vs, d).tolist() == t.neighbor_rows(vs, d).tolist() == [
             t.neighbors(v).tolist() for v in vs]
+    assert g.neighbor_lists(verts) == t.neighbor_lists(verts) == [
+        t.neighbors(v).tolist() for v in verts]
     pairs = [(u, v) for u in verts for v in verts]
     if probes is not None and n:
         pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(20 * probes)]
@@ -72,6 +76,11 @@ def assert_twins(g: Graph, t: Graph, rng: random.Random, probes: int | None = No
     assert gmap == tmap and gs == ts
     assert gs.degrees().tolist() == ts.degrees().tolist()
     assert gs.block.tolist() == [i for i, v in enumerate(gmap) if g.in_block[v]]
+    # Field by field, witnesses included; the block need not lie inside K.
+    pg, pt = recognize_split(g), recognize_split(t)
+    assert pg == pt
+    if not isinstance(pg, NotSplit):
+        assert star_free_level(g, pg) == star_free_level(t, pt)
     assert _outcome(g) == _outcome(t)
 
 
@@ -137,6 +146,44 @@ def test_ladder_matches_explicit_twin(shape):
     assert_twins(g, t, random.Random(k), probes=None if k <= 40 else 60)
     if k <= 700:
         assert render_graph(g) == render_graph(t)
+
+
+def test_star_arm_in_the_block_outside_k():
+    # The block {0, 1} is not inside K = {1, 2, 3, 4}: vertex 0 is
+    # independent, and an arm of centre 1 that 1's stored row lacks.
+    k_edges = list(combinations([1, 2, 3, 4], 2))
+    g = graph_from_split(7, [0, 1], k_edges + [(1, 5), (1, 6)])
+    t = graph_from_edges(7, k_edges + [(0, 1), (1, 5), (1, 6)])
+    p = recognize_split(g)
+    assert p == recognize_split(t)
+    assert p.clique == (1, 2, 3, 4) and p.independent == (0, 5, 6) and p.d_i[1] == 3
+    assert 0 not in g.stored_row(1).tolist()
+    stars = star_free_level(g, p)
+    assert stars.witness3 == (1, (0, 5, 6)) and stars.witness4 == (1, (0, 2, 5, 6))
+    assert stars == star_free_level(t, p)
+
+
+@pytest.mark.parametrize("shape", [(2500, 1000, 700), (6000, 2000, 0)])
+def test_ladder_solve_merges_no_block_row(monkeypatch, shape):
+    # A ``Graph.neighbors`` call on a block vertex merges the block into its
+    # row, O(|K|); solving a ladder makes none.
+    g = big_delta2_instance(*shape)
+    merged: list[int] = []
+    plain = Graph.neighbors
+
+    def counting(self, v):
+        if self.in_block[v]:
+            merged.append(int(v))
+        return plain(self, v)
+
+    monkeypatch.setattr(Graph, "neighbors", counting)
+    out = solve(g)
+    assert out.verdict == "cycle" and merged == []
+    # The partition holds Python ints, not numpy scalars.
+    p = recognize_split(g)
+    for field in (p.clique, p.independent, list(p.d_i), list(p.d_i.values()), [p.delta_i]):
+        assert {type(x) for x in field} == {int}
+    assert list(p.clique) == sorted(p.clique) and list(p.independent) == sorted(p.independent)
 
 
 def test_graph_from_split_drops_clique_pairs_and_checks_ids():

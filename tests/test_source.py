@@ -157,6 +157,27 @@ def test_only_graph_module_reads_raw_csr():
     assert not found, found
 
 
+# Modules on the solve path, where ``np.unique`` is banned: it is far
+# slower than ``np.sort`` on numpy 2.4.6 (2-core VM), 0.74 ms against
+# 0.04 ms on 6,000 distinct ids, and 0.35 s against 9 ms for a sort plus an
+# adjacent-difference mask on the 490k keys of a 245k-edge ladder (the
+# note in ``graph._from_edge_array``).
+SOLVE_PATH_MODULES = ("split", "paths", "solver", "delta3", "oracle")
+
+
+def test_solve_path_calls_no_np_unique():
+    found = []
+    for stem in SOLVE_PATH_MODULES:
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "unique"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                found.append(f"{stem}.py:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                found += [f"{stem}.py:{node.lineno}" for a in node.names if a.name == "unique"]
+    assert not found, found
+
+
 # Traced names that no module binds any more: the tracer reports them as
 # unmeasured.  Remove a name here once the benchmark patches it again.
 UNRESOLVED_TRACE_TARGETS = {

@@ -117,6 +117,13 @@ def test_upgrade_examples():
     k4 = complete_graph(4)
     p = upgrade_to_maximum_clique(k4, [0, 1, 2, 3], [])
     assert p.clique == (0, 1, 2, 3)
+    # Vertex 2 sees all of the candidate clique {0, 1, 3, 4}, whose ids lie
+    # on both sides of it: it moves in, and the clique stays sorted.
+    g = graph_from_edges(6, list(combinations(range(5), 2)) + [(5, 0), (5, 4)])
+    p = upgrade_to_maximum_clique(g, [4, 0, 3, 1], [2, 5])
+    assert p.clique == (0, 1, 2, 3, 4) and p.independent == (5,)
+    assert p.d_i == {0: 1, 1: 0, 2: 0, 3: 0, 4: 1} and p.delta_i == 1
+    assert {type(v) for v in (*p.clique, *p.independent, *p.d_i.values(), p.delta_i)} == {int}
 
 
 def test_upgrade_rejects_invalid():
