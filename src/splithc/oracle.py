@@ -17,11 +17,13 @@ Hamiltonian cycle iff every u can be given a pair of its clique
 neighbours so that these |I| edges form a linear forest, or, when
 |I| = |K|, one cycle through all of K.  With each u placed between its
 pair as a-u-b, the pairs form a graph of the shape of H in ``paths``, so
-the cycle is read off by H's walk (``DegreeTwoSubgraph.components``):
-the one cycle when |I| = |K|, otherwise the paths chained with the
-unused clique vertices along clique edges.  ``validate_ham_cycle``
-checks the read-off like every other oracle cycle.  The search branches
-only on I.  One node is one partial assignment examined.
+they are stored as H is, a ``DegreeTwoSubgraph`` whose ``ends`` are the
+pairs, and the cycle is read off by H's walk (its ``components``): the
+one cycle when |I| = |K|, otherwise the paths chained with the unused
+clique vertices (``DegreeTwoSubgraph.missed``) along clique edges.
+``validate_ham_cycle`` checks the read-off like every other oracle
+cycle.  The search branches only on I.  One node is one partial
+assignment examined.
   * |I| > |K| refutes by pigeonhole, with no node spent;
   * no clique vertex takes a third edge, and an endpoint map rejects an
     edge that would close a cycle (only the last edge may, when
@@ -59,6 +61,8 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 from .errors import InvalidCertificate
 from .graph import Graph, HamCycle, validate_ham_cycle
@@ -377,13 +381,9 @@ def _pair_cycle(p: SplitPartition, pair: list[tuple[int, int]]) -> tuple[int, ..
     ends the pairs form a degree-two subgraph, so its walk gives the one
     cycle through all of K when |I| = |K|, and otherwise the paths, which
     chain with the bare clique vertices along clique edges."""
-    adj: dict[int, list[int]] = {}
-    for u, (a, c) in zip(p.independent, pair):
-        adj[u] = [a, c]
-        adj.setdefault(a, []).append(u)
-        adj.setdefault(c, []).append(u)
-    held = tuple(a for a in p.clique if a in adj)
-    paths, cycles = DegreeTwoSubgraph(p.independent, held, adj).components
+    h = DegreeTwoSubgraph(len(p.clique) + len(p.independent),
+                          np.asarray(p.independent, dtype=np.int64), np.array(pair, dtype=np.int64))
+    paths, cycles = h.components
     if cycles:
         return _canonical_cycle(cycles[0], p.clique_set)
-    return (*chain.from_iterable(paths), *(a for a in p.clique if a not in adj))
+    return (*chain.from_iterable(paths), *h.missed(p.clique))

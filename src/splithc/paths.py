@@ -23,13 +23,19 @@ insertion instead of every vertex left.  The assembled paths join into a
 Hamiltonian cycle along clique edges.
 
 Cost: Python steps scale with |I| + |H|, and the clique side is handled
-by array operations.  H comes from one gather and one walk; the rows of
-the other independent vertices are sliced through memoryviews
+by array operations.  H is stored as arrays, not as a dict of neighbour
+lists: the degree-2 independent vertices with their two clique ends come
+from one gather (``Graph.neighbor_rows``), and the walk reads one flat
+list indexed by vertex id, each H vertex's XOR of its two H-neighbours,
+built by a ``bincount`` and one unbuffered XOR scatter.  A step of the
+walk is one list read and one XOR, with no dict or set.  The rows of the
+other independent vertices are sliced through memoryviews
 (``Graph.neighbor_lists``); the insertion loop keeps its per-vertex state
 in flat arrays indexed by vertex id (``endpoint_of``, a list with -1 for
-no path, and ``off_path``, a bytearray).  Every assembled path has at
-least 3 vertices, so the clique vertices left over, read off ``off_path``
-with one ``nonzero``, go last as singletons in id order, unsorted.
+no path, and ``off_path``, a bytearray read off H's degrees).  Every
+assembled path has at least 3 vertices, so the clique vertices left over,
+read off ``off_path`` with one ``nonzero``, go last as singletons in id
+order, unsorted.
 
 All arbitrary choices resolve to the smallest vertex index.
 """
@@ -58,16 +64,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeTwoSubgraph:
-    """H: degree-2 independent vertices (va) against their clique
-    neighbors (vb).  ``adjacency`` holds all va-vb edges of the host graph,
-    each vertex's list ascending, and is shared by its readers, which must
-    not mutate it; ``components`` walks it once per H."""
+    """H on the vertex ids 0..n-1: the degree-2 independent vertices
+    ``va``, ascending, and in row i of ``ends`` the two clique neighbours
+    of ``va[i]``.  Its readers must not mutate the arrays; ``components``
+    walks H once per instance."""
 
-    va: tuple[int, ...]
-    vb: tuple[int, ...]
-    adjacency: dict[int, list[int]]
+    n: int
+    va: np.ndarray
+    ends: np.ndarray
+
+    def clique_degree(self) -> np.ndarray:
+        """H-degree of every clique vertex, by vertex id: 0 off H, and 0
+        at the independent vertices too."""
+        return np.bincount(self.ends.ravel(), minlength=self.n)
+
+    def missed(self, clique: tuple[int, ...]) -> list[int]:
+        """The vertices of ``clique`` off H, in its order."""
+        ks = np.asarray(clique, dtype=np.int64)
+        return ks[self.clique_degree()[ks] == 0].tolist()
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -76,31 +92,68 @@ class DegreeTwoSubgraph:
 
         Paths are walked from their smaller end and ordered by it; cycles
         are walked from their smallest vertex toward its smaller neighbour,
-        and ordered by that vertex.  The paths are flooded from their ends
-        first, so every vertex is visited once.
+        and ordered by that vertex.  Every vertex of H keeps the XOR of its
+        two H-neighbours, a missing one read as -1, so a step of the walk
+        is one lookup and one XOR with the vertex it came from, and -1
+        marks the end of a path.  A cycle is walked from its first
+        independent vertex in ``va`` order, then rotated and reflected.
         """
-        adj = self.adjacency
-        if max(map(len, adj.values()), default=0) > 2:
-            w = min(v for v in adj if len(adj[v]) > 2)
-            raise PremiseViolated(f"clique vertex {w} has H-degree {len(adj[w])} > 2")
-        order = sorted(adj)
-        seen: set[int] = set()
+        va, flat = self.va, self.ends.ravel()
+        # An empty H, common on small claw-free graphs, has no components;
+        # returning here skips about ten numpy calls of fixed cost.
+        if not va.shape[0]:
+            return (), ()
+        deg = self.clique_degree()
+        # Path ends are the clique vertices of H-degree 1.  The degrees sum
+        # to 2 |va|, which is twice the clique vertices on H less the ends
+        # exactly when no degree is above 2.
+        starts = (deg == 1).nonzero()[0].tolist()
+        if 2 * np.count_nonzero(deg) - len(starts) != 2 * va.shape[0]:
+            w = int(np.argmax(deg > 2))
+            raise PremiseViolated(f"clique vertex {w} has H-degree {deg[w]} > 2")
+        # Degree minus 2 is -1 at a path end and 0 at an inner clique
+        # vertex, so XOR-ing in the neighbours leaves the sentinel at ends.
+        x = deg - 2
+        np.bitwise_xor.at(x, flat, va.repeat(2))
+        x[va] = flat[0::2] ^ flat[1::2]
+        nxt = x.tolist()
+        # Each path is walked from its smaller end, and its far end is
+        # marked done; then the independent vertices walked are.
+        done = bytearray(self.n)
         paths: list[tuple[int, ...]] = []
-        cycles: list[tuple[int, ...]] = []
-        for s in chain((v for v in order if len(adj[v]) == 1), order):
-            if s in seen:
+        for s in starts:
+            if done[s]:
                 continue
             walk = [s]
-            seen.add(s)
-            prev, cur = s, adj[s][0]
-            while cur not in seen:
+            prev, cur = s, ~nxt[s]
+            while cur >= 0:
                 walk.append(cur)
-                seen.add(cur)
-                nxt = adj[cur]
-                if len(nxt) == 1:
-                    break
-                prev, cur = cur, (nxt[1] if nxt[0] == prev else nxt[0])
-            (paths if len(adj[s]) == 1 else cycles).append(tuple(walk))
+                prev, cur = cur, nxt[cur] ^ prev
+            done[prev] = 1
+            paths.append(tuple(walk))
+        # A path of L vertices holds (L - 1) / 2 independent ones; H has
+        # cycles exactly when the paths miss some of ``va``.
+        if (sum(map(len, paths)) - len(paths)) // 2 == va.shape[0]:
+            return tuple(paths), ()
+        for walk in paths:
+            for u in walk[1::2]:
+                done[u] = 1
+        cycles: list[tuple[int, ...]] = []
+        for u, a in zip(va.tolist(), flat[0::2].tolist()):
+            if done[u]:
+                continue
+            walk = [u]
+            prev, cur = u, a
+            while cur != u:
+                walk.append(cur)
+                prev, cur = cur, nxt[cur] ^ prev
+            for v in walk[::2]:
+                done[v] = 1
+            s = walk.index(min(walk))
+            walk = walk[s:] + walk[:s]
+            cycles.append(tuple(walk[:1] + walk[:0:-1] if walk[1] > walk[-1] else walk))
+        # Each cycle starts at its smallest vertex, and no two share one.
+        cycles.sort()
         return tuple(paths), tuple(cycles)
 
 
@@ -133,20 +186,11 @@ class PathSystem:
 
 
 def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
-    """Collect degree-2 independent vertices and their neighborhoods.
-
-    ``va`` ascends, so appending each one to its two clique neighbors'
-    lists leaves every list sorted."""
+    """Collect the degree-2 independent vertices and their two clique
+    neighbours, one gather for all of them."""
     ind = np.asarray(p.independent, dtype=np.int64)
     va = ind[g.degrees()[ind] == 2]
-    rows = g.neighbor_rows(va, 2)
-    us, lo, hi = va.tolist(), rows[:, 0].tolist(), rows[:, 1].tolist()
-    vb = sorted({*lo, *hi})
-    adj = {u: [a, b] for u, a, b in zip(us, lo, hi)} | {w: [] for w in vb}
-    for u, a, b in zip(us, lo, hi):
-        adj[a].append(u)
-        adj[b].append(u)
-    return DegreeTwoSubgraph(tuple(us), tuple(vb), adj)
+    return DegreeTwoSubgraph(g.n, va, g.neighbor_rows(va, 2))
 
 
 def _canonical_cycle(cycle: tuple[int, ...], kset: frozenset) -> tuple[int, ...]:
@@ -174,7 +218,7 @@ def find_short_cycle(g: Graph, p: SplitPartition, *,
     kset = p.clique_set
     # Excluded: a clique vertex off H, else one on a second cycle, else
     # one off the only cycle.
-    excluded = next((w for w in p.clique if w not in h.adjacency), None)
+    excluded = next(iter(h.missed(p.clique)), None)
     if excluded is None and len(cycles) > 1:
         excluded = min(v for v in cycles[1] if v in kset)
     if excluded is None:
@@ -214,14 +258,16 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     # lies on no path.
     paths: dict[int, list[int]] = {}
     endpoint_of = [-1] * g.n
-    off_path = bytearray(b"\1") * g.n
     for pid, walk in enumerate(walks):
         paths[pid] = list(walk)
         endpoint_of[walk[0]] = endpoint_of[walk[-1]] = pid
-        for v in walk:
-            off_path[v] = 0
+    # H has no cycle, so the walks hold every vertex of H.
+    off = h.clique_degree() == 0
+    off[h.va] = False
+    off_path = bytearray(off)
     next_pid = len(paths)
-    rest = sorted(set(p.independent).difference(h.va))
+    ind = np.asarray(p.independent, dtype=np.int64)
+    rest = ind[g.degrees()[ind] != 2].tolist()
     nbrs = dict(zip(rest, g.neighbor_lists(rest)))
     watchers: dict[int, list[int]] = {}
     for u, row in nbrs.items():

@@ -348,6 +348,10 @@ def _find_split_star(g: Graph, p: SplitPartition, s: int,
         return None
     d_i = p.d_i
     rows: dict[int, list[int]] = {}  # N(u) of each arm read so far
+    # The extra arm of each set of arms tried, None when they cover K:
+    # centres often share their arms, and a set's cover costs the sum of
+    # its arms' degrees.
+    extra: dict[tuple[int, ...], int | None] = {}
     for v in centres:
         di = d_i[v]
         if di < s - 1:
@@ -357,16 +361,28 @@ def _find_split_star(g: Graph, p: SplitPartition, s: int,
             arms = [u for u in g.neighbors(v).tolist() if u not in d_i]
         if di >= s:
             return v, tuple(arms[:s])
-        covered: set[int] = set()
-        for u in arms:
-            row = rows.get(u)
-            if row is None:
-                row = rows[u] = g.neighbors(u).tolist()
-            covered.update(row)
-        if len(covered) < len(p.clique):
-            w = next(x for x in p.clique if x not in covered)
+        key = tuple(arms)
+        if key not in extra:
+            extra[key] = _first_uncovered(g, p.clique, key, rows)
+        w = extra[key]
+        if w is not None:
             return v, tuple(sorted(arms + [w]))
     return None
+
+
+def _first_uncovered(g: Graph, clique: tuple[int, ...], arms: tuple[int, ...],
+                     rows: dict[int, list[int]]) -> int | None:
+    """The smallest vertex of ``clique`` that no arm sees, or None; ``rows``
+    caches the arms' neighbourhoods between calls."""
+    covered: set[int] = set()
+    for u in arms:
+        row = rows.get(u)
+        if row is None:
+            row = rows[u] = g.neighbors(u).tolist()
+        covered.update(row)
+    if len(covered) == len(clique):
+        return None
+    return next(x for x in clique if x not in covered)
 
 
 def star_free_level(g: Graph, p: SplitPartition) -> StarLevels:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from splithc import delta3, solver
@@ -52,7 +53,8 @@ def test_h_degree_three_is_outside_the_walk():
     g = mk_split(4, [(0, 1), (0, 2), (0, 3)])
     p = recognize_split(g)
     assert p.delta_i == 3 and star_free_level(g, p).k14_free
-    assert build_degree_two_subgraph(g, p).adjacency[0] == [4, 5, 6]
+    h = build_degree_two_subgraph(g, p)
+    assert h.va[(h.ends == 0).any(axis=1)].tolist() == [4, 5, 6]
     with pytest.raises(PremiseViolated, match="^clique vertex 0 has H-degree 3 > 2$"):
         find_short_cycle(g, p)
     with pytest.raises(PremiseViolated, match="^clique vertex 0 has H-degree 3 > 2$"):
@@ -228,7 +230,7 @@ def test_construct_cycle_validates_everywhere():
         p = recognize_split(g)
         # The lemma in ``delta3``: no clique vertex has H-degree 3.
         h = build_degree_two_subgraph(g, p)
-        assert max((len(h.adjacency[w]) for w in h.vb), default=0) <= 2
+        assert np.bincount(h.ends.ravel(), minlength=g.n).max() <= 2
         res = construct_cycle(g, p)
         if isinstance(res, ShortCycleWitness):
             continue

@@ -2,6 +2,7 @@ import random
 from functools import cached_property
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from splithc.errors import InvalidCertificate, PremiseViolated
@@ -26,19 +27,24 @@ def test_degree_two_subgraph_examples():
     g = mk_split(4, [(0, 1, 2), (1, 2, 3)])  # all I degrees >= 3
     p = recognize_split(g)
     h = build_degree_two_subgraph(g, p)
-    assert h.va == () and h.vb == () and h.adjacency == {}
+    assert h.n == 6 and h.va.tolist() == [] and h.ends.size == 0
+    assert h.missed(p.clique) == [0, 1, 2, 3] and h.components == ((), ())
 
     g = mk_split(3, [(0, 1), (1, 2)])
     p = recognize_split(g)
     h = build_degree_two_subgraph(g, p)
-    assert h.va == (3, 4) and h.vb == (0, 1, 2)
-    assert h.adjacency == {3: [0, 1], 4: [1, 2], 0: [3], 1: [3, 4], 2: [4]}
+    # Each independent vertex with its two clique ends, ascending; the
+    # clique vertices 0, 1, 2 are all on H, 1 with H-degree 2.
+    assert h.va.tolist() == [3, 4] and h.ends.tolist() == [[0, 1], [1, 2]]
+    assert h.missed(p.clique) == []
+    assert np.bincount(h.ends.ravel()).tolist() == [1, 2, 1]
 
     g = mk_split(3, [(0, 1), (0, 1)])
-    h = build_degree_two_subgraph(g, recognize_split(g))
-    adj = h.adjacency
-    assert adj[3] == [0, 1] and adj[4] == [0, 1]
-    assert h.adjacency is adj  # built once per H, shared by its readers
+    p = recognize_split(g)
+    h = build_degree_two_subgraph(g, p)
+    assert h.va.tolist() == [3, 4] and h.ends.tolist() == [[0, 1], [0, 1]]
+    assert h.missed(p.clique) == [2]
+    assert h.components == ((), ((0, 3, 1, 4),))
 
 
 def test_components_order_on_relabeled_ids():

@@ -190,6 +190,13 @@ UNRESOLVED_TRACE_TARGETS = {
 }
 
 
+def _bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_trace_targets_import():
     # ``bench/run.py --trace 1`` imports every module named in
     # ``bench/spans.py``'s ``TARGETS`` to patch it; a deleted or renamed
@@ -197,9 +204,7 @@ def test_trace_targets_import():
     # reported as unmeasured, so a change that drops a traced name would
     # silently add an unmeasured layer: every target outside the known set
     # must resolve.
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_spans()
     modules = sorted({target[0] for target in spans.TARGETS})
     assert "splithc.delta3" in modules
     missing = set()
@@ -207,3 +212,37 @@ def test_trace_targets_import():
         if not hasattr(importlib.import_module(mod_name), attr):
             missing.add(f"{mod_name}.{attr}")
     assert missing <= UNRESOLVED_TRACE_TARGETS, sorted(missing - UNRESOLVED_TRACE_TARGETS)
+
+
+# Where the delta_i <= 2 solve looks up the stages that the tracer times
+# (``paths.hc_delta2``, ``paths.short_cycle``, ``paths.assemble``,
+# ``graph.validate``).
+DELTA2_TRACED_CALLS = [
+    ("splithc.solver", "hc_delta2"),
+    ("splithc.paths", "find_short_cycle"),
+    ("splithc.paths", "assemble_paths"),
+    ("splithc.paths", "validate_ham_cycle"),
+]
+
+
+def test_delta2_solve_calls_traced_names_through_module_globals(monkeypatch):
+    # The tracer replaces a module global, so a stage that its caller
+    # inlines or binds under another name would drop out of the trace
+    # without an error: each of these must still be called through the
+    # patched name.
+    from splithc.generators import big_delta2_instance
+    from splithc.solver import solve
+
+    targets = {(mod_name, attr) for mod_name, attr, *_ in _bench_spans().TARGETS}
+    assert set(DELTA2_TRACED_CALLS) <= targets
+    calls = set()
+    for mod_name, attr in DELTA2_TRACED_CALLS:
+        mod = importlib.import_module(mod_name)
+
+        def counted(*args, _fn=getattr(mod, attr), _name=f"{mod_name}.{attr}", **kwargs):
+            calls.add(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    assert solve(big_delta2_instance(40, 20, 5)).verdict == "cycle"
+    assert calls == {f"{mod_name}.{attr}" for mod_name, attr in DELTA2_TRACED_CALLS}

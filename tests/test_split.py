@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from splithc.errors import InvalidPartition
 from splithc.generators import GenSpec, generate
-from splithc.graph import Graph, graph_from_edges
+from splithc import split
+from splithc.graph import Graph, graph_from_edges, graph_from_split
 from splithc.split import (
     NotSplit,
     NotTwoConnected,
@@ -248,6 +249,82 @@ def test_star_levels_agree_with_brute():
         for leaves, witness in ((3, st.witness3), (4, st.witness4), (5, st.witness5)):
             if witness is not None:
                 assert_induced_star(g, leaves, *witness)
+
+
+def _brute_witness(g: Graph, p, s: int):
+    """The witness the star search documents, by enumeration: among every
+    induced K_{1,s}, the smallest centre, then at that centre the stars
+    with the most independent arms, then the smallest sorted arm tuple."""
+    iset = set(p.independent)
+    nbrs = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    stars = [(v, arms) for v in range(g.n)
+             for arms in combinations(sorted(nbrs[v]), s)
+             if not any(b in nbrs[a] for a, b in combinations(arms, 2))]
+    if not stars:
+        return None
+    centre = min(v for v, _ in stars)
+    return centre, min((arms for v, arms in stars if v == centre),
+                       key=lambda arms: (-len(iset.intersection(arms)), arms))
+
+
+def _split_graph_with_wide_arms(rng: random.Random, k: int) -> Graph:
+    """K = 0..k-1 with independent vertices that each see most of K, so
+    that the arms of a centre with d_i = s - 1 often cover K and sets of
+    arms repeat across centres."""
+    i_adj = []
+    for _ in range(rng.randrange(0, 7)):
+        miss = rng.sample(range(k), rng.randrange(0, min(k, 3) + 1))
+        i_adj.append([w for w in range(k) if w not in miss and rng.random() < 0.9])
+    return mk_split(k, i_adj)
+
+
+def test_star_witnesses_match_brute_force_search():
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        k = rng.randrange(1, 13)
+        if rng.random() < 0.5:
+            g = _split_graph_with_wide_arms(rng, k)
+        else:
+            g = generate(GenSpec("SplitRandom", {"k": k, "i": rng.randrange(0, 7),
+                                                 "p": rng.choice((0.3, 0.5, 0.8))},
+                                 rng.randrange(10**6))).graph
+        p = recognize_split(g)
+        st = star_free_level(g, p)
+        want3 = _brute_witness(g, p, 3)
+        want4 = _brute_witness(g, p, 4) if want3 else None
+        want5 = _brute_witness(g, p, 5) if want4 else None
+        assert (st.witness3, st.witness4, st.witness5) == (want3, want4, want5)
+        seen.add((want3 is None, want4 is None, want5 is None))
+    assert len(seen) == 4
+
+
+def test_star_search_covers_each_arm_set_once(monkeypatch):
+    # Claw-free with |K| - 2 centres that all see the same two independent
+    # vertices, which see K - {0} and K - {k-1}: one cover for all of them,
+    # where building it per centre took O(|K|^2).
+    k = 3000
+    edges = [(w, k) for w in range(1, k)] + [(w, k + 1) for w in range(k - 1)]
+    g = graph_from_split(k + 2, range(k), edges)
+    p = recognize_split(g)
+    assert p.clique == tuple(range(k)) and p.delta_i == 2
+    builds = []
+    first_uncovered = split._first_uncovered
+
+    def counted(g, clique, arms, rows):
+        builds.append(arms)
+        return first_uncovered(g, clique, arms, rows)
+
+    monkeypatch.setattr(split, "_first_uncovered", counted)
+    st = star_free_level(g, p)
+    assert st.claw_free and st.witness3 is None
+    assert builds == [(k, k + 1)]
+    # With vertex 0 seen by neither, the first centre's star takes it.
+    g = graph_from_split(k + 2, range(k), [(w, k) for w in range(1, k)]
+                         + [(w, k + 1) for w in range(1, k - 1)])
+    builds.clear()
+    assert star_free_level(g, recognize_split(g)).witness3 == (1, (0, k, k + 1))
+    assert builds == [(k, k + 1)]
 
 
 def test_k14_free_implies_delta_at_most_3():
