@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from .errors import GenerationExhausted, InvalidParameter
 from .graph import Graph, graph_from_edges, graph_from_split
 from .split import NotSplit, recognize_split, split_is_two_connected, star_free_level
@@ -469,13 +471,14 @@ def big_delta2_instance(n_clique: int, n_ind: int, extra_deg3: int = 0) -> Graph
     k, i = n_clique, n_ind
     if i + 1 + 2 * extra_deg3 > k:
         raise ValueError("ladder needs a clique wider than the independent side")
-    edges = []
-    for j in range(i):
-        if j < i - extra_deg3:
-            nbrs = (j, j + 1)
-        else:
-            t = j - (i - extra_deg3)
-            base = i + 1 + 2 * t
-            nbrs = (base, base + 1, base + 2) if base + 2 < k else (base, base + 1)
-        edges.extend((w, k + j) for w in nbrs)
-    return graph_from_split(k + i, range(k), edges)
+    # Vertex j < i - extra_deg3 sees j and j + 1; a later j sees base and
+    # base + 1, with base = i + 1 + 2 (j - (i - extra_deg3)), and base + 2
+    # too where that is in K.  Where extra_deg3 > i, j - (i - extra_deg3)
+    # starts above 0.
+    two = np.arange(max(i - extra_deg3, 0))
+    three = np.arange(two.shape[0], i)
+    base = i + 1 + 2 * (three - (i - extra_deg3))
+    wide = base + 2 < k
+    ends = np.concatenate([two, two + 1, base, base + 1, base[wide] + 2])
+    ind = np.concatenate([two, two, three, three, three[wide]]) + k
+    return graph_from_split(k + i, np.arange(k), np.stack([ends, ind], axis=1))

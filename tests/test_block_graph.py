@@ -198,6 +198,14 @@ def test_graph_from_split_drops_clique_pairs_and_checks_ids():
         graph_from_split(3, [0, 3], [])
     with pytest.raises(IndexOutOfRange):
         graph_from_split(3, [-1], [])
+    # The block is np.unique's, as int32, from every form of clique.
+    rng = random.Random(4)
+    cliques = [[], [0], [3, 3], range(6), np.array([4, 2, 2], dtype=np.int32), np.arange(7)[::-1]]
+    cliques += [[rng.randrange(9) for _ in range(rng.randrange(12))] for _ in range(100)]
+    for clique in cliques:
+        arr = clique if isinstance(clique, np.ndarray) else np.fromiter(clique, dtype=np.int64)
+        block = graph_from_split(9, clique, []).block
+        assert block.dtype == np.int32 and block.tolist() == np.unique(arr).tolist()
 
 
 def test_equality_compares_edge_sets():
@@ -221,3 +229,17 @@ def test_induced_degrees_and_neighbor_rows():
         sub, _ = induced_subgraph(t, np.flatnonzero(mask).tolist())
         assert g.induced_degrees(mask).tolist() == t.induced_degrees(mask).tolist() \
             == sub.degrees().tolist()
+
+
+@settings(deadline=None, max_examples=200)
+@given(block_graphs(), st.randoms(use_true_random=False))
+def test_degrees_into_counts_neighbors_in_the_mask(drawn, rng):
+    # Counted from the rows of the mask's vertices, blocks inside, across
+    # and outside the mask; checked by adjacency probes.
+    n, clique, edges = drawn
+    g = graph_from_split(n, clique, edges)
+    t = graph_from_edges(n, list(g.edges()))
+    for _ in range(4):
+        mask = np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)
+        want = [sum(1 for w in range(n) if mask[w] and t.has_edge(v, w)) for v in range(n)]
+        assert g.degrees_into(mask).tolist() == t.degrees_into(mask).tolist() == want

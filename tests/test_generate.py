@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from splithc.errors import GenerationExhausted, InvalidParameter
@@ -9,7 +10,7 @@ from splithc.oracle import oracle_solve
 from splithc.split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
 from conftest import brute_is_split, canonical_small
-from reference_graph import enumerate_small_split
+from reference_graph import enumerate_small_split, loop_big_delta2_instance
 
 
 def test_determinism_same_seed_same_edges():
@@ -110,3 +111,24 @@ def test_big_delta2_instance_shape():
     p = recognize_split(g)
     assert len(p.clique) == 60 and p.delta_i == 2
     assert split_is_two_connected(g, p) is True
+
+
+def _same_arrays(g, want) -> bool:
+    return all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in ((g.indptr, want.indptr), (g.indices, want.indices),
+                            (g.block, want.block)))
+
+
+def test_big_delta2_instance_matches_loop_reference():
+    # Every valid shape with k < 40, extra_deg3 > n_ind included (there the
+    # loop's offset starts above 0, as at (3, 0, 1) and (6, 1, 2)), and the
+    # ladder-mem shapes of the benchmark.
+    shapes = [(k, i, e) for k in range(1, 40) for e in range(k) for i in range(k)
+              if i + 1 + 2 * e <= k]
+    assert (3, 0, 1) in shapes and (6, 1, 2) in shapes
+    shapes += [(6000, 2000, 0), (4000, 1500, 500), (2500, 1000, 700)]
+    for shape in shapes:
+        assert _same_arrays(big_delta2_instance(*shape), loop_big_delta2_instance(*shape)), shape
+    for shape in [(3, 1, 1), (5, 5, 0), (1, 0, 1)]:
+        with pytest.raises(ValueError):
+            big_delta2_instance(*shape)

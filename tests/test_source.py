@@ -3,6 +3,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "splithc"
 
@@ -246,3 +248,39 @@ def test_delta2_solve_calls_traced_names_through_module_globals(monkeypatch):
         monkeypatch.setattr(mod, attr, counted)
     assert solve(big_delta2_instance(40, 20, 5)).verdict == "cycle"
     assert calls == {f"{mod_name}.{attr}" for mod_name, attr in DELTA2_TRACED_CALLS}
+
+
+# Where a solve and a reduction look up ``recognize_split``, which the
+# tracer times as ``split.recognize`` and, for its ``NotSplit`` answers, as
+# ``split.witness``.
+SPLIT_TRACED_CALLS = [
+    ("splithc.solver", "recognize_split"),
+    ("splithc.reduction", "recognize_split"),
+]
+
+
+def test_recognition_is_called_through_traced_names(monkeypatch):
+    # As for the delta_i <= 2 stages: a recognizer bound under another name
+    # would drop the non-split witness search out of the trace.
+    from splithc.errors import NotSplitGraph
+    from splithc.graph import graph_from_edges
+    from splithc.reduction import BipartiteInstance, reduce_to_split
+    from splithc.solver import solve
+
+    targets = {(mod_name, attr) for mod_name, attr, *_ in _bench_spans().TARGETS}
+    assert set(SPLIT_TRACED_CALLS) <= targets
+    calls = []
+    for mod_name, attr in SPLIT_TRACED_CALLS:
+        mod = importlib.import_module(mod_name)
+
+        def counted(*args, _fn=getattr(mod, attr), _name=f"{mod_name}.{attr}", **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    with pytest.raises(NotSplitGraph):
+        solve(graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert calls == ["splithc.solver.recognize_split"]
+    calls.clear()
+    reduce_to_split(BipartiteInstance(graph_from_edges(4, [(0, 2), (1, 3)]), (0, 1), (2, 3)))
+    assert calls == ["splithc.reduction.recognize_split"] * 2
