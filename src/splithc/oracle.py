@@ -381,8 +381,9 @@ def _pair_cycle(p: SplitPartition, pair: list[tuple[int, int]]) -> tuple[int, ..
     ends the pairs form a degree-two subgraph, so its walk gives the one
     cycle through all of K when |I| = |K|, and otherwise the paths, which
     chain with the bare clique vertices along clique edges."""
-    h = DegreeTwoSubgraph(len(p.clique) + len(p.independent),
-                          np.asarray(p.independent, dtype=np.int64), np.array(pair, dtype=np.int64))
+    # Every independent vertex is on this H, so none is left over.
+    ind = np.asarray(p.independent, dtype=np.int64)
+    h = DegreeTwoSubgraph(len(p.clique) + len(ind), ind, np.array(pair, dtype=np.int64), ind[:0])
     paths, cycles = h.components
     if cycles:
         return _canonical_cycle(cycles[0], p.clique_set)

@@ -42,7 +42,7 @@ All arbitrary choices resolve to the smallest vertex index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -68,22 +68,25 @@ __all__ = [
 class DegreeTwoSubgraph:
     """H on the vertex ids 0..n-1: the degree-2 independent vertices
     ``va``, ascending, and in row i of ``ends`` the two clique neighbours
-    of ``va[i]``.  Its readers must not mutate the arrays; ``components``
-    walks H once per instance."""
+    of ``va[i]``; ``rest`` holds the other independent vertices, ascending,
+    which H leaves out and the path assembly inserts.  ``clique_degree``
+    is the H-degree of every vertex, by vertex id: 0 off H, and 0 at the
+    independent vertices too, counted once per instance.  Its readers must
+    not mutate the arrays; ``components`` walks H once per instance."""
 
     n: int
     va: np.ndarray
     ends: np.ndarray
+    rest: np.ndarray
+    clique_degree: np.ndarray = field(init=False, repr=False)
 
-    def clique_degree(self) -> np.ndarray:
-        """H-degree of every clique vertex, by vertex id: 0 off H, and 0
-        at the independent vertices too."""
-        return np.bincount(self.ends.ravel(), minlength=self.n)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "clique_degree", np.bincount(self.ends.ravel(), minlength=self.n))
 
     def missed(self, clique: tuple[int, ...]) -> list[int]:
         """The vertices of ``clique`` off H, in its order."""
         ks = np.asarray(clique, dtype=np.int64)
-        return ks[self.clique_degree()[ks] == 0].tolist()
+        return ks[self.clique_degree[ks] == 0].tolist()
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -100,10 +103,10 @@ class DegreeTwoSubgraph:
         """
         va, flat = self.va, self.ends.ravel()
         # An empty H, common on small claw-free graphs, has no components;
-        # returning here skips about ten numpy calls of fixed cost.
+        # returning here skips about nine numpy calls of fixed cost.
         if not va.shape[0]:
             return (), ()
-        deg = self.clique_degree()
+        deg = self.clique_degree
         # Path ends are the clique vertices of H-degree 1.  The degrees sum
         # to 2 |va|, which is twice the clique vertices on H less the ends
         # exactly when no degree is above 2.
@@ -187,10 +190,12 @@ class PathSystem:
 
 def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
     """Collect the degree-2 independent vertices and their two clique
-    neighbours, one gather for all of them."""
+    neighbours, one gather for all of them, and keep the other
+    independent vertices as ``rest``."""
     ind = np.asarray(p.independent, dtype=np.int64)
-    va = ind[g.degrees()[ind] == 2]
-    return DegreeTwoSubgraph(g.n, va, g.neighbor_rows(va, 2))
+    two = g.degrees()[ind] == 2
+    va = ind[two]
+    return DegreeTwoSubgraph(g.n, va, g.neighbor_rows(va, 2), ind[~two])
 
 
 def _canonical_cycle(cycle: tuple[int, ...], kset: frozenset) -> tuple[int, ...]:
@@ -245,7 +250,8 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     highest class.  A vertex's class depends only on the endpoint status
     and path of its clique neighbors, and an insertion changes those at no
     more than four clique vertices; only the vertices that see one of them
-    are reclassified.  ``h`` is H when the caller has built it already.
+    are reclassified.  ``h`` is H as ``build_degree_two_subgraph`` made
+    it, when the caller has built it already.
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
@@ -255,19 +261,19 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     if cycles:
         raise PremiseViolated("cycle in degree-two subgraph during path assembly")
     # Per vertex id: the path a vertex ends, -1 for none, and 1 while it
-    # lies on no path.
-    paths: dict[int, list[int]] = {}
+    # lies on no path.  A path stays the walk's tuple until an insertion
+    # grows it (``grow``), so a long walk that no insertion touches is
+    # never copied.
+    paths: dict[int, tuple[int, ...] | list[int]] = dict(enumerate(walks))
     endpoint_of = [-1] * g.n
     for pid, walk in enumerate(walks):
-        paths[pid] = list(walk)
         endpoint_of[walk[0]] = endpoint_of[walk[-1]] = pid
     # H has no cycle, so the walks hold every vertex of H.
-    off = h.clique_degree() == 0
+    off = h.clique_degree == 0
     off[h.va] = False
     off_path = bytearray(off)
     next_pid = len(paths)
-    ind = np.asarray(p.independent, dtype=np.int64)
-    rest = ind[g.degrees()[ind] != 2].tolist()
+    rest = h.rest.tolist()
     nbrs = dict(zip(rest, g.neighbor_lists(rest)))
     watchers: dict[int, list[int]] = {}
     for u, row in nbrs.items():
@@ -284,6 +290,15 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
                     return 2
                 seen = pid
         return 0 if seen < 0 else 1
+
+    def grow(pid: int, end: int) -> list[int]:
+        """Path ``pid`` as a list that ends at its endpoint ``end``."""
+        q = paths[pid]
+        if type(q) is tuple:
+            q = paths[pid] = list(q)
+        if q[-1] != end:
+            q.reverse()
+        return q
 
     cls = {u: classify(u) for u in nbrs}
     # Lazy deletion: a heap entry is live while its vertex is still to be
@@ -304,14 +319,10 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             pid1 = endpoint_of[e1]
             e2 = min(e for e in eps if endpoint_of[e] != pid1)
             pid2 = endpoint_of[e2]
-            p1, p2 = paths[pid1], paths.pop(pid2)
-            if p1[-1] != e1:
-                p1.reverse()
-            if p2[0] != e2:
-                p2.reverse()
+            p1, p2 = grow(pid1, e1), paths.pop(pid2)
             endpoint_of[e1] = endpoint_of[e2] = -1
             p1.append(u)
-            p1.extend(p2)
+            p1.extend(p2 if p2[0] == e2 else reversed(p2))
             endpoint_of[p1[-1]] = pid1
             changed = (e1, e2, p1[-1])
             rule = "V2"
@@ -322,9 +333,7 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             if not off:
                 raise PremiseViolated(f"no off-path clique neighbor for vertex {u}")
             w = off[0]
-            pp = paths[pid]
-            if pp[-1] != e:
-                pp.reverse()
+            pp = grow(pid, e)
             endpoint_of[e] = -1
             pp.extend([u, w])
             endpoint_of[w] = pid

@@ -1,7 +1,9 @@
 """Graph helpers only the tests use.
 
 Small named graphs, the loop-built ladder that
-``generators.big_delta2_instance`` is checked against, induced subgraphs,
+``generators.big_delta2_instance`` is checked against, the cycle validator
+by one adjacency probe per cycle pair that ``graph._cycle_defect`` is
+checked against, induced subgraphs,
 connected components by
 depth-first search, the generic 2-connectivity test by lowpoints, the
 naive induced-star search that ``split.star_free_level`` is checked
@@ -204,6 +206,30 @@ def loop_big_delta2_instance(n_clique: int, n_ind: int, extra_deg3: int = 0) -> 
     block = np.unique(np.fromiter(range(k), dtype=np.int64))
     return _from_edge_array(k + i, np.array(edges, dtype=np.int64).reshape(-1, 2),
                             block.astype(np.int32))
+
+
+def probe_cycle_defect(g: Graph, order) -> str | None:
+    """``graph._cycle_defect`` as the package ran it before the successor
+    match: Python ``min``/``max`` for the range, a ``bincount`` for repeats,
+    and one ``Graph.has_edges`` probe over every consecutive pair, the
+    closing pair included."""
+    n = g.n
+    if n < 3:
+        return "a cycle needs at least 3 vertices"
+    if (len(order) != n
+            or not all(issubclass(t, (int, np.integer)) and t is not bool
+                       for t in set(map(type, order)))
+            or min(order) < 0 or max(order) >= n):
+        return "not a permutation of the vertex set"
+    ring = np.asarray(order, dtype=np.int64)
+    if np.bincount(ring, minlength=n).max() > 1:
+        return "not a permutation of the vertex set"
+    ring = np.append(ring, ring[0])
+    bad = np.flatnonzero(~g.has_edges(ring[:-1], ring[1:]))
+    if bad.size:
+        u, v = ring[bad[0]:bad[0] + 2].tolist()
+        return f"{u} {v} is not an edge"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ import pytest
 from splithc.errors import IndexOutOfRange, SelfLoop
 from splithc.generators import big_delta2_instance
 from splithc.graph import (
+    Graph,
     HamCycle,
+    _cycle_defect,
     graph_from_edges,
+    graph_from_split,
     validate_ham_cycle,
 )
 from splithc.solver import solve
@@ -18,6 +21,7 @@ from reference_graph import (
     cycle_graph,
     find_induced_star,
     induced_subgraph,
+    probe_cycle_defect,
 )
 
 
@@ -75,6 +79,10 @@ def test_validate_ham_cycle_examples():
     assert validate_ham_cycle(complete_graph(3), [0, 1, 2])
     assert not validate_ham_cycle(cycle_graph(4), [0, 1, 3, 2])
     assert validate_ham_cycle(complete_graph(4), [0, 2, 1, 3])
+    k4 = complete_graph(4)
+    # Entries beyond int64 are out of range, not an OverflowError.
+    assert not validate_ham_cycle(k4, [0, 1, 2, 2**70])
+    assert not validate_ham_cycle(k4, [0, 1, 2, np.uint64(2**64 - 1)])
 
 
 def test_validate_rejects_malformed():
@@ -186,7 +194,75 @@ def test_validate_matches_brute_force():
             assert validate_ham_cycle(g, HamCycle(tuple(np.array(o, dtype=np.int64)))) == want
 
 
-def test_validate_big_ladder_with_one_non_edge():
+def _count_probes(monkeypatch) -> list[int]:
+    """Patch ``Graph.has_edges`` to log the number of pairs of every call."""
+    calls: list[int] = []
+    probe = Graph.has_edges
+
+    def counting(self, us, vs):
+        calls.append(len(us))
+        return probe(self, us, vs)
+
+    monkeypatch.setattr(Graph, "has_edges", counting)
+    return calls
+
+
+def _malformed_orders(rng: random.Random, n: int, cycle: list[int]) -> list[list]:
+    """``cycle`` and orders of every kind a validator must judge."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    orders = [cycle, perm, [rng.randrange(n) for _ in range(n)], [np.int64(v) for v in cycle],
+              cycle[:-1], cycle + cycle[:1]]
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        swapped, repeated = cycle[:], cycle[:]
+        swapped[i], swapped[j] = cycle[j], cycle[i]
+        repeated[i] = cycle[j]
+        orders += [swapped, repeated]
+    if n:
+        i = rng.randrange(n)
+        for bad in (n, -1, -n - 1, 2**70, np.uint64(2**64 - 1), float(cycle[i]), True):
+            o = cycle[:]
+            o[i] = bad
+            orders.append(o)
+    return orders
+
+
+def test_cycle_defect_matches_probe_reference():
+    # Explicit graphs (block None) and block graphs with every block size,
+    # half of them holding the cycle drawn; the block graphs' explicit
+    # twins must give the same answer.
+    rng = random.Random(23)
+    for n in range(14):
+        for b in [None, *range(n + 1)]:
+            for _ in range(3):
+                cycle = list(range(n))
+                rng.shuffle(cycle)
+                density = rng.random()
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+                if n >= 3 and rng.random() < 0.5:
+                    edges += [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+                g = (graph_from_edges(n, edges) if b is None
+                     else graph_from_split(n, rng.sample(range(n), b), edges))
+                twin = explicit_twin(g)
+                for o in _malformed_orders(rng, n, cycle):
+                    want = probe_cycle_defect(g, o)
+                    assert _cycle_defect(g, o) == want, (n, b, o)
+                    assert _cycle_defect(twin, o) == want, (n, b, o)
+
+
+def test_valid_cycle_probes_no_pair(monkeypatch):
+    calls = _count_probes(monkeypatch)
+    assert validate_ham_cycle(complete_graph(5), [0, 2, 4, 1, 3]) and calls == []
+    # K = 0..3 is the block, so the cycle's pairs 1-2 and 3-0 are not stored.
+    g = graph_from_split(6, [0, 1, 2, 3], [(0, 4), (1, 4), (2, 5), (3, 5)])
+    assert 2 not in g.stored_row(1).tolist()
+    assert validate_ham_cycle(g, [0, 4, 1, 2, 5, 3]) and calls == []
+    # Only a failed match probes, to name the first bad pair.
+    assert _cycle_defect(g, [0, 4, 2, 1, 5, 3]) == "4 2 is not an edge" and calls == [6]
+
+
+def test_validate_big_ladder_with_one_non_edge(monkeypatch):
     k = 2500
     g = big_delta2_instance(k, 1000, 700)
     n = g.n
@@ -202,7 +278,8 @@ def test_validate_big_ladder_with_one_non_edge():
         return sum(not adjacent(o[i], o[(i + 1) % n]) for i in range(n))
 
     order = list(solve(g).cycle.order)
-    assert validate_ham_cycle(g, order) and non_edges(order) == 0
+    calls = _count_probes(monkeypatch)
+    assert validate_ham_cycle(g, order) and non_edges(order) == 0 and calls == []
     # Reversing order[i+1..j] swaps the edges (a_i, a_i+1), (a_j, a_j+1) for
     # (a_i, a_j), (a_i+1, a_j+1).  With a_i, a_j, a_j+1 in the clique 0..k-1
     # and a_i+1 independent and not adjacent to a_j+1, exactly one cycle
@@ -213,11 +290,13 @@ def test_validate_big_ladder_with_one_non_edge():
     broken = order[:i + 1] + order[i + 1:j + 1][::-1] + order[j + 1:]
     assert sorted(broken) == list(range(n)) and non_edges(broken) == 1
     assert not validate_ham_cycle(g, broken)
+    assert _cycle_defect(g, broken) == _cycle_defect(twin, broken) == probe_cycle_defect(g, broken)
     # The same cycle rotated so the non-edge is the closing pair.
     wrap = broken[j + 1:] + broken[:j + 1]
     assert not adjacent(wrap[-1], wrap[0]) and non_edges(wrap) == 1
     assert not validate_ham_cycle(g, wrap)
     assert not validate_ham_cycle(g, [np.int64(v) for v in wrap])
+    assert _cycle_defect(g, wrap) == _cycle_defect(twin, wrap) == probe_cycle_defect(g, wrap)
 
 
 def test_find_induced_star_examples():
