@@ -20,7 +20,6 @@ from .split import (
     NotSplit,
     NoCycleCertificate,
     recognize_split,
-    upgrade_to_maximum_clique,
     star_free_level,
 )
 from .paths import (
@@ -51,7 +50,7 @@ __all__ = [
     "Graph", "HamCycle", "graph_from_edges", "graph_from_split",
     "validate_ham_cycle",
     "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
-    "upgrade_to_maximum_clique", "star_free_level",
+    "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
     "SolveOutcome", "solve",

@@ -23,10 +23,6 @@ class IndexOutOfRange(SplitHCError):
     """A vertex index outside [0, n) was supplied."""
 
 
-class InvalidPartition(SplitHCError):
-    """A clique/independent-set candidate violates its defining property."""
-
-
 class NotSplitGraph(SplitHCError):
     """Raised by the solver entry point when the input is not split.
 

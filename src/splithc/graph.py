@@ -129,7 +129,8 @@ class Graph:
         ptr, row = memoryview(self.indptr), memoryview(self.indices)
         rows = [row[ptr[v]:ptr[v + 1]].tolist() for v in vs]
         if self.block.shape[0]:  # skipped by the many small explicit graphs
-            for i in self.in_block[vs].nonzero()[0].tolist():
+            # As an array: numpy would read a tuple as one index per axis.
+            for i in self.in_block[np.asarray(vs, dtype=np.intp)].nonzero()[0].tolist():
                 rows[i] = self.neighbors(vs[i]).tolist()
         return rows
 
@@ -145,30 +146,21 @@ class Graph:
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """``has_edge(us[i], vs[i])`` for every i, as one boolean array.
 
-        A pair inside the block is an edge (u != v); any other pair is one
-        binary search of the stored row of u, all run together: ``pos``
-        counts up the row entries below v in power-of-two steps, largest
-        first, so a row of length d is done after ``d.bit_length()`` rounds
-        of a few array ops each.  Vertices must lie in ``[0, n)``.  Its
-        callers are ``__eq__`` and the defect report of a cycle that failed
-        validation (``_cycle_defect``).
+        A pair inside the block is an edge (u != v); any other pair is
+        looked up among the stored entries, which sort as the keys
+        ``row << 32 | column`` (rows in order, each row sorted, every column
+        below 2^31): one ``np.searchsorted`` for all pairs.  Vertices must
+        lie in ``[0, n)``.  Its callers are ``__eq__`` and the defect report
+        of a cycle that failed validation (``_cycle_defect``).
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        pos = self.indptr[us]
-        end = self.indptr[us + 1]
-        last = end - 1
-        rounds = int((end - pos).max(initial=0)).bit_length()
-        for r in reversed(range(rounds)):
-            step = 1 << r
-            # A probe past the row reads its last entry instead; if that is
-            # below v, so is the whole row, and pos moves past the row.  An
-            # empty row reads some other entry ("clip" maps -1 to 0) and is
-            # not found either way.
-            probe = np.minimum(pos + (step - 1), last)
-            np.add(pos, step, out=pos, where=self.indices.take(probe, mode="clip") < vs)
-        found = pos < end
-        found[found] = self.indices[pos[found]] == vs[found]
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        # The sentinel keeps every position a valid index, on an empty
+        # graph too.
+        keys = np.append(rows << 32 | self.indices, np.iinfo(np.int64).max)
+        probe = us << 32 | vs
+        found = keys[np.searchsorted(keys, probe)] == probe
         found |= self.in_block[us] & self.in_block[vs] & (us != vs)
         return found
 

@@ -269,9 +269,9 @@ def _pair_search(g: Graph, p: SplitPartition, b: _Budget) -> list[int] | None:
     if n_i > n_k or n < 3:
         return None
     closing = n_i == n_k
-    kset = p.clique_set
-    # Independent vertices go by their index j in p.independent.
-    opts = [[a for a in g.neighbors(u).tolist() if a in kset] for u in indep]
+    # Independent vertices go by their index j in p.independent; each one's
+    # neighbours all lie in K.
+    opts = g.neighbor_lists(list(indep))
     seers: list[list[int]] = [[] for _ in range(n)]
     for j, o in enumerate(opts):
         for a in o:

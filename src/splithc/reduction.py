@@ -10,6 +10,11 @@ by both images being Hamiltonian at once).
 Both images are split - A (resp. B) is the clique, the other side stays
 independent - and contain no induced star with five leaves: a center
 would need four independent-side neighbors, i.e. degree 4 in the source.
+Each image's partition is read off that construction
+(``_image_partition``), and ``recognize_split`` and ``verify_k15_free``
+still check the image.  Mapping back checks the first cycle on the
+source, a spanning subgraph of the A-image, and builds the A-image only
+when that check fails: a valid pair costs one image and two validations.
 
 Planarity of the source is deliberately not validated: the mapping and
 its correctness use only bipartiteness and the degree bound.  Planarity
@@ -21,6 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .errors import (DegreeTooHigh, InvalidCertificate, NotBipartite, PremiseViolated,
                      UsesCliqueEdge)
@@ -29,9 +35,9 @@ from .split import (
     NotSplit,
     SplitPartition,
     StarLevels,
+    _partition_from,
     recognize_split,
     star_free_level,
-    upgrade_to_maximum_clique,
 )
 
 __all__ = [
@@ -127,13 +133,27 @@ def _image(b: BipartiteInstance, clique_side: tuple[int, ...]) -> Graph:
     return graph_from_edges(b.graph.n, edges)
 
 
+def _image_partition(h: Graph, side: Sequence[int], other: Sequence[int]) -> SplitPartition:
+    """The partition of ``h``, a split graph with ``side`` a clique and
+    ``other`` independent: K is ``side`` plus the smallest vertex of
+    ``other`` that sees all of it, if any, so that K is a maximum clique.
+
+    A vertex of ``other`` sees only ``side``, so it sees all of it exactly
+    when its degree is |side|.  After one moves in, no second can follow
+    (two vertices of ``other`` are never adjacent), and no clique exceeds
+    |side| by more than that one vertex.
+    """
+    movers = [v for v in other if h.degree(v) == len(side)]
+    return _partition_from(h, [*side, min(movers)] if movers else side)
+
+
 def reduce_to_split(b: BipartiteInstance) -> ReductionOutput:
     """Build both split images and validate them: each must be split and
     K_{1,5}-free, else ``InvalidCertificate`` is raised."""
     h1 = _image(b, b.part_a)
     h2 = _image(b, b.part_b)
-    p1 = upgrade_to_maximum_clique(h1, b.part_a, b.part_b)
-    p2 = upgrade_to_maximum_clique(h2, b.part_b, b.part_a)
+    p1 = _image_partition(h1, b.part_a, b.part_b)
+    p2 = _image_partition(h2, b.part_b, b.part_a)
     for h, p in ((h1, p1), (h2, p2)):
         if isinstance(recognize_split(h), NotSplit):
             raise InvalidCertificate("reduction image failed split recognition")
@@ -155,21 +175,25 @@ def map_solution_back(b: BipartiteInstance, c1: HamCycle, c2: HamCycle) -> HamCy
     """Reinterpret a cycle of h1 on the source graph.
 
     Valid whenever both images are Hamiltonian: the cycle then uses no
-    A-internal edge, so it lives entirely in the source.  Raising
-    ``UsesCliqueEdge`` therefore flags a validator bug upstream.
+    A-internal edge, so it lives entirely in the source.  ``c1`` is checked
+    on the source first, and on the A-image only when that fails; then
+    ``c2`` on the B-image.  Either failed image check raises
+    ``PremiseViolated``.  A ``c1`` that is a cycle of the A-image but not
+    of the source raises ``UsesCliqueEdge`` at its first A-A pair in cycle
+    order, or ``InvalidCertificate`` if it has none; both flag a
+    validator bug upstream.
     """
-    h1 = _image(b, b.part_a)
-    h2 = _image(b, b.part_b)
-    if not validate_ham_cycle(h1, c1):
+    in_source = validate_ham_cycle(b.graph, c1)
+    if not in_source and not validate_ham_cycle(_image(b, b.part_a), c1):
         raise PremiseViolated("first certificate is not a cycle of the A-image")
-    if not validate_ham_cycle(h2, c2):
+    if not validate_ham_cycle(_image(b, b.part_b), c2):
         raise PremiseViolated("second certificate is not a cycle of the B-image")
+    if in_source:
+        return c1
     a = set(b.part_a)
     order = c1.order
     for idx in range(len(order)):
         u, v = order[idx], order[(idx + 1) % len(order)]
         if u in a and v in a:
             raise UsesCliqueEdge((u, v))
-    if not validate_ham_cycle(b.graph, c1):
-        raise InvalidCertificate("mapped-back cycle is not a cycle of the source")
-    return c1
+    raise InvalidCertificate("mapped-back cycle is not a cycle of the source")

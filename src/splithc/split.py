@@ -1,11 +1,13 @@
-"""Split-graph recognition, partition maintenance and 2-connectivity.
+"""Split-graph recognition, 2-connectivity and star levels.
 
 A split graph partitions into a clique K and an independent set I; we
 keep K a *maximum* clique throughout (the stronger of the two conditions
 the structure theory alternates between).  Recognition takes the largest
-degree-ordered prefix that forms a clique, verifies the remainder is
-independent, and upgrades K to maximum; on failure it exhibits an induced
-C4, C5 or 2K2, the three forbidden subgraphs characterizing split graphs.
+degree-ordered prefix that can be a clique; when the degree-sum test
+holds, that prefix is a clique, the remainder is independent and no
+vertex of the remainder sees all of the prefix, so K is maximum as read.
+On failure it exhibits an induced C4, C5 or 2K2, the three forbidden
+subgraphs characterizing split graphs.
 
 Both answers start from one test, the Hammer-Simeone degree-sum identity
 (``_degree_sum_split``), applied once to the whole graph in O(n log n)
@@ -40,7 +42,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InvalidPartition, WitnessNotFound
+from .errors import WitnessNotFound
 from .graph import Graph
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "NotTwoConnected",
     "StarLevels",
     "recognize_split",
-    "upgrade_to_maximum_clique",
     "split_is_two_connected",
     "star_free_level",
 ]
@@ -146,38 +147,6 @@ def _partition_from(g: Graph, clique: Iterable[int] | np.ndarray) -> SplitPartit
                           dict(zip(klist, outside.tolist())), int(outside.max(initial=0)))
 
 
-def _verify_candidate(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> None:
-    kset = set(int(v) for v in clique)
-    iset = set(int(v) for v in independent)
-    if kset & iset or (kset | iset) != set(range(g.n)):
-        raise InvalidPartition("clique and independent set must partition V")
-    for v in kset:
-        if len(kset.intersection(g.neighbors(v).tolist())) != len(kset) - 1:
-            raise InvalidPartition(f"clique candidate is not complete at vertex {v}")
-    for u in iset:
-        if not iset.isdisjoint(g.neighbors(u).tolist()):
-            raise InvalidPartition(f"independent candidate has an edge at vertex {u}")
-
-
-def upgrade_to_maximum_clique(g: Graph, clique: Iterable[int], independent: Iterable[int]) -> SplitPartition:
-    """Upgrade a valid (clique, independent) candidate so K is maximum.
-
-    Any I vertex adjacent to all of K moves into K; after one such move no
-    second I vertex can qualify (two I vertices are never adjacent), and a
-    clique exceeding |K| by more than the single move cannot exist.
-    Raises ``InvalidPartition`` if the candidate is not a split partition.
-    """
-    _verify_candidate(g, clique, independent)
-    # An independent vertex sees only K, so it sees all of K exactly when
-    # its degree is |K|; the smallest such vertex moves.
-    ks = np.fromiter(clique, dtype=np.intp)
-    ind = np.fromiter(independent, dtype=np.intp)
-    movers = ind[g.degrees()[ind] == ks.shape[0]]
-    if movers.size:
-        ks = np.append(ks, movers.min())
-    return _partition_from(g, ks)
-
-
 def _degree_sum_split(d_sorted: np.ndarray) -> tuple[int, bool]:
     """Hammer-Simeone test on a nonincreasing degree sequence.
 
@@ -218,7 +187,7 @@ def recognize_split(g: Graph) -> SplitPartition | NotSplit:
     k_size, split = _degree_sum_split(deg[order])
     if not split:
         return _in_order(_forbidden_subgraph(g, order[:k_size]))
-    # No independent vertex sees all of K, so no upgrade can move one: the
+    # No independent vertex sees all of K, so K is a maximum clique: the
     # largest degree outside the prefix, if any, is below k (k is maximal).
     return _partition_from(g, order[:k_size])
 
@@ -346,6 +315,13 @@ def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnecte
     pendant independent-set vertices, so the test is linear in |I|.
     Agrees with networkx ``is_biconnected`` on split inputs, and a cut
     vertex it reports is an articulation point (property-tested).
+
+    Past the two checks below (n >= 3, no independent vertex of degree
+    below 2), |K| >= 3, or K = {a, b} with I non-empty and every vertex of
+    I seeing both; either graph is 2-connected.  |K| = 0 makes every vertex
+    an isolated independent one; |K| = 1 gives each independent vertex
+    degree at most 1, and n >= 3 puts one in I; |K| = 2 with I empty is
+    n = 2.
     """
     n = g.n
     if n < 3:
@@ -360,15 +336,6 @@ def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnecte
                 if g.degree(u) == 0:
                     return NotTwoConnected(None, "disconnected")
                 return NotTwoConnected(int(g.neighbors(u)[0]))
-    k = len(p.clique)
-    if k == 0:
-        return NotTwoConnected(None, "disconnected")  # edgeless on >= 3 vertices
-    if k == 1:
-        # Independent vertices all have degree >= 2 <= |K| = 1: impossible,
-        # so reaching here means I is empty and the graph is a single vertex.
-        return NotTwoConnected(None, "too-small")
-    if k == 2 and not p.independent:
-        return NotTwoConnected(None, "too-small")
     return True
 
 

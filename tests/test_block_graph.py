@@ -56,6 +56,9 @@ def assert_twins(g: Graph, t: Graph, rng: random.Random, probes: int | None = No
             t.neighbors(v).tolist() for v in vs]
     assert g.neighbor_lists(verts) == t.neighbor_lists(verts) == [
         t.neighbors(v).tolist() for v in verts]
+    # A tuple too: numpy reads a tuple index as one index per axis.
+    assert g.neighbor_lists(tuple(verts)) == t.neighbor_lists(tuple(verts)) == [
+        t.neighbors(v).tolist() for v in verts]
     pairs = [(u, v) for u in verts for v in verts]
     if probes is not None and n:
         pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(20 * probes)]

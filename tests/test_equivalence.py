@@ -1,8 +1,8 @@
 """The degree-sum recognizer and the bucket-queue path assembly give the
 same partitions, path systems, insertion logs and error messages as the
 edge-count and rescan references in ``reference_paths``, and the same
-non-split verdicts with valid witnesses.  The reduction's upgrades give
-the same partitions as the reference's neighbour-counting loop."""
+non-split verdicts with valid witnesses.  The reduction's image
+partitions equal the reference's neighbour-counting upgrade loop."""
 
 import random
 
@@ -98,7 +98,7 @@ def test_ladders(shape):
 
 def test_reduction_upgrades():
     # On parts of at most four vertices a vertex of one part often sees the
-    # whole other part, so the upgrade moves it into the clique.
+    # whole other part, so the partition takes it into the clique.
     rng = random.Random(1)
     moves = 0
     for _ in range(300):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from splithc.errors import DegreeTooHigh, NotBipartite, UsesCliqueEdge
+from splithc.errors import DegreeTooHigh, NotBipartite, SplitHCError
 from splithc.generators import GenSpec, generate
 from splithc.graph import HamCycle, graph_from_edges, validate_ham_cycle
 from splithc.oracle import oracle_solve
@@ -181,3 +181,82 @@ def test_reduction_image_check_raises_invalid_certificate(monkeypatch, tmp_path,
     write_graph(gpath, g)
     assert main(["reduce", str(gpath), "--out-prefix", str(tmp_path / "red")]) == 2
     assert capsys.readouterr().err.startswith("error: reduction image has an induced 5-star")
+
+
+def _map_back_outcome(fn, b, c1, c2):
+    try:
+        return ("cycle", fn(b, c1, c2).order)
+    except SplitHCError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _map_back_cases(rng):
+    """(source, c1, c2) triples: the images' own cycles, rotated and
+    reversed, crossed with each other and with random permutations."""
+    for _ in range(40):
+        n = rng.randrange(2, 6)
+        na = n + rng.randrange(-1, 2)
+        inst = generate(GenSpec("BipartiteDeg3", {"na": max(na, 1), "nb": n, "plant": 1},
+                                rng.randrange(10**6)))
+        b = BipartiteInstance(inst.graph, inst.part_a, inst.part_b)
+        out = reduce_to_split(b)
+        perms = []
+        for _ in range(3):
+            order = list(range(inst.graph.n))
+            rng.shuffle(order)
+            perms.append(HamCycle(tuple(order)))
+        for h in (out.h1, out.h2):
+            r = oracle_solve(h)
+            if r.has_cycle:
+                order = r.cycle.order
+                s = rng.randrange(len(order))
+                turned = order[s:] + order[:s]
+                perms += [r.cycle, HamCycle(turned[::-1] if rng.random() < 0.5 else turned)]
+        for c1 in perms:
+            for c2 in perms:
+                yield b, c1, c2
+
+
+def test_map_back_matches_reference(monkeypatch):
+    # Checking c1 on the source first gives the reference's cycle, or its
+    # exception type and message, on every pair; also under a validator
+    # that rejects every source cycle, and one that accepts every image
+    # cycle, which reach the clique-edge and source raises.
+    import reference_reduction
+    from splithc import reduction
+
+    real = reduction.validate_ham_cycle
+    faults = [None,
+              lambda b: lambda h, c: h is not b.graph and real(h, c),
+              lambda b: lambda h, c: real(h, c) if h is b.graph else True]
+    kinds = set()
+    for fault in faults:
+        for b, c1, c2 in _map_back_cases(random.Random(41)):
+            if fault is not None:
+                for mod in (reduction, reference_reduction):
+                    monkeypatch.setattr(mod, "validate_ham_cycle", fault(b))
+            got = _map_back_outcome(map_solution_back, b, c1, c2)
+            want = _map_back_outcome(reference_reduction.both_images_map_solution_back,
+                                     b, c1, c2)
+            assert got == want, (b, c1, c2)
+            kinds.add((fault is None, got[0]))
+    assert {(True, "cycle"), (True, "PremiseViolated"), (False, "UsesCliqueEdge"),
+            (False, "InvalidCertificate")} <= kinds
+
+
+def test_map_back_builds_one_image_on_a_valid_pair(monkeypatch):
+    from splithc import reduction
+
+    g = cycle_graph(6)
+    b = BipartiteInstance(g, (0, 2, 4), (1, 3, 5))
+    out = reduce_to_split(b)
+    c1, c2 = oracle_solve(out.h1).cycle, oracle_solve(out.h2).cycle
+    calls = []
+    for name in ("graph_from_edges", "validate_ham_cycle"):
+        def counted(*args, _fn=getattr(reduction, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(reduction, name, counted)
+    assert map_solution_back(b, c1, c2) == c1
+    assert sorted(calls) == ["graph_from_edges", "validate_ham_cycle", "validate_ham_cycle"]

@@ -189,6 +189,9 @@ UNRESOLVED_TRACE_TARGETS = {
     "splithc.delta3.assemble_paths",
     "splithc.delta3.induced_subgraph",
     "splithc.delta3.validate_ham_cycle",
+    # Deleted: the reduction reads each image's partition off its
+    # construction, so ``split.upgrade`` has nothing left to time.
+    "splithc.reduction.upgrade_to_maximum_clique",
 }
 
 

@@ -2,21 +2,19 @@ import random
 from itertools import combinations
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splithc.errors import InvalidPartition
 from splithc.generators import GenSpec, generate
 from splithc import split
 from splithc.graph import Graph, graph_from_edges, graph_from_split
+from splithc.reduction import _image_partition
 from splithc.split import (
     NotSplit,
     NotTwoConnected,
     recognize_split,
     split_is_two_connected,
     star_free_level,
-    upgrade_to_maximum_clique,
 )
 
 from conftest import brute_find_star, brute_is_split, mk_split
@@ -109,30 +107,24 @@ def test_partition_sets_are_cached():
 
 
 def test_upgrade_examples():
+    # The reduction's partition: the declared clique side plus the smallest
+    # vertex of the other side that sees all of it.
     g = graph_from_edges(2, [(0, 1)])
-    p = upgrade_to_maximum_clique(g, [0], [1])
+    p = _image_partition(g, [0], [1])
     assert p.clique == (0, 1) and p.independent == ()
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    p = upgrade_to_maximum_clique(star, [0], [1, 2, 3])
+    p = _image_partition(star, [0], [1, 2, 3])
     assert p.clique == (0, 1)
     k4 = complete_graph(4)
-    p = upgrade_to_maximum_clique(k4, [0, 1, 2, 3], [])
+    p = _image_partition(k4, [0, 1, 2, 3], [])
     assert p.clique == (0, 1, 2, 3)
     # Vertex 2 sees all of the candidate clique {0, 1, 3, 4}, whose ids lie
     # on both sides of it: it moves in, and the clique stays sorted.
     g = graph_from_edges(6, list(combinations(range(5), 2)) + [(5, 0), (5, 4)])
-    p = upgrade_to_maximum_clique(g, [4, 0, 3, 1], [2, 5])
+    p = _image_partition(g, [4, 0, 3, 1], [5, 2])
     assert p.clique == (0, 1, 2, 3, 4) and p.independent == (5,)
     assert p.d_i == {0: 1, 1: 0, 2: 0, 3: 0, 4: 1} and p.delta_i == 1
     assert {type(v) for v in (*p.clique, *p.independent, *p.d_i.values(), p.delta_i)} == {int}
-
-
-def test_upgrade_rejects_invalid():
-    g = path_graph(3)
-    with pytest.raises(InvalidPartition):
-        upgrade_to_maximum_clique(g, [0, 2], [1])   # 0-2 not an edge
-    with pytest.raises(InvalidPartition):
-        upgrade_to_maximum_clique(g, [1], [0, 2, 1])  # overlap
 
 
 def test_two_connected_examples():
