@@ -69,7 +69,8 @@ def _cmd_oracle(args) -> int:
     res = oracle_solve(g, budget, partition=None if isinstance(p, NotSplit) else p)
     if res.kind == "cycle":
         print("verdict: cycle")
-        print("certificate: cycle " + ",".join(map(str, res.cycle.order)))
+        order = res.cycle.order
+        print("certificate: cycle " + ("%s," * len(order) % order)[:-1])
         return 0
     if res.kind == "no_cycle":
         print("verdict: no-cycle")

@@ -294,7 +294,8 @@ def write_graph(path: str | Path, g: Graph, clique: Sequence[int] | None = None)
 
 def render_cycle(cycle: HamCycle | Sequence[int]) -> str:
     order = cycle.order if isinstance(cycle, HamCycle) else tuple(cycle)
-    return " ".join(str(v) for v in order) + "\n"
+    # One C-level format; ``%s`` gives each entry as ``str`` does.
+    return ("%s " * len(order) % order)[:-1] + "\n"
 
 
 def parse_cycle(text: str) -> HamCycle:
@@ -314,7 +315,8 @@ def parse_cycle(text: str) -> HamCycle:
 
 def certificate_string(outcome: SolveOutcome) -> str:
     if outcome.cycle is not None:
-        return "cycle " + ",".join(str(v) for v in outcome.cycle.order)
+        order = outcome.cycle.order
+        return "cycle " + ("%s," * len(order) % order)[:-1]
     return outcome.certificate.render()
 
 

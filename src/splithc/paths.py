@@ -19,8 +19,14 @@ resort.  The vertices wait in one heap keyed by (-rule class,
 vertex).  An insertion changes the endpoint status or path of at most
 four clique vertices, each seen by at most two independent vertices, and
 only those independent vertices are reclassified: at most eight per
-insertion instead of every vertex left.  The assembled paths join into a
-Hamiltonian cycle along clique edges.
+insertion instead of every vertex left.  Fresh 3-paths go in by runs:
+each vertex that sees no path end at set-up gets a placement, its first
+two off-path clique neighbours, kept when no later vertex sees either.
+Once only such vertices wait, the smallest is popped, and it and the
+following vertices whose placements still hold go in one after another
+in id order, with no heap pop or reclassification between them (see
+``assemble_paths`` for why this is what the heap would do).  The
+assembled paths join into a Hamiltonian cycle along clique edges.
 
 Cost: Python steps scale with |I| + |H|, and the clique side is handled
 by array operations.  H is stored as arrays, not as a dict of neighbour
@@ -32,10 +38,14 @@ walk is one list read and one XOR, with no dict or set.  The rows of the
 other independent vertices are sliced through memoryviews
 (``Graph.neighbor_lists``); the insertion loop keeps its per-vertex state
 in flat arrays indexed by vertex id (``endpoint_of``, a list with -1 for
-no path, and ``off_path``, a bytearray read off H's degrees).  Every
-assembled path has at least 3 vertices, so the clique vertices left over,
-read off ``off_path`` with one ``nonzero``, go last as singletons in id
-order, unsorted.
+no path, and ``off_path``, a bytearray read off H's degrees).  One
+set-up pass over the rows gives every waiting vertex its class and
+placement, and the runs read the ascending ``rest`` through one forward
+cursor, so a run costs O(1) per vertex it inserts, not a heap pop and a
+reclassification.  Every assembled path has at least 3 vertices, so the
+clique vertices left over, read off ``off_path`` with one ``nonzero``, go
+last as singletons in id order, unsorted; the paths themselves are
+ordered by two C-level sorts.
 
 All arbitrary choices resolve to the smallest vertex index.
 """
@@ -244,14 +254,44 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     (not anticipated by the structure theory - callers route such
     instances to the exact solver and log them).
 
-    The vertices still to insert sit in one min-heap of (-class, vertex),
-    a class being the number of distinct paths whose endpoints the vertex
-    sees, capped at 2, so the next one is the smallest vertex of the
-    highest class.  A vertex's class depends only on the endpoint status
-    and path of its clique neighbors, and an insertion changes those at no
-    more than four clique vertices; only the vertices that see one of them
-    are reclassified.  ``h`` is H as ``build_degree_two_subgraph`` made
-    it, when the caller has built it already.
+    The vertices still to insert (waiting) sit in one min-heap of
+    (-class, vertex), a class being the number of distinct paths whose
+    endpoints the vertex sees, capped at 2, so the next one is the
+    smallest vertex of the highest class.  A vertex's class depends only
+    on the endpoint status and path of its clique neighbors, and an
+    insertion changes those at no more than four clique vertices; only the
+    vertices that watch (see) one of them are reclassified.
+
+    A pop of class 0 starts a run.  Set-up gives each waiting vertex of
+    class 0 a placement, its first two off-path neighbours, kept only
+    when no later waiting vertex watches either; reclassification drops
+    the placement of every vertex it visits.  The run inserts the popped
+    vertex and then, in id order, each following waiting vertex whose
+    placement still holds, each by rule V0 with no heap pop, class lookup
+    or reclassification between them; it stops at the first waiting
+    vertex without a placement, and a popped vertex without one is a run
+    of its own, inserted and reclassified around as before.  The output
+    is what the heap gives:
+
+    - every waiting vertex has a live heap entry at its class, so a live
+      class-0 pop means that all of them have class 0, and the popped
+      one is the smallest;
+    - a placed insertion changes endpoint and off-path state only at its
+      vertex and its pair; every vertex still waiting is later, and no
+      later vertex watches the pair, so every class stays 0 and the
+      heap's next live pop would be the next waiting vertex in id order;
+    - a placement stays valid until state changes next to its vertex,
+      and every such change is either reclassified around (V1, V2 and a
+      run of one), which drops it, or a placed pair, which no later
+      vertex watches.
+
+    Cost stays O(|I| + |E(K, I)|): one set-up pass per waiting vertex
+    reads its class and placement together, and the runs read the
+    ascending ``rest`` through one cursor at or below the smallest
+    waiting vertex, which only grows, so the cursor never moves back and
+    each vertex is scanned O(1) times over the whole assembly.  ``h`` is
+    H as ``build_degree_two_subgraph`` made it, when the caller has built
+    it already.
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
@@ -275,6 +315,8 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     next_pid = len(paths)
     rest = h.rest.tolist()
     nbrs = dict(zip(rest, g.neighbor_lists(rest)))
+    # ``rest`` ascends, so every watcher list does, and its last entry is
+    # the latest vertex that watches.
     watchers: dict[int, list[int]] = {}
     for u, row in nbrs.items():
         for w in row:
@@ -300,11 +342,31 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             q.reverse()
         return q
 
-    cls = {u: classify(u) for u in nbrs}
+    # One pass reads each vertex's class as ``classify`` does, together
+    # with its off-path neighbours (an off-path vertex ends no path).
+    cls: dict[int, int] = {}
+    placed: dict[int, tuple[int, int]] = {}
+    for u, row in nbrs.items():
+        c, seen, off = 0, -1, []
+        for w in row:
+            pid = endpoint_of[w]
+            if pid < 0:
+                if off_path[w]:
+                    off.append(w)
+            elif seen < 0:
+                c, seen = 1, pid
+            elif pid != seen:
+                c = 2
+                break
+        cls[u] = c
+        if not c and len(off) > 1 and watchers[off[0]][-1] == u == watchers[off[1]][-1]:
+            placed[u] = off[0], off[1]
     # Lazy deletion: a heap entry is live while its vertex is still to be
     # inserted and still in that class.
     heap = [(-c, u) for u, c in cls.items()]
     heapify(heap)
+    # rest[at] is never above the smallest waiting vertex.
+    at, end = 0, len(rest)
 
     while cls:
         neg_c, u = heappop(heap)
@@ -341,28 +403,52 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             changed = (e, w)
             rule = "V1"
         else:
-            off = [w for w in nbrs[u] if off_path[w]]
-            if len(off) < 2:
-                raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
-            w1, w2 = off[0], off[1]
-            paths[next_pid] = [w1, u, w2]
-            endpoint_of[w1] = endpoint_of[w2] = next_pid
-            off_path[w1] = off_path[w2] = 0
-            next_pid += 1
-            changed = (w1, w2)
+            while rest[at] != u:
+                at += 1
+            # The run.  Only its first vertex can lack a placement, and then
+            # it is the whole run and is reclassified around; the last
+            # vertex is recorded below, as V1 and V2 are.
+            changed = ()
+            while True:
+                pair = placed.get(u)
+                if pair is None:
+                    off = [w for w in nbrs[u] if off_path[w]]
+                    if len(off) < 2:
+                        raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
+                    pair = changed = off[0], off[1]
+                w1, w2 = pair
+                paths[next_pid] = [w1, u, w2]
+                endpoint_of[w1] = endpoint_of[w2] = next_pid
+                off_path[w1] = off_path[w2] = 0
+                next_pid += 1
+                if changed:
+                    break
+                at += 1
+                while at < end and rest[at] not in cls:
+                    at += 1
+                if at == end or rest[at] not in placed:
+                    break
+                off_path[u] = 0
+                events.append(("V0", u, before, before + 1))
+                before += 1
+                u = rest[at]
+                del cls[u]
             rule = "V0"
         off_path[u] = 0
         events.append((rule, u, before, len(paths)))
         for w in changed:
             for x in watchers.get(w, ()):
                 if x in cls:
+                    placed.pop(x, None)
                     new = classify(x)
                     if new != cls[x]:
                         cls[x] = new
                         heappush(heap, (-new, x))
 
     out = [w[::-1] if w[0] > w[-1] else w for w in map(tuple, paths.values())]
-    out.sort(key=lambda q: (-len(q), q[0]))
+    # Disjoint paths compare by first vertex; the second sort is stable.
+    out.sort()
+    out.sort(key=len, reverse=True)
     # Every path has at least 3 vertices and holds every independent
     # vertex, so the vertices off the paths are the clique vertices left
     # over, which go last as singletons in id order.

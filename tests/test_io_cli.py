@@ -15,9 +15,10 @@ from splithc import graph as graph_module
 from splithc import io as io_module
 from splithc.cli import main
 from splithc.errors import IndexOutOfRange, InvalidCertificate, ParseError
-from splithc.graph import Graph, graph_from_edges, graph_from_split
+from splithc.graph import Graph, HamCycle, graph_from_edges, graph_from_split
 from splithc.io import (
     _parse_canonical,
+    certificate_string,
     parse_cycle,
     parse_graph,
     parse_manifest,
@@ -28,6 +29,7 @@ from splithc.io import (
     run_batch,
     write_graph,
 )
+from splithc.solver import SolveOutcome
 
 from reference_io import (
     fstring_render_graph,
@@ -393,6 +395,22 @@ def test_cycle_roundtrip():
     assert c.order == (3, 0, 2, 1)
     with pytest.raises(ParseError):
         parse_cycle("# nothing\n")
+
+
+@pytest.mark.parametrize("order", [
+    (3, 0, 2, 1),
+    tuple(np.array([7, 0, 5, 2], dtype=np.int64)),
+    tuple(np.array([4, 1], dtype=np.int32)) + (9, True, 2.5, "x"),
+    (8,),
+    (),
+])
+def test_certificate_strings_match_str_join(order):
+    # ``%s`` formats each entry as ``str`` does, numpy ints and bools
+    # included, so the round trip in ``run_batch`` stays as strict.
+    out = SolveOutcome(HamCycle(order), None, "Delta2")
+    assert certificate_string(out) == "cycle " + ",".join(map(str, order))
+    assert render_cycle(HamCycle(order)) == " ".join(map(str, order)) + "\n"
+    assert render_cycle(list(order)) == " ".join(map(str, order)) + "\n"
 
 
 def test_cli_solve_and_verify(tmp_path: Path):

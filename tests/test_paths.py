@@ -1,10 +1,12 @@
 import random
 from functools import cached_property
+from heapq import heappop
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from splithc import paths as paths_module
 from splithc.errors import InvalidCertificate, PremiseViolated
 from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges, validate_ham_cycle
@@ -163,6 +165,17 @@ def test_insertion_counters_property():
             kinds.add(rule)
             assert after - before == {"V2": -1, "V1": 0, "V0": 1}[rule]
     assert {"V1", "V2", "V0"} <= kinds
+
+
+def test_runs_insert_placed_vertices_without_heap_pops(monkeypatch):
+    # Every one of the 700 degree-3 vertices of this ladder is placed, so
+    # the first pop starts a run that inserts them all.
+    pops = []
+    monkeypatch.setattr(paths_module, "heappop", lambda heap: pops.append(1) or heappop(heap))
+    g = big_delta2_instance(2500, 1000, 700)
+    ps = assemble_paths(g, recognize_split(g))
+    assert [rule for rule, *_ in ps.insertions] == ["V0"] * 700
+    assert len(pops) <= 3
 
 
 def test_assemble_rejects_delta3():

@@ -4,8 +4,12 @@ system (paths and insertions) and cycle, and the same ``PremiseViolated``
 message where either refuses."""
 
 import random
+from bisect import bisect_left
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +135,93 @@ def test_relabelled_ladder_matches_dict_reference():
     assert g.n == 200_000
     kind, (paths, cycles) = assert_same_as_dict(g)
     assert kind == "ok" and cycles == () and paths
+
+
+# The ladder shapes of the benchmark's in-memory (first three) and file
+# (last three) workloads.
+LADDER_SHAPES = [(6000, 2000, 0), (4000, 1500, 500), (2500, 1000, 700),
+                 (700, 250, 80), (650, 300, 120), (750, 200, 40)]
+
+
+@pytest.mark.parametrize("shape", LADDER_SHAPES)
+def test_ladder_shapes_match_dict_reference(shape):
+    kind, _ = assert_same_as_dict(big_delta2_instance(*shape))
+    assert kind == "ok"
+
+
+def _random_delta2_graph(rng: random.Random) -> Graph:
+    """A split graph whose clique of 3-29 vertices each see at most two
+    independent vertices, mostly of degree 3-5, some of degree 2 and a
+    few of degree 1.  A row is a random sample of the clique vertices
+    still free, a random window of them, or a chain of windows that
+    overlap by at most one vertex (a ladder, where runs of V0 form).
+    Half the graphs are relabelled at random, half keep the clique first;
+    half store the clique as a block, half explicitly."""
+    k = rng.randrange(3, 30)
+    load = [0] * k
+    two = rng.choice([0.0, 0.2, 0.5])
+    mode = rng.choice(["sample", "window", "chain"])
+    rows, at = [], 0
+    for _ in range(rng.randrange(1, k + 1) if rng.random() < 0.5 else k):
+        free = [w for w in range(k) if load[w] < 2]
+        d = min(1 if rng.random() < 0.01 else 2 if rng.random() < two else rng.randrange(3, 6),
+                len(free))
+        if not d:
+            break
+        if mode == "sample":
+            row = rng.sample(free, d)
+        else:
+            s = (rng.randrange(len(free) - d + 1) if mode == "window"
+                 else min(bisect_left(free, at), len(free) - d))
+            row = free[s:s + d]
+            at = row[-1] + rng.randrange(2)
+        for w in row:
+            load[w] += 1
+        rows.append(row)
+    n = k + len(rows)
+    perm = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(perm)
+    pairs = [(perm[w], perm[k + j]) for j, row in enumerate(rows) for w in row]
+    if rng.random() < 0.5:
+        return graph_from_split(n, perm[:k], pairs)
+    return graph_from_edges(n, pairs + [(perm[a], perm[b]) for a, b in combinations(range(k), 2)])
+
+
+def test_random_delta2_family_matches_dict_reference():
+    rng = random.Random(26)
+    seen = Counter()
+    for _ in range(2000):
+        g = _random_delta2_graph(rng)
+        p = recognize_split(g)
+        kind, out = _result(lambda: assemble_paths(g, p))
+        assert (kind, out) == _result(lambda: dict_assemble_paths(g, p))
+        if kind == "ok":
+            seen.update(rule for rule, *_ in out.insertions)
+        else:
+            seen[out.split(" for")[0].split(" neighbor")[0]] += 1
+    assert seen["V0"] and seen["V1"] and seen["V2"]
+    assert seen["no off-path clique"] and seen["fewer than two off-path"]
+
+
+def test_run_stops_at_a_shared_clique_vertex():
+    # 11 and 12 are placed and go in one run; 13 and 14 share clique
+    # vertex 7, so 13 has no placement and ends the run.  Its V0 makes 7
+    # an endpoint, and 14 then goes in by V1.
+    g = mk_split(11, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (7, 9, 10)])
+    ps = assemble_paths(g, recognize_split(g))
+    assert ps.insertions == (("V0", 11, 0, 1), ("V0", 12, 1, 2), ("V0", 13, 2, 3),
+                             ("V1", 14, 3, 3))
+    assert ps.paths[:3] == ((6, 13, 7, 14, 9), (0, 11, 1), (3, 12, 4))
+    assert_same_as_dict(g)
+
+
+def test_placement_gone_stale_is_not_used():
+    # 8 is placed on (2, 3): 7 also sees 2, but comes earlier.  The V1 of 7
+    # extends H's path 0-6-1 to 2, so 2 is on a path, and 8 goes in by V1
+    # at 2, not by V0 on its stale placement.
+    g = mk_split(6, [(0, 1), (1, 2, 5), (2, 3, 4)])
+    ps = assemble_paths(g, recognize_split(g))
+    assert ps.insertions == (("V1", 7, 1, 1), ("V1", 8, 1, 1))
+    assert ps.paths == ((0, 6, 1, 7, 2, 8, 3), (4,), (5,))
+    assert_same_as_dict(g)
