@@ -30,8 +30,8 @@ pairs inside the block number n, the closing pair included.  That is a
 fixed number of array passes, O(n + stored entries), and it shares no
 code with any solver, so it can serve as an independent certificate
 validator.  ``split-hc verify`` prints the first defect those checks find
-(``_cycle_defect``); only a failed match probes the pairs one by one
-(``Graph.has_edges``) to name it.
+(``_cycle_defect``), and a failed match names its first bad pair from the
+same successor compare, with no further probe.
 """
 
 from __future__ import annotations
@@ -150,8 +150,7 @@ class Graph:
         looked up among the stored entries, which sort as the keys
         ``row << 32 | column`` (rows in order, each row sorted, every column
         below 2^31): one ``np.searchsorted`` for all pairs.  Vertices must
-        lie in ``[0, n)``.  Its callers are ``__eq__`` and the defect report
-        of a cycle that failed validation (``_cycle_defect``).
+        lie in ``[0, n)``.  Its caller is ``__eq__``.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -456,8 +455,9 @@ def _cycle_defect(g: Graph, order: Sequence[int]) -> str | None:
     mask.  The cycle is valid exactly when the count is n.  That is a fixed
     number of array passes, O(n + stored entries): a ladder with its clique
     as the block costs O(n + e(K, I)), an explicit dense graph O(m), which
-    its build has paid as O(m log m).  Only a short count probes the pairs
-    with ``Graph.has_edges``, to name the first bad one in cycle order.
+    its build has paid as O(m log m).  A short count names the first bad
+    pair in cycle order from the same match: a cumulative sum of the hits
+    read at the row starts tells which rows hold their pair.
     """
     n = g.n
     if n < 3:
@@ -478,11 +478,15 @@ def _cycle_defect(g: Graph, order: Sequence[int]) -> str | None:
     succ[ring[-1]] = ring[0]
     if succ.min() < 0:
         return "not a permutation of the vertex set"
-    held = np.count_nonzero(g.indices == np.repeat(succ, g.indptr[1:] - g.indptr[:-1]))
+    hit = g.indices == np.repeat(succ, g.indptr[1:] - g.indptr[:-1])
+    held = np.count_nonzero(hit)
     if g.block.shape[0]:  # skipped by the many small explicit graphs
         held += np.count_nonzero(g.in_block & g.in_block[succ])
     if held == n:
         return None
-    bad = np.flatnonzero(~g.has_edges(ring, succ[ring]))
-    u = int(ring[bad[0]])
+    # A vertex's pair is an edge when its row's hit count rises, or when
+    # both ends lie in the block.
+    hits = np.concatenate(([0], np.cumsum(hit)))
+    ok = (hits[g.indptr[1:]] > hits[g.indptr[:-1]]) | (g.in_block & g.in_block[succ])
+    u = int(ring[np.argmin(ok[ring])])
     return f"{u} {int(succ[u])} is not an edge"

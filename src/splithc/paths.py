@@ -20,13 +20,13 @@ vertex).  An insertion changes the endpoint status or path of at most
 four clique vertices, each seen by at most two independent vertices, and
 only those independent vertices are reclassified: at most eight per
 insertion instead of every vertex left.  Fresh 3-paths go in by runs:
-each vertex that sees no path end at set-up gets a placement, its first
-two off-path clique neighbours, kept when no later vertex sees either.
-Once only such vertices wait, the smallest is popped, and it and the
-following vertices whose placements still hold go in one after another
-in id order, with no heap pop or reclassification between them (see
-``assemble_paths`` for why this is what the heap would do).  The
-assembled paths join into a Hamiltonian cycle along clique edges.
+once only vertices of class 0 wait, the smallest is popped, and it and
+the following waiting vertices go in one after another in id order,
+each on its first two off-path clique neighbours, with no heap pop or
+reclassification between them, until a pair is watched by a vertex
+after the one inserted on it (see ``assemble_paths`` for why this is
+what the heap would do).  The assembled paths join into a Hamiltonian
+cycle along clique edges.
 
 Cost: Python steps scale with |I| + |H|, and the clique side is handled
 by array operations.  H is stored as arrays, not as a dict of neighbour
@@ -38,14 +38,14 @@ walk is one list read and one XOR, with no dict or set.  The rows of the
 other independent vertices are sliced through memoryviews
 (``Graph.neighbor_lists``); the insertion loop keeps its per-vertex state
 in flat arrays indexed by vertex id (``endpoint_of``, a list with -1 for
-no path, and ``off_path``, a bytearray read off H's degrees).  One
-set-up pass over the rows gives every waiting vertex its class and
-placement, and the runs read the ascending ``rest`` through one forward
-cursor, so a run costs O(1) per vertex it inserts, not a heap pop and a
-reclassification.  Every assembled path has at least 3 vertices, so the
-clique vertices left over, read off ``off_path`` with one ``nonzero``, go
-last as singletons in id order, unsorted; the paths themselves are
-ordered by two C-level sorts.
+no path, and ``off_path``, a bytearray read off H's degrees).  Set-up
+classifies only the vertices that see an end of H's walks, the others
+start at class 0, and the runs read the ascending ``rest`` through one
+forward cursor, so a run costs O(1) per vertex it inserts, not a heap
+pop and a reclassification.  Every assembled path has at least 3
+vertices, so the clique vertices left over, read off ``off_path`` with
+one ``nonzero``, go last as singletons in id order, unsorted; the paths
+themselves are ordered by two C-level sorts.
 
 All arbitrary choices resolve to the smallest vertex index.
 """
@@ -262,36 +262,37 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
     insertion changes those at no more than four clique vertices; only the
     vertices that watch (see) one of them are reclassified.
 
-    A pop of class 0 starts a run.  Set-up gives each waiting vertex of
-    class 0 a placement, its first two off-path neighbours, kept only
-    when no later waiting vertex watches either; reclassification drops
-    the placement of every vertex it visits.  The run inserts the popped
-    vertex and then, in id order, each following waiting vertex whose
-    placement still holds, each by rule V0 with no heap pop, class lookup
-    or reclassification between them; it stops at the first waiting
-    vertex without a placement, and a popped vertex without one is a run
-    of its own, inserted and reclassified around as before.  The output
-    is what the heap gives:
+    At set-up the only paths are H's walks, so only a watcher of a walk
+    end can have a class above 0; the others start at 0 unread.
+
+    A pop of class 0 starts a run.  It inserts the popped vertex u by rule
+    V0 on its pair, its first two off-path neighbours as they are then,
+    and goes on to the next waiting vertex in id order, with no heap pop,
+    class lookup or reclassification in between, for as long as no later
+    vertex watches the pair just used (``watchers[w][-1] == u`` for both
+    ends); at the first pair that fails the test, the pair's watchers are
+    reclassified, as after V1 and V2, and the heap takes over again.  The
+    output is what the heap gives:
 
     - every waiting vertex has a live heap entry at its class, so a live
       class-0 pop means that all of them have class 0, and the popped
       one is the smallest;
-    - a placed insertion changes endpoint and off-path state only at its
-      vertex and its pair; every vertex still waiting is later, and no
-      later vertex watches the pair, so every class stays 0 and the
-      heap's next live pop would be the next waiting vertex in id order;
-    - a placement stays valid until state changes next to its vertex,
-      and every such change is either reclassified around (V1, V2 and a
-      run of one), which drops it, or a placed pair, which no later
-      vertex watches.
+    - a V0 insertion changes endpoint and off-path state only at u and
+      its pair; watcher lists ascend and every vertex below u is already
+      inserted, so when no later vertex watches the pair, no waiting
+      vertex changes class or off-path neighbours, and the heap's next
+      live pop would be the next waiting vertex in id order;
+    - the pair is read when its vertex goes in, so it is never stale, and
+      a vertex with fewer than two off-path neighbours raises
+      ``PremiseViolated`` where the heap order would.
 
-    Cost stays O(|I| + |E(K, I)|): one set-up pass per waiting vertex
-    reads its class and placement together, and the runs read the
-    ascending ``rest`` through one cursor at or below the smallest
-    waiting vertex, which only grows, so the cursor never moves back and
-    each vertex is scanned O(1) times over the whole assembly.  ``h`` is
-    H as ``build_degree_two_subgraph`` made it, when the caller has built
-    it already.
+    Cost stays O(|I| + |E(K, I)|): set-up reads only the rows of a walk
+    end's watchers, each V0 reads its row once, when it is inserted, and
+    the runs read the ascending ``rest`` through one cursor at or below
+    the smallest waiting vertex, which only grows, so the cursor never
+    moves back and each vertex is scanned O(1) times over the whole
+    assembly.  ``h`` is H as ``build_degree_two_subgraph`` made it, when
+    the caller has built it already.
     """
     if p.delta_i > 2:
         raise PremiseViolated(f"delta_i = {p.delta_i} > 2 in path assembly")
@@ -342,31 +343,19 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             q.reverse()
         return q
 
-    # One pass reads each vertex's class as ``classify`` does, together
-    # with its off-path neighbours (an off-path vertex ends no path).
-    cls: dict[int, int] = {}
-    placed: dict[int, tuple[int, int]] = {}
-    for u, row in nbrs.items():
-        c, seen, off = 0, -1, []
-        for w in row:
-            pid = endpoint_of[w]
-            if pid < 0:
-                if off_path[w]:
-                    off.append(w)
-            elif seen < 0:
-                c, seen = 1, pid
-            elif pid != seen:
-                c = 2
-                break
-        cls[u] = c
-        if not c and len(off) > 1 and watchers[off[0]][-1] == u == watchers[off[1]][-1]:
-            placed[u] = off[0], off[1]
+    # At set-up the only paths are H's walks, so only a watcher of a walk
+    # end can have a class above 0.
+    cls = dict.fromkeys(rest, 0)
+    for walk in walks:
+        for w in (walk[0], walk[-1]):
+            for x in watchers.get(w, ()):
+                cls[x] = classify(x)
     # Lazy deletion: a heap entry is live while its vertex is still to be
     # inserted and still in that class.
     heap = [(-c, u) for u, c in cls.items()]
     heapify(heap)
     # rest[at] is never above the smallest waiting vertex.
-    at, end = 0, len(rest)
+    at = 0
 
     while cls:
         neg_c, u = heappop(heap)
@@ -405,29 +394,32 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
         else:
             while rest[at] != u:
                 at += 1
-            # The run.  Only its first vertex can lack a placement, and then
-            # it is the whole run and is reclassified around; the last
-            # vertex is recorded below, as V1 and V2 are.
-            changed = ()
+            # The run: u is the smallest waiting vertex, and all have class
+            # 0.  While no waiting vertex watches the pair just used, no class
+            # changes and the next one in id order goes in; otherwise the
+            # pair's watchers are reclassified below, as after V1 and V2.
             while True:
-                pair = placed.get(u)
-                if pair is None:
-                    off = [w for w in nbrs[u] if off_path[w]]
-                    if len(off) < 2:
-                        raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
-                    pair = changed = off[0], off[1]
-                w1, w2 = pair
+                # u's pair, its first two off-path neighbours; a plain loop,
+                # since a comprehension is a function call on Python 3.11.
+                w1 = w2 = -1
+                for w in nbrs[u]:
+                    if off_path[w]:
+                        if w1 >= 0:
+                            w2 = w
+                            break
+                        w1 = w
+                if w2 < 0:
+                    raise PremiseViolated(f"fewer than two off-path neighbors for vertex {u}")
                 paths[next_pid] = [w1, u, w2]
                 endpoint_of[w1] = endpoint_of[w2] = next_pid
                 off_path[w1] = off_path[w2] = 0
                 next_pid += 1
-                if changed:
+                changed = () if watchers[w1][-1] == u == watchers[w2][-1] else (w1, w2)
+                if changed or not cls:
                     break
                 at += 1
-                while at < end and rest[at] not in cls:
+                while rest[at] not in cls:
                     at += 1
-                if at == end or rest[at] not in placed:
-                    break
                 off_path[u] = 0
                 events.append(("V0", u, before, before + 1))
                 before += 1
@@ -439,7 +431,6 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
         for w in changed:
             for x in watchers.get(w, ()):
                 if x in cls:
-                    placed.pop(x, None)
                     new = classify(x)
                     if new != cls[x]:
                         cls[x] = new

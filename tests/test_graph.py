@@ -258,8 +258,8 @@ def test_valid_cycle_probes_no_pair(monkeypatch):
     g = graph_from_split(6, [0, 1, 2, 3], [(0, 4), (1, 4), (2, 5), (3, 5)])
     assert 2 not in g.stored_row(1).tolist()
     assert validate_ham_cycle(g, [0, 4, 1, 2, 5, 3]) and calls == []
-    # Only a failed match probes, to name the first bad pair.
-    assert _cycle_defect(g, [0, 4, 2, 1, 5, 3]) == "4 2 is not an edge" and calls == [6]
+    # A failed match names the first bad pair from its own hits, unprobed.
+    assert _cycle_defect(g, [0, 4, 2, 1, 5, 3]) == "4 2 is not an edge" and calls == []
 
 
 def test_validate_big_ladder_with_one_non_edge(monkeypatch):

@@ -168,8 +168,8 @@ def test_insertion_counters_property():
 
 
 def test_runs_insert_placed_vertices_without_heap_pops(monkeypatch):
-    # Every one of the 700 degree-3 vertices of this ladder is placed, so
-    # the first pop starts a run that inserts them all.
+    # No later vertex sees the pair of any of the 700 degree-3 vertices of
+    # this ladder, so the first pop starts a run that inserts them all.
     pops = []
     monkeypatch.setattr(paths_module, "heappop", lambda heap: pops.append(1) or heappop(heap))
     g = big_delta2_instance(2500, 1000, 700)

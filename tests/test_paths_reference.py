@@ -205,9 +205,10 @@ def test_random_delta2_family_matches_dict_reference():
 
 
 def test_run_stops_at_a_shared_clique_vertex():
-    # 11 and 12 are placed and go in one run; 13 and 14 share clique
-    # vertex 7, so 13 has no placement and ends the run.  Its V0 makes 7
-    # an endpoint, and 14 then goes in by V1.
+    # 11 and 12 go in one run: no later vertex sees their pairs.  13 and
+    # 14 share clique vertex 7, so the run ends at 13 and its pair's
+    # watchers are reclassified.  Its V0 makes 7 an endpoint, and 14 then
+    # goes in by V1.
     g = mk_split(11, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (7, 9, 10)])
     ps = assemble_paths(g, recognize_split(g))
     assert ps.insertions == (("V0", 11, 0, 1), ("V0", 12, 1, 2), ("V0", 13, 2, 3),
@@ -217,11 +218,24 @@ def test_run_stops_at_a_shared_clique_vertex():
 
 
 def test_placement_gone_stale_is_not_used():
-    # 8 is placed on (2, 3): 7 also sees 2, but comes earlier.  The V1 of 7
+    # 8 sees no path end at set-up, and its first two off-path neighbours
+    # are then (2, 3); 7 also sees 2, but comes earlier.  The V1 of 7
     # extends H's path 0-6-1 to 2, so 2 is on a path, and 8 goes in by V1
-    # at 2, not by V0 on its stale placement.
+    # at 2, not by V0 on the pair (2, 3) it had at set-up.
     g = mk_split(6, [(0, 1), (1, 2, 5), (2, 3, 4)])
     ps = assemble_paths(g, recognize_split(g))
     assert ps.insertions == (("V1", 7, 1, 1), ("V1", 8, 1, 1))
     assert ps.paths == ((0, 6, 1, 7, 2, 8, 3), (4,), (5,))
+    assert_same_as_dict(g)
+
+
+def test_run_stops_where_a_later_watcher_is_inserted():
+    # 12 sees H's path end 1 and goes first, by V1 to 2.  11 is then the
+    # only class-0 vertex left before 13, and its pair (5, 6) is watched
+    # by 12, later than 11 but already inserted: the run stops after 11,
+    # no class changes, and the heap gives 13.
+    g = mk_split(10, [(0, 1), (5, 6, 8), (1, 2, 5), (3, 4, 7)])
+    ps = assemble_paths(g, recognize_split(g))
+    assert ps.insertions == (("V1", 12, 1, 1), ("V0", 11, 1, 2), ("V0", 13, 2, 3))
+    assert ps.paths == ((0, 10, 1, 12, 2), (3, 13, 4), (5, 11, 6), (7,), (8,), (9,))
     assert_same_as_dict(g)
