@@ -36,8 +36,8 @@ def _cmd_recognize(args) -> int:
     if isinstance(p, NotSplit):
         print(f"not-split {p.kind} " + ",".join(map(str, p.vertices)))
         return 1
-    print("split K: " + " ".join(map(str, p.clique)))
-    print("split I: " + " ".join(map(str, p.independent)))
+    print("split K: " + " ".join(map(str, p.clique.tolist())))
+    print("split I: " + " ".join(map(str, p.independent.tolist())))
     print(f"deltaI: {p.delta_i}")
     return 0
 

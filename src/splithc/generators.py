@@ -207,8 +207,8 @@ def _repair_k14(g: Graph, k: int, i: int) -> Graph:
         if stars.k14_free:
             return g
         center, arms = stars.witness4
-        k_arms = [a for a in arms if a in p.clique_set]
-        i_arms = [a for a in arms if a not in p.clique_set]
+        k_arms = [a for a in arms if p.in_clique[a]]
+        i_arms = [a for a in arms if not p.in_clique[a]]
         if not i_arms:
             return g
         if k_arms:

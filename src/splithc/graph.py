@@ -180,11 +180,6 @@ class Graph:
             deg[self.block] += np.count_nonzero(inner) - inner
         return deg
 
-    def induced_degrees(self, mask: np.ndarray) -> np.ndarray:
-        """Degrees inside the subgraph induced by the vertices where the
-        boolean ``mask`` is set, for those vertices in increasing order."""
-        return self.degrees_into(mask)[mask]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each edge once as Python ints (u, v) with u < v, lexicographically."""
         return chain.from_iterable(self._edge_runs())
@@ -217,7 +212,8 @@ class Graph:
         # a clique of other, and every stored pair is an edge of other.
         # Rows are symmetric, so each stored edge is probed once, as u < v.
         if not (self.n == other.n and self.m == other.m
-                and bool((other.induced_degrees(self.in_block) == self.block.shape[0] - 1).all())):
+                and bool((other.degrees_into(self.in_block)[self.in_block]
+                          == self.block.shape[0] - 1).all())):
             return False
         src = np.repeat(np.arange(self.n), self.indptr[1:] - self.indptr[:-1])
         upper = src < self.indices

@@ -264,14 +264,14 @@ def _pair_search(g: Graph, p: SplitPartition, b: _Budget) -> list[int] | None:
     """Give each independent vertex a pair of clique neighbours so that the
     pairs, read as edges on K, form a linear forest (one cycle through all
     of K when |I| = |K|); return the cycle, or None when none exists."""
-    clique, indep = p.clique, p.independent
+    clique, indep = p.clique.tolist(), p.independent.tolist()
     n, n_k, n_i = g.n, len(clique), len(indep)
     if n_i > n_k or n < 3:
         return None
     closing = n_i == n_k
     # Independent vertices go by their index j in p.independent; each one's
     # neighbours all lie in K.
-    opts = g.neighbor_lists(list(indep))
+    opts = g.neighbor_lists(indep)
     seers: list[list[int]] = [[] for _ in range(n)]
     for j, o in enumerate(opts):
         for a in o:
@@ -382,9 +382,9 @@ def _pair_cycle(p: SplitPartition, pair: list[tuple[int, int]]) -> tuple[int, ..
     cycle through all of K when |I| = |K|, and otherwise the paths, which
     chain with the bare clique vertices along clique edges."""
     # Every independent vertex is on this H, so none is left over.
-    ind = np.asarray(p.independent, dtype=np.int64)
+    ind = p.independent
     h = DegreeTwoSubgraph(len(p.clique) + len(ind), ind, np.array(pair, dtype=np.int64), ind[:0])
     paths, cycles = h.components
     if cycles:
-        return _canonical_cycle(cycles[0], p.clique_set)
+        return _canonical_cycle(cycles[0], p.in_clique)
     return (*chain.from_iterable(paths), *h.missed(p.clique))

@@ -93,10 +93,9 @@ class DegreeTwoSubgraph:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clique_degree", np.bincount(self.ends.ravel(), minlength=self.n))
 
-    def missed(self, clique: tuple[int, ...]) -> list[int]:
-        """The vertices of ``clique`` off H, in its order."""
-        ks = np.asarray(clique, dtype=np.int64)
-        return ks[self.clique_degree[ks] == 0].tolist()
+    def missed(self, clique: np.ndarray) -> list[int]:
+        """The vertices of the id array ``clique`` off H, in its order."""
+        return clique[self.clique_degree[clique] == 0].tolist()
 
     @cached_property
     def components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -202,16 +201,16 @@ def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
     """Collect the degree-2 independent vertices and their two clique
     neighbours, one gather for all of them, and keep the other
     independent vertices as ``rest``."""
-    ind = np.asarray(p.independent, dtype=np.int64)
+    ind = p.independent
     two = g.degrees()[ind] == 2
     va = ind[two]
     return DegreeTwoSubgraph(g.n, va, g.neighbor_rows(va, 2), ind[~two])
 
 
-def _canonical_cycle(cycle: tuple[int, ...], kset: frozenset) -> tuple[int, ...]:
-    """Rotate/reflect so the cycle starts at its smallest clique vertex and
-    moves toward the smaller of that vertex's two cycle neighbors."""
-    anchor = min(v for v in cycle if v in kset)
+def _canonical_cycle(cycle: tuple[int, ...], in_clique: bytes) -> tuple[int, ...]:
+    """Rotate/reflect so the cycle starts at its smallest clique vertex (by
+    ``in_clique``) and moves toward the smaller of its two cycle neighbors."""
+    anchor = min(v for v in cycle if in_clique[v])
     i = cycle.index(anchor)
     rot = cycle[i:] + cycle[:i]
     return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
@@ -230,18 +229,18 @@ def find_short_cycle(g: Graph, p: SplitPartition, *,
     _, cycles = h.components
     if not cycles:
         return None
-    kset = p.clique_set
+    in_clique = p.in_clique
     # Excluded: a clique vertex off H, else one on a second cycle, else
     # one off the only cycle.
     excluded = next(iter(h.missed(p.clique)), None)
     if excluded is None and len(cycles) > 1:
-        excluded = min(v for v in cycles[1] if v in kset)
+        excluded = min(v for v in cycles[1] if in_clique[v])
     if excluded is None:
         on_cycle = set(cycles[0])
-        excluded = next((w for w in p.clique if w not in on_cycle), None)
+        excluded = next((w for w in p.clique.tolist() if w not in on_cycle), None)
         if excluded is None:
             return None
-    return ShortCycleWitness(_canonical_cycle(cycles[0], kset), excluded)
+    return ShortCycleWitness(_canonical_cycle(cycles[0], in_clique), excluded)
 
 
 def assemble_paths(g: Graph, p: SplitPartition, *,
@@ -467,7 +466,7 @@ def hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
         _, cycles = h.components
         if len(cycles) != 1 or len(cycles[0]) != g.n:
             raise PremiseViolated("expected a single spanning cycle in H")
-        order = _canonical_cycle(cycles[0], p.clique_set)
+        order = _canonical_cycle(cycles[0], p.in_clique)
     else:
         # Concatenate the path system along clique edges.
         order = tuple(chain.from_iterable(assemble_paths(g, p, h=h).paths))

@@ -19,26 +19,26 @@ vertices outside K finds a non-edge inside K or an edge outside it, and a
 few neighbourhood scans extend it to the witness, so a non-split answer
 costs O(n + m) as well.
 
-For vertices ``v`` in K, ``d_i[v]`` counts independent-set neighbors;
-``delta_i`` is the maximum of those counts and is the quantity the solver
-dispatches on.
+A vertex v of K sees the other |K| - 1 inside K, so it has
+degree(v) - (|K| - 1) independent neighbours; ``delta_i`` is the maximum
+of those counts and is the quantity the solver dispatches on.
 
 Cost on the delta_i <= 2 route: Python steps scale with |I|, and the
 clique side is handled by whole-array numpy calls and C-level builtins.
 Recognition sorts the degrees once and reads K and I off one mask; the
-partition's ``clique`` tuple and ``d_i`` dict are built by ``tuple`` and
-``dict(zip(...))``.  The 2-connectivity test gathers only the vertices of
-degree below 2.  The star search visits only the centres, the clique
-vertices with d_i >= 2 (at most |E(K, I)| / 2 of them), and reads each
-one's arms from its stored row, never from the O(|K|) merged
-neighbourhood of a block vertex (``Graph.neighbors``).
+partition keeps both as the arrays that mask gives, and the mask itself as
+``bytes``, so that a membership test from Python is one index with no
+numpy call.  The 2-connectivity test gathers only the vertices of degree
+below 2.  The star search visits only the centres, the clique vertices
+with at least two independent neighbours (at most |E(K, I)| / 2 of them),
+and reads each one's arms from its stored row, never from the O(|K|)
+merged neighbourhood of a block vertex (``Graph.neighbors``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -57,19 +57,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitPartition:
-    """Partition (K, I) with K a maximum clique and I independent, each in
-    id order."""
+    """Partition (K, I) with K a clique and I independent; recognition and
+    the reduction make K a maximum clique.
 
-    clique: tuple[int, ...]
-    independent: tuple[int, ...]
-    d_i: Mapping[int, int]
+    ``clique`` and ``independent`` are ascending, read-only intp arrays
+    that together cover V; ``in_clique`` is the membership mask as
+    ``bytes``, 1 on K and 0 on I, so ``p.in_clique[v]`` is a Python int
+    (``np.frombuffer(p.in_clique, bool)`` reads it as an array, no copy).
+    ``delta_i`` is the largest number of independent neighbours of a clique
+    vertex, 0 when K is empty.  Partitions compare by identity; compare
+    their fields to compare their values.
+    """
+
+    clique: np.ndarray
+    independent: np.ndarray
+    in_clique: bytes
     delta_i: int
-
-    @cached_property
-    def clique_set(self) -> frozenset:
-        return frozenset(self.clique)
 
 
 @dataclass(frozen=True)
@@ -134,17 +139,18 @@ class NoCycleCertificate:
         return "exhaustive-search"
 
 
-def _partition_from(g: Graph, clique: Iterable[int] | np.ndarray) -> SplitPartition:
-    """The partition with K = ``clique``, a verified maximum clique, and
-    I = V - K, both read off one mask in id order.  Each member of K sees
-    the other |K| - 1 inside, so its d_i is its degree minus |K| - 1."""
+def _partition_from(g: Graph, clique: Sequence[int] | np.ndarray) -> SplitPartition:
+    """The partition with K = ``clique`` and I = V - K, both read off one
+    mask in id order.  ``clique`` is any clique of ``g`` whose complement
+    is independent, in any order; recognition and the reduction pass a
+    maximum one.  Each member of K sees the other |K| - 1 inside, so its
+    independent neighbours number its degree minus |K| - 1."""
     in_k = np.zeros(g.n, dtype=bool)
-    in_k[clique if isinstance(clique, np.ndarray) else np.fromiter(clique, dtype=np.intp)] = True
-    ks = in_k.nonzero()[0]
+    in_k[np.asarray(clique, dtype=np.intp)] = True
+    ks, rest = in_k.nonzero()[0], (~in_k).nonzero()[0]
+    ks.flags.writeable = rest.flags.writeable = False
     outside = g.degrees()[ks] - (ks.shape[0] - 1)
-    klist = ks.tolist()
-    return SplitPartition(tuple(klist), tuple((~in_k).nonzero()[0].tolist()),
-                          dict(zip(klist, outside.tolist())), int(outside.max(initial=0)))
+    return SplitPartition(ks, rest, in_k.tobytes(), int(outside.max(initial=0)))
 
 
 def _degree_sum_split(d_sorted: np.ndarray) -> tuple[int, bool]:
@@ -179,9 +185,6 @@ def recognize_split(g: Graph) -> SplitPartition | NotSplit:
     ``_forbidden_subgraph`` reads an induced C4, C5 or 2K2 off the same
     prefix.
     """
-    n = g.n
-    if n == 0:
-        return SplitPartition((), (), {}, 0)
     deg = g.degrees()
     order = np.argsort(-deg, kind="stable")
     k_size, split = _degree_sum_split(deg[order])
@@ -328,11 +331,11 @@ def split_is_two_connected(g: Graph, p: SplitPartition) -> bool | NotTwoConnecte
         return NotTwoConnected(None, "too-small")
     # The first independent vertex of degree 0 or 1, in ``p.independent``
     # (id) order, decides.  Vertices of degree below 2 are few (a
-    # 2-connected graph has none), and the keys of ``d_i`` are K.
+    # 2-connected graph has none).
     low = np.less(g.degrees(), 2)
     if np.count_nonzero(low):
         for u in low.nonzero()[0].tolist():
-            if u not in p.d_i:
+            if not p.in_clique[u]:
                 if g.degree(u) == 0:
                     return NotTwoConnected(None, "disconnected")
                 return NotTwoConnected(int(g.neighbors(u)[0]))
@@ -362,34 +365,34 @@ def _find_split_star(g: Graph, p: SplitPartition, s: int,
     """Witness of an induced K_{1,s} in a split graph, or None.
 
     Only clique centers can host one (the neighborhood of an I vertex is
-    a clique) and at most one arm lies in K; so a witness at v exists iff
-    d_i[v] >= s, or d_i[v] = s-1 and the rows of N(v) & I, which lie in
+    a clique) and at most one arm lies in K.  A clique vertex v has
+    t = degree(v) - (|K| - 1) independent neighbours, so a witness at v
+    exists iff t >= s, or t = s-1 and the rows of N(v) & I, which lie in
     K, cover fewer than |K| vertices.  The extra arm is then the smallest
     clique vertex outside them (never v, which they all contain).
 
-    ``centres`` lists the clique vertices with d_i >= 2 in id order, and
-    only those with d_i >= s - 1 are visited.  A centre's arms N(v) & I
+    ``centres`` lists the clique vertices with t >= 2 in id order, and
+    only those with t >= s - 1 are visited.  A centre's arms N(v) & I
     come from its stored row (``Graph.stored_row``): the block of ``g`` is
     a clique and I independent, so at most one block vertex lies in I, and
     the row misses at most that one arm; only then is N(v) read whole.
-    The keys of ``d_i`` are K.
     """
     if p.delta_i < s - 1:
         return None
-    d_i = p.d_i
+    in_clique, inside = p.in_clique, p.clique.shape[0] - 1
     rows: dict[int, list[int]] = {}  # N(u) of each arm read so far
     # The extra arm of each set of arms tried, None when they cover K:
     # centres often share their arms, and a set's cover costs the sum of
     # its arms' degrees.
     extra: dict[tuple[int, ...], int | None] = {}
     for v in centres:
-        di = d_i[v]
-        if di < s - 1:
+        t = g.degree(v) - inside
+        if t < s - 1:
             continue
-        arms = [u for u in g.stored_row(v).tolist() if u not in d_i]
-        if len(arms) < di:
-            arms = [u for u in g.neighbors(v).tolist() if u not in d_i]
-        if di >= s:
+        arms = [u for u in g.stored_row(v).tolist() if not in_clique[u]]
+        if len(arms) < t:
+            arms = [u for u in g.neighbors(v).tolist() if not in_clique[u]]
+        if t >= s:
             return v, tuple(arms[:s])
         key = tuple(arms)
         if key not in extra:
@@ -400,7 +403,7 @@ def _find_split_star(g: Graph, p: SplitPartition, s: int,
     return None
 
 
-def _first_uncovered(g: Graph, clique: tuple[int, ...], arms: tuple[int, ...],
+def _first_uncovered(g: Graph, clique: np.ndarray, arms: tuple[int, ...],
                      rows: dict[int, list[int]]) -> int | None:
     """The smallest vertex of ``clique`` that no arm sees, or None; ``rows``
     caches the arms' neighbourhoods between calls."""
@@ -412,14 +415,15 @@ def _first_uncovered(g: Graph, clique: tuple[int, ...], arms: tuple[int, ...],
         covered.update(row)
     if len(covered) == len(clique):
         return None
-    return next(x for x in clique if x not in covered)
+    return next(x for x in clique.tolist() if x not in covered)
 
 
 def star_free_level(g: Graph, p: SplitPartition) -> StarLevels:
     """Classify K_{1,3}/K_{1,4}/K_{1,5}-freeness with witness stars."""
-    # A clique vertex has degree |K| - 1 + d_i and an independent one at
-    # most |K| (it sees only K), so the clique vertices with d_i >= 2, the
-    # only centres a claw can have, are the vertices of degree above |K|.
+    # A clique vertex with t independent neighbours has degree |K| - 1 + t
+    # and an independent one at most |K| (it sees only K), so the clique
+    # vertices with t >= 2, the only centres a claw can have, are the
+    # vertices of degree above |K|.
     centres = (g.degrees() > len(p.clique)).nonzero()[0].tolist()
     w3 = _find_split_star(g, p, 3, centres)
     w4 = _find_split_star(g, p, 4, centres) if w3 is not None else None

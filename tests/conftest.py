@@ -39,6 +39,15 @@ def explicit_twin(g: Graph) -> Graph:
     return Graph(g.n, indptr, indices)
 
 
+def partition_fields(p):
+    """The fields of a ``SplitPartition`` as plain values, so that two
+    partitions compare by value (the class compares by identity); anything
+    else, a ``NotSplit`` say, is returned as it is."""
+    if isinstance(p, SplitPartition):
+        return p.clique.tolist(), p.independent.tolist(), p.in_clique, p.delta_i
+    return p
+
+
 def is_path_in(g: Graph, order) -> bool:
     """``order`` lists distinct vertices, consecutive ones adjacent in ``g``."""
     if len(set(order)) != len(order) or not order:
@@ -49,7 +58,7 @@ def is_path_in(g: Graph, order) -> bool:
 def check_path_system(g: Graph, p: SplitPartition, ps: PathSystem,
                       expected_i: set[int] | None = None) -> None:
     """Assert all structural invariants of a path system."""
-    kset = p.clique_set
+    kset = set(p.clique.tolist())
     seen: set[int] = set()
     covered_i: set[int] = set()
     for o in ps.paths:
@@ -64,7 +73,7 @@ def check_path_system(g: Graph, p: SplitPartition, ps: PathSystem,
             else:
                 assert v in kset, f"alternation broken at {v} in {o}"
         assert is_path_in(g, o) or len(o) == 1, f"not a path {o}"
-    want_i = set(p.independent) if expected_i is None else expected_i
+    want_i = set(p.independent.tolist()) if expected_i is None else expected_i
     assert covered_i == want_i, "independent cover mismatch"
     assert kset <= seen, "clique vertex missing from system"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from splithc.graph import Graph
 from splithc.paths import PathSystem, ShortCycleWitness, assemble_paths, find_short_cycle
-from splithc.split import SplitPartition
+from splithc.split import SplitPartition, _partition_from
 
 from reference_graph import induced_subgraph
 
@@ -44,22 +44,21 @@ def reduced_system(g: Graph, p: SplitPartition) -> ReducedSystem | ShortCycleWit
     witness = find_short_cycle(g, p)
     if witness is not None:
         return witness
-    v = min(w for w in p.clique if p.d_i[w] == 3)
-    n_i_v = tuple(sorted(int(u) for u in g.neighbors(v) if u not in p.clique_set))
+    clique = p.clique.tolist()
+    v = min(w for w in clique if g.degree(w) - (len(clique) - 1) == 3)
+    n_i_v = tuple(sorted(int(u) for u in g.neighbors(v) if not p.in_clique[u]))
     triple_nbrs: set[int] = set()
     for u in n_i_v:
         triple_nbrs.update(int(w) for w in g.neighbors(u))
-    missed = [w for w in p.clique if w != v and w not in triple_nbrs]
+    missed = [w for w in clique if w != v and w not in triple_nbrs]
     assert not missed, f"rule A: {missed} see none of {n_i_v}"
     h, old_of_new = induced_subgraph(g, [x for x in range(g.n) if x not in n_i_v])
     new_of_old = {o: i for i, o in enumerate(old_of_new)}
-    k_new = tuple(new_of_old[w] for w in p.clique)
-    i_new = tuple(new_of_old[u] for u in p.independent if u not in n_i_v)
+    k_new = [new_of_old[w] for w in clique]
     # K is a clique in h too, so a clique vertex's other neighbours are in I.
-    d_i = {w: h.degree(w) - (len(k_new) - 1) for w in k_new}
-    over = [old_of_new[w] for w in k_new if d_i[w] > 2]
+    over = [old_of_new[w] for w in k_new if h.degree(w) - (len(k_new) - 1) > 2]
     assert not over, f"rule B: {over} see three independent vertices outside the triple"
-    hp = SplitPartition(tuple(sorted(k_new)), tuple(sorted(i_new)), d_i, max(d_i.values()))
+    hp = _partition_from(h, k_new)
     sub_system = assemble_paths(h, hp)
     paths = tuple(tuple(old_of_new[x] for x in q) for q in sub_system.paths)
     census: dict[int, int] = {}

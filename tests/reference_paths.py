@@ -48,7 +48,7 @@ def edge_count_recognize_split(g: Graph) -> SplitPartition | NotSplit:
     g = graph_from_edges(g.n, list(g.edges()))
     n = g.n
     if n == 0:
-        return SplitPartition((), (), {}, 0)
+        return _partition_from(g, [])
     deg = g.degrees()
     order = np.lexsort((np.arange(n), -deg))
     d_sorted = deg[order]
@@ -83,7 +83,7 @@ def loop_upgrade(g: Graph, clique, independent) -> SplitPartition:
             break
         kset.add(mover)
         iset.remove(mover)
-    return _partition_from(g, kset)
+    return _partition_from(g, sorted(kset))
 
 
 def pairwise_forbidden_subgraph(g: Graph) -> NotSplit:
@@ -165,7 +165,7 @@ def rescan_assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
         endpoint_of[walk[-1]] = pid
         on_path.update(walk)
     next_pid = len(paths)
-    remaining = sorted(set(p.independent) - set(h.va))
+    remaining = sorted(set(p.independent.tolist()) - set(h.va))
     events: list[tuple[str, int, int, int]] = []
 
     def classify(u: int) -> tuple[int, list[int]]:
@@ -232,7 +232,7 @@ def rescan_assemble_paths(g: Graph, p: SplitPartition) -> PathSystem:
         events.append((rule, u, before, len(paths)))
 
     out = [w[::-1] if w[0] > w[-1] else w for w in map(tuple, paths.values())]
-    out += [(w,) for w in sorted(set(p.clique) - on_path)]
+    out += [(w,) for w in sorted(set(p.clique.tolist()) - on_path)]
     out.sort(key=lambda q: (-len(q), q[0]))
     return PathSystem(tuple(out), tuple(events))
 
@@ -313,18 +313,19 @@ def dict_find_short_cycle(g: Graph, p: SplitPartition, *,
     _, cycles = h.components
     if not cycles:
         return None
-    kset = p.clique_set
+    clique = p.clique.tolist()
+    kset = set(clique)
     # Excluded: a clique vertex off H, else one on a second cycle, else
     # one off the only cycle.
-    excluded = next((w for w in p.clique if w not in h.adjacency), None)
+    excluded = next((w for w in clique if w not in h.adjacency), None)
     if excluded is None and len(cycles) > 1:
         excluded = min(v for v in cycles[1] if v in kset)
     if excluded is None:
         on_cycle = set(cycles[0])
-        excluded = next((w for w in p.clique if w not in on_cycle), None)
+        excluded = next((w for w in clique if w not in on_cycle), None)
         if excluded is None:
             return None
-    return ShortCycleWitness(_canonical_cycle(cycles[0], kset), excluded)
+    return ShortCycleWitness(_canonical_cycle(cycles[0], p.in_clique), excluded)
 
 
 def dict_assemble_paths(g: Graph, p: SplitPartition, *,
@@ -363,7 +364,7 @@ def dict_assemble_paths(g: Graph, p: SplitPartition, *,
         for v in walk:
             off_path[v] = 0
     next_pid = len(paths)
-    rest = sorted(set(p.independent).difference(h.va))
+    rest = sorted(set(p.independent.tolist()).difference(h.va))
     nbrs = dict(zip(rest, g.neighbor_lists(rest)))
     watchers: dict[int, list[int]] = {}
     for u, row in nbrs.items():
@@ -477,7 +478,7 @@ def dict_hc_delta2(g: Graph, p: SplitPartition) -> HamCycle | ShortCycleWitness:
         _, cycles = h.components
         if len(cycles) != 1 or len(cycles[0]) != g.n:
             raise PremiseViolated("expected a single spanning cycle in H")
-        order = _canonical_cycle(cycles[0], p.clique_set)
+        order = _canonical_cycle(cycles[0], p.in_clique)
     else:
         # Concatenate the path system along clique edges.
         order = tuple(chain.from_iterable(dict_assemble_paths(g, p, h=h).paths))

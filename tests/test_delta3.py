@@ -70,7 +70,7 @@ def test_reduced_system_shape():
     p = recognize_split(g)
     ctx = reduced_system(g, p)
     assert isinstance(ctx, ReducedSystem)
-    assert p.d_i[ctx.v] == 3 and len(ctx.n_i_v) == 3
+    assert g.degree(ctx.v) - (len(p.clique) - 1) == 3 and len(ctx.n_i_v) == 3
     # The apex is always a singleton path of the reduced system.
     assert (ctx.v,) in ctx.system.paths
     # Census covers exactly the independent side minus the triple.
@@ -110,8 +110,8 @@ def test_missing_triple_neighbor_is_a_star_witness():
     st = star_free_level(g, p)
     assert not st.k14_free
     center, arms = st.witness4
-    assert p.d_i[center] == 3
-    k_arm = [a for a in arms if a in p.clique_set]
+    assert g.degree(center) - (len(p.clique) - 1) == 3
+    k_arm = [a for a in arms if p.in_clique[a]]
     assert len(k_arm) == 1
 
 

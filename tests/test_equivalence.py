@@ -18,7 +18,7 @@ from splithc.reduction import BipartiteInstance, reduce_to_split
 from splithc.split import NotSplit, recognize_split
 
 import reference_delta3
-from conftest import assert_induced_witness, near_split_graphs
+from conftest import assert_induced_witness, near_split_graphs, partition_fields
 from reference_paths import edge_count_recognize_split, loop_upgrade, rescan_assemble_paths
 
 
@@ -43,7 +43,7 @@ def assert_same_as_reference(g: Graph) -> None:
         assert_induced_witness(g, got.kind, got.vertices)
         assert_induced_witness(g, ref.kind, ref.vertices)
         return
-    assert got == ref
+    assert partition_fields(got) == partition_fields(ref)
     if got.delta_i <= 2:
         assert _assembly(assemble_paths, g, got) == _assembly(rescan_assemble_paths, g, got)
 
@@ -116,6 +116,6 @@ def test_reduction_upgrades():
         out = reduce_to_split(src)
         for h, p, k, i in ((out.h1, out.partition1, src.part_a, src.part_b),
                            (out.h2, out.partition2, src.part_b, src.part_a)):
-            assert p == loop_upgrade(h, k, i)
+            assert partition_fields(p) == partition_fields(loop_upgrade(h, k, i))
             moves += len(p.clique) > len(k)
     assert moves >= 100

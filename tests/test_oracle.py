@@ -8,7 +8,7 @@ from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import Graph, graph_from_edges, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.reduction import reduce_to_split
-from splithc.split import NotSplit, SplitPartition, recognize_split
+from splithc.split import NotSplit, SplitPartition, _partition_from, recognize_split
 
 from conftest import brute_has_ham_cycle, mk_split, near_split_graphs, permute_graph
 from reference_graph import (
@@ -120,13 +120,6 @@ def test_invalid_cycle_raises_even_under_optimization(monkeypatch):
         oracle_solve(g, partition=recognize_split(g))
 
 
-def _partition(g: Graph, clique) -> SplitPartition:
-    kset = frozenset(clique)
-    d_i = {v: len(set(g.neighbors(v).tolist()) - kset) for v in sorted(kset)}
-    return SplitPartition(tuple(sorted(kset)), tuple(v for v in range(g.n) if v not in kset),
-                          d_i, max(d_i.values(), default=0))
-
-
 def _split_partitions(g: Graph):
     """Every (clique, independent set) partition of ``g``: the maximum
     ones that ``recognize_split`` returns and all the others."""
@@ -135,7 +128,7 @@ def _split_partitions(g: Graph):
         i = [v for v in range(g.n) if not mask >> v & 1]
         if (all(g.has_edge(a, b) for a, b in combinations(k, 2))
                 and not any(g.has_edge(a, b) for a, b in combinations(i, 2))):
-            yield _partition(g, k)
+            yield _partition_from(g, k)
 
 
 def _hall_trap(s: int) -> Graph:

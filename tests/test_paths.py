@@ -59,7 +59,7 @@ def test_components_order_on_relabeled_ids():
     rows = {0: (3, 8), 5: (3, 8), 7: (4, 10), 1: (6, 10), 9: (2, 11)}
     g = graph_from_edges(12, [*combinations(k, 2), *((u, w) for u, ws in rows.items() for w in ws)])
     p = recognize_split(g)
-    assert p.clique == tuple(k)
+    assert p.clique.tolist() == k
     h = build_degree_two_subgraph(g, p)
     assert h.components == (((2, 9, 11), (4, 7, 10, 1, 6)), ((0, 3, 5, 8),))
     assert h.components is h.components
@@ -114,11 +114,11 @@ def test_short_cycle_witness_toughness():
         if w is None:
             continue
         seen += 1
-        s = [v for v in w.cycle if v in p.clique_set]
+        s = [v for v in w.cycle if p.in_clique[v]]
         keep = [v for v in range(g.n) if v not in s]
         sub, _ = induced_subgraph(g, keep)
         assert len(connected_components(sub)) > len(s)
-        assert w.excluded in p.clique_set and w.excluded not in w.cycle
+        assert p.in_clique[w.excluded] and w.excluded not in w.cycle
     assert seen >= 5
 
 

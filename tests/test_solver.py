@@ -7,8 +7,9 @@ from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges, validate_ham_cycle
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.paths import hc_delta2
+from splithc.reduction import BipartiteInstance, map_solution_back, reduce_to_split
 from splithc.solver import solve
-from splithc.split import recognize_split, split_is_two_connected, star_free_level
+from splithc.split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
 from conftest import mk_split
 from reference_graph import complete_graph, cycle_graph, enumerate_small_split, path_graph
@@ -204,3 +205,63 @@ def test_oracle_nodes_reported():
         assert out.oracle_nodes == oracle_solve(g, partition=recognize_split(g)).nodes > 0
     ladder = solve(big_delta2_instance(40, 10, 10))
     assert ladder.method == "Delta2" and ladder.oracle_nodes == 0
+
+
+def _certificate_ids(g) -> list[tuple[str, tuple]]:
+    """The vertex ids of every certificate and witness for ``g``, each
+    with the field it came from."""
+    p = recognize_split(g)
+    if isinstance(p, NotSplit):
+        return [("NotSplit.vertices", p.vertices)]
+    out = []
+    tc = split_is_two_connected(g, p)
+    if tc is not True and tc.cut_vertex is not None:
+        out.append(("NotTwoConnected.cut_vertex", (tc.cut_vertex,)))
+    stars = star_free_level(g, p)
+    for name, w in (("witness3", stars.witness3), ("witness4", stars.witness4),
+                    ("witness5", stars.witness5)):
+        if w is not None:
+            out.append((name, (w[0], *w[1])))
+    res = solve(g)
+    if res.cycle is not None:
+        out.append(("HamCycle.order", res.cycle.order))
+    elif res.certificate.kind == "short_cycle":
+        w = res.certificate.payload
+        out += [("ShortCycleWitness.cycle", w.cycle), ("ShortCycleWitness.excluded", (w.excluded,))]
+    return out
+
+
+def test_certificate_ids_are_python_ints():
+    # ``str`` prints a numpy integer as it prints an int, so a certificate
+    # string cannot tell them apart; this test can.
+    specs = [("SplitRandom", {"k": 7, "i": 5}), ("SplitK14Free", {"k": 8, "i": 5}),
+             ("SplitDelta2", {"k": 12, "i": 8}), ("SplitDelta2", {"k": 16, "i": 12, "p3": 0.5}),
+             ("SplitDelta3InPremise", {"k": 10, "i": 8}),
+             ("SplitDelta3InPremise", {"k": 10, "i": 8, "plant_short": 1}),
+             ("ClawFreeSplit", {"k": 9, "i": 3}), ("PlantedHC", {"n": 12})]
+    graphs = [generate(GenSpec(fam, params, seed)).graph
+              for fam, params in specs for seed in range(1, 7)]
+    graphs.append(mk_split(4, [(0, 1), (0, 1), (2, 3)]))  # a short cycle on delta_i <= 2
+    rng = random.Random(3)
+    for _ in range(60):
+        n = rng.randrange(3, 8)
+        graphs.append(graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < 0.5]))
+    found = []
+    for g in graphs:
+        found += _certificate_ids(g)
+    for seed in range(1, 7):
+        inst = generate(GenSpec("BipartiteDeg3", {"na": 8, "nb": 8, "plant": 1}, seed))
+        src = BipartiteInstance(inst.graph, inst.part_a, inst.part_b)
+        red = reduce_to_split(src)
+        found += _certificate_ids(red.h1) + _certificate_ids(red.h2)
+        o1, o2 = solve(red.h1), solve(red.h2)
+        if o1.has_cycle and o2.has_cycle:
+            found.append(("map_solution_back", map_solution_back(src, o1.cycle, o2.cycle).order))
+    assert {name for name, _ in found} == {
+        "NotSplit.vertices", "NotTwoConnected.cut_vertex", "witness3", "witness4", "witness5",
+        "HamCycle.order", "ShortCycleWitness.cycle", "ShortCycleWitness.excluded",
+        "map_solution_back"}
+    leaks = sorted({(name, type(v).__name__) for name, ids in found for v in ids
+                    if type(v) is not int})
+    assert not leaks, leaks

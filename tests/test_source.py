@@ -180,6 +180,20 @@ def test_solve_path_calls_no_np_unique():
     assert not found, found
 
 
+def test_partitions_are_built_only_in_split():
+    # ``SplitPartition`` holds what ``split._partition_from`` computes, so
+    # that its fields keep one format; every other module and test builds
+    # a partition through that function.
+    files = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "split.py"]
+    files += sorted((ROOT / "tests").glob("*.py"))
+    found = [f"{f.name}:{node.lineno}"
+             for f in files
+             for node in ast.walk(ast.parse(f.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "SplitPartition" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, found
+
+
 # Traced names that no module binds any more: the tracer reports them as
 # unmeasured.  Remove a name here once the benchmark patches it again.
 UNRESOLVED_TRACE_TARGETS = {

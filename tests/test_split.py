@@ -2,13 +2,14 @@ import random
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splithc.generators import GenSpec, generate
+from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc import split
 from splithc.graph import Graph, graph_from_edges, graph_from_split
-from splithc.reduction import _image_partition
+from splithc.reduction import BipartiteInstance, _image_partition, reduce_to_split
 from splithc.split import (
     NotSplit,
     NotTwoConnected,
@@ -32,7 +33,7 @@ def test_recognize_c4_witness():
 
 def test_recognize_k4():
     p = recognize_split(complete_graph(4))
-    assert p.clique == (0, 1, 2, 3) and p.independent == () and p.delta_i == 0
+    assert p.clique.tolist() == [0, 1, 2, 3] and p.independent.tolist() == [] and p.delta_i == 0
 
 
 def test_recognize_star():
@@ -47,7 +48,7 @@ def test_recognize_star():
     assert best == 2
     p = recognize_split(star)
     assert len(p.clique) == 2 and 0 in p.clique
-    assert p.delta_i == 2 and p.d_i[0] == 2
+    assert p.delta_i == 2 and star.degree(0) - (len(p.clique) - 1) == 2
 
 
 def test_recognize_2k2_and_c5_witnesses():
@@ -100,10 +101,47 @@ def test_partition_clique_is_maximum():
         assert len(p.clique) == best
 
 
-def test_partition_sets_are_cached():
-    p = recognize_split(mk_split(4, [(0, 1), (1, 2)]))
-    assert p.clique_set is p.clique_set
-    assert p.clique_set == frozenset(range(4)) and p.independent == (4, 5)
+def _assert_partition_contract(g: Graph, p) -> None:
+    k, i = p.clique, p.independent
+    for ids in (k, i):
+        assert ids.dtype == np.intp and not ids.flags.writeable
+        assert bool((np.diff(ids) > 0).all())
+    assert not set(k.tolist()) & set(i.tolist())
+    assert sorted(k.tolist() + i.tolist()) == list(range(g.n))
+    assert type(p.in_clique) is bytes
+    assert [v for v in range(g.n) if p.in_clique[v] == 1] == k.tolist()
+    assert all(p.in_clique[v] == 0 for v in i.tolist())
+    outside = [g.degree(v) - (len(k) - 1) for v in k.tolist()]
+    assert type(p.delta_i) is int and p.delta_i == max(outside, default=0)
+
+
+def test_partition_contract():
+    # Ascending, disjoint, read-only intp arrays covering V; a bytes mask
+    # that agrees with the clique; delta_i the most independent neighbours
+    # of a clique vertex, 0 on an empty K.
+    empty = graph_from_edges(0, [])
+    p = recognize_split(empty)
+    _assert_partition_contract(empty, p)
+    assert p.clique.size == 0 and p.in_clique == b"" and p.delta_i == 0
+    p = split._partition_from(empty, [])
+    _assert_partition_contract(empty, p)
+    edgeless = graph_from_edges(5, [])
+    _assert_partition_contract(edgeless, recognize_split(edgeless))
+    k4 = complete_graph(4)
+    _assert_partition_contract(k4, recognize_split(k4))
+    ladder = big_delta2_instance(40, 12, 4)
+    assert ladder.block.tolist() == list(range(40))
+    p = recognize_split(ladder)
+    _assert_partition_contract(ladder, p)
+    assert p.clique.tolist() == list(range(40)) and p.delta_i == 2
+    # Reduction images, one with a vertex of the other side moved into K.
+    g = graph_from_edges(6, list(combinations(range(5), 2)) + [(5, 0), (5, 4)])
+    _assert_partition_contract(g, _image_partition(g, [4, 0, 3, 1], [5, 2]))
+    src = BipartiteInstance(graph_from_edges(5, [(0, 3), (1, 3), (2, 4), (1, 4)]),
+                            (0, 1, 2), (3, 4))
+    out = reduce_to_split(src)
+    for h, p in ((out.h1, out.partition1), (out.h2, out.partition2)):
+        _assert_partition_contract(h, p)
 
 
 def test_upgrade_examples():
@@ -111,20 +149,19 @@ def test_upgrade_examples():
     # vertex of the other side that sees all of it.
     g = graph_from_edges(2, [(0, 1)])
     p = _image_partition(g, [0], [1])
-    assert p.clique == (0, 1) and p.independent == ()
+    assert p.clique.tolist() == [0, 1] and p.independent.tolist() == []
     star = graph_from_edges(4, [(0, 1), (0, 2), (0, 3)])
     p = _image_partition(star, [0], [1, 2, 3])
-    assert p.clique == (0, 1)
+    assert p.clique.tolist() == [0, 1]
     k4 = complete_graph(4)
     p = _image_partition(k4, [0, 1, 2, 3], [])
-    assert p.clique == (0, 1, 2, 3)
+    assert p.clique.tolist() == [0, 1, 2, 3]
     # Vertex 2 sees all of the candidate clique {0, 1, 3, 4}, whose ids lie
     # on both sides of it: it moves in, and the clique stays sorted.
     g = graph_from_edges(6, list(combinations(range(5), 2)) + [(5, 0), (5, 4)])
     p = _image_partition(g, [4, 0, 3, 1], [5, 2])
-    assert p.clique == (0, 1, 2, 3, 4) and p.independent == (5,)
-    assert p.d_i == {0: 1, 1: 0, 2: 0, 3: 0, 4: 1} and p.delta_i == 1
-    assert {type(v) for v in (*p.clique, *p.independent, *p.d_i.values(), p.delta_i)} == {int}
+    assert p.clique.tolist() == [0, 1, 2, 3, 4] and p.independent.tolist() == [5]
+    assert [g.degree(v) - 4 for v in p.clique.tolist()] == [1, 0, 0, 0, 1] and p.delta_i == 1
 
 
 def test_two_connected_examples():
@@ -299,7 +336,7 @@ def test_star_search_covers_each_arm_set_once(monkeypatch):
     edges = [(w, k) for w in range(1, k)] + [(w, k + 1) for w in range(k - 1)]
     g = graph_from_split(k + 2, range(k), edges)
     p = recognize_split(g)
-    assert p.clique == tuple(range(k)) and p.delta_i == 2
+    assert p.clique.tolist() == list(range(k)) and p.delta_i == 2
     builds = []
     first_uncovered = split._first_uncovered
 
