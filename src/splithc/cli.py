@@ -67,17 +67,12 @@ def _cmd_oracle(args) -> int:
     # A split input gets the pair search; any other the vertex-order search.
     p = recognize_split(g)
     res = oracle_solve(g, budget, partition=None if isinstance(p, NotSplit) else p)
-    if res.kind == "cycle":
-        print("verdict: cycle")
-        order = res.cycle.order
-        print("certificate: cycle " + ("%s," * len(order) % order)[:-1])
-        return 0
-    if res.kind == "no_cycle":
-        print("verdict: no-cycle")
-        print("certificate: exhaustive-search")
-        return 0
-    print(f"verdict: exhausted nodes={res.nodes}")
-    return 1
+    if not res.decided:
+        print(f"verdict: exhausted nodes={res.nodes}")
+        return 1
+    print(f"verdict: {'cycle' if res.has_cycle else 'no-cycle'}")
+    print(f"certificate: {gio.certificate_string(res)}")
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -115,18 +110,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params: dict[str, float] = {}
-    for kv in args.params:
-        if "=" not in kv:
-            print(f"error: bad parameter {kv!r} (expected key=value)", file=sys.stderr)
-            return 2
-        key, val = kv.split("=", 1)
-        try:
-            params[key] = float(val) if "." in val else int(val)
-        except ValueError:
-            print(f"error: bad parameter value {kv!r} (expected a number)", file=sys.stderr)
-            return 2
-    inst = generate(GenSpec(args.family, params, args.seed))
+    inst = generate(GenSpec(args.family, gio.parse_params(args.params), args.seed))
     gio.write_graph(args.out, inst.graph)
     print(f"wrote {args.out} (n={inst.graph.n}, m={inst.graph.m}, "
           f"attempts={inst.attempts})")

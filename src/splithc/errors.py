@@ -69,12 +69,14 @@ class DegreeTooHigh(SplitHCError):
 class NotBipartite(SplitHCError):
     """The declared bipartition is invalid, or no bipartition exists.
 
-    ``witness`` is an edge internal to a declared part, or an odd closed
-    walk discovered during 2-coloring.
+    ``witness`` is an edge internal to a declared part, an odd closed
+    walk discovered during 2-coloring, or the one vertex that the declared
+    parts list twice, list outside [0, n) or leave out; ``reason`` then
+    says which.
     """
 
-    def __init__(self, witness: tuple[int, ...]):
-        super().__init__(f"not bipartite: witness {witness}")
+    def __init__(self, witness: tuple[int, ...], reason: str | None = None):
+        super().__init__(reason or f"not bipartite: witness {witness}")
         self.witness = witness
 
 

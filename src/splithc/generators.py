@@ -8,7 +8,9 @@ always yields the identical edge list.
 Generators never self-certify: each family's contract is re-verified on
 the emitted instance with the independent analyzers (split recognition,
 star levels, 2-connectivity), and construction retries until the contract
-holds or the attempt budget is exhausted.
+holds or the attempt budget is exhausted.  The K_{1,4} repair of the
+SplitK14Free and delta_i = 3 samplers keeps the instance's pairs in one
+set: each round adds or discards one pair and rebuilds the graph from it.
 """
 
 from __future__ import annotations
@@ -25,16 +27,6 @@ from .graph import Graph, graph_from_edges, graph_from_split
 from .split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
 __all__ = ["GenSpec", "GeneratedInstance", "generate", "big_delta2_instance", "FAMILIES"]
-
-FAMILIES = (
-    "SplitRandom",
-    "SplitK14Free",
-    "SplitDelta2",
-    "SplitDelta3InPremise",
-    "ClawFreeSplit",
-    "BipartiteDeg3",
-    "PlantedHC",
-)
 
 _MAX_ATTEMPTS = 2000
 
@@ -72,14 +64,14 @@ def generate(spec: GenSpec) -> GeneratedInstance:
     ``GenerationExhausted``; an unknown family or parameter raises
     ``InvalidParameter``."""
     try:
-        builder = _BUILDERS[spec.family]
+        builder, takes = _FAMILIES[spec.family]
     except KeyError:
         raise InvalidParameter(f"unknown family {spec.family} "
                                f"(known: {', '.join(FAMILIES)})") from None
-    unknown = sorted(set(spec.params) - set(_PARAMS[spec.family]))
+    unknown = sorted(set(spec.params) - set(takes))
     if unknown:
         raise InvalidParameter(f"{spec.family} takes no parameter {', '.join(unknown)} "
-                               f"(it takes {', '.join(_PARAMS[spec.family])})")
+                               f"(it takes {', '.join(takes)})")
     rng = random.Random(spec.seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         result = builder(spec, rng)
@@ -186,20 +178,23 @@ def _build_split_k14_free(spec: GenSpec, rng: random.Random):
     edges = _capacity_attach(rng, k, i, caps, degs)
     if edges is None:
         return None
-    g = _repair_k14(graph_from_edges(k + i, _split_edges(k) + edges), k, i)
+    g = _repair_k14(k + i, _split_edges(k) + edges)
     return _verified_split(g, want_k14_free=True)
 
 
-def _repair_k14(g: Graph, k: int, i: int) -> Graph:
+def _repair_k14(n: int, edges: list[tuple[int, int]]) -> Graph:
     """Greedy repair: connect the spare clique arm of each induced K_{1,4}
-    witness to one of its independent arms (bounded rounds).
+    witness to one of its independent arms (at most 4n rounds).
 
     Declines repairs that would create a new degree-3-plus clique center
     or push an independent vertex toward adjacency with the whole clique;
     irreparable graphs are returned as-is and rejected by the contract
-    check downstream.
+    check downstream.  The set ``pairs`` holds each edge as (u, v) with
+    u < v.
     """
-    for _ in range(4 * (k + i)):
+    pairs = {(u, v) if u < v else (v, u) for u, v in edges}
+    g = graph_from_edges(n, pairs)
+    for _ in range(4 * n):
         p = recognize_split(g)
         if isinstance(p, NotSplit):
             return g
@@ -212,7 +207,9 @@ def _repair_k14(g: Graph, k: int, i: int) -> Graph:
         if not i_arms:
             return g
         if k_arms:
-            g = graph_from_edges(g.n, list(g.edges()) + [(min(k_arms), min(i_arms))])
+            a, b = min(k_arms), min(i_arms)
+            pairs.add((min(a, b), max(a, b)))
+            g = graph_from_edges(n, pairs)
             continue
         # Four independent arms (the additive walk overshot a center to
         # d_i = 4): drop one attachment, keeping independent degrees >= 2.
@@ -220,8 +217,8 @@ def _repair_k14(g: Graph, k: int, i: int) -> Graph:
                    key=lambda a: (-g.degree(a), a), default=None)
         if drop is None:
             return g
-        edges = [e for e in g.edges() if e != (min(center, drop), max(center, drop))]
-        g = graph_from_edges(g.n, edges)
+        pairs.discard((min(center, drop), max(center, drop)))
+        g = graph_from_edges(n, pairs)
     return g
 
 
@@ -281,7 +278,7 @@ def _regular_delta3(rng: random.Random, k: int, i: int) -> Graph | None:
     tail = _capacity_attach(rng, k, i, caps, degs, start=3)
     if tail is None:
         return None
-    return _repair_k14(graph_from_edges(k + i, edges + tail), k, i)
+    return _repair_k14(k + i, edges + tail)
 
 
 def _planted_short_cycle_delta3(rng: random.Random, k: int, i: int) -> Graph | None:
@@ -292,9 +289,8 @@ def _planted_short_cycle_delta3(rng: random.Random, k: int, i: int) -> Graph | N
     so the construction pins two near-universal triple members u1, u2
     (u1 misses one pair vertex, u2 the other).  Every possible star
     center is then dominated by design and the twins survive untouched.
+    The caller has checked that k >= 2i - 7.
     """
-    if k < 2 * i - 7:
-        return None
     u1, u2, u3 = k, k + 1, k + 2
     t1, t2 = k + 3, k + 4
     w1, w2 = sorted(rng.sample(range(1, k), 2))
@@ -332,9 +328,11 @@ def _build_claw_free(spec: GenSpec, rng: random.Random):
     """
     k = int(spec.param("k"))
     i = int(spec.param("i"))
+    if k < 3:
+        return None
     if i >= 4:
         # delta_i <= 1 via disjoint neighbor pairs; claw-free automatically.
-        if k < 2 * i or k < 3:
+        if k < 2 * i:
             return None
         ws = list(range(k))
         rng.shuffle(ws)
@@ -344,9 +342,7 @@ def _build_claw_free(spec: GenSpec, rng: random.Random):
             edges.append((k + j, ws[2 * j + 1]))
         g = graph_from_edges(k + i, edges)
         return _verified_split(g, want_claw_free=True)
-    if i <= 1 or k < 3:
-        if k < 3:
-            return None
+    if i <= 1:
         edges = _split_edges(k)
         if i == 1:
             edges += [(k, 0), (k, 1)]
@@ -432,26 +428,18 @@ def _build_planted_hc(spec: GenSpec, rng: random.Random):
     return g, (), ()
 
 
-_BUILDERS = {
-    "SplitRandom": _build_split_random,
-    "SplitK14Free": _build_split_k14_free,
-    "SplitDelta2": _build_split_delta2,
-    "SplitDelta3InPremise": _build_split_delta3,
-    "ClawFreeSplit": _build_claw_free,
-    "BipartiteDeg3": _build_bipartite_deg3,
-    "PlantedHC": _build_planted_hc,
+# Each family's builder and the parameters it reads; ``generate`` rejects
+# any other key.
+_FAMILIES = {
+    "SplitRandom": (_build_split_random, ("k", "i", "p")),
+    "SplitK14Free": (_build_split_k14_free, ("k", "i", "p3")),
+    "SplitDelta2": (_build_split_delta2, ("k", "i", "p3")),
+    "SplitDelta3InPremise": (_build_split_delta3, ("k", "i", "plant_short")),
+    "ClawFreeSplit": (_build_claw_free, ("k", "i")),
+    "BipartiteDeg3": (_build_bipartite_deg3, ("na", "nb", "plant")),
+    "PlantedHC": (_build_planted_hc, ("n", "i", "extra")),
 }
-
-# The parameters each builder reads; ``generate`` rejects any other key.
-_PARAMS = {
-    "SplitRandom": ("k", "i", "p"),
-    "SplitK14Free": ("k", "i", "p3"),
-    "SplitDelta2": ("k", "i", "p3"),
-    "SplitDelta3InPremise": ("k", "i", "plant_short"),
-    "ClawFreeSplit": ("k", "i"),
-    "BipartiteDeg3": ("na", "nb", "plant"),
-    "PlantedHC": ("n", "i", "extra"),
-}
+FAMILIES = tuple(_FAMILIES)
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ import numpy as np
 from .errors import InvalidCertificate, NotSplitGraph, ParseError
 from .generators import GenSpec, generate
 from .graph import Graph, HamCycle, _graph_from_lines, _scratch_array, validate_ham_cycle
-from .oracle import OracleBudget, oracle_solve
+from .oracle import OracleBudget, OracleResult, oracle_solve
 from .solver import SolveOutcome, solve
 
 HEADER = "split-hc v1"
@@ -313,11 +313,28 @@ def parse_cycle(text: str) -> HamCycle:
     return HamCycle(tuple(vals))
 
 
-def certificate_string(outcome: SolveOutcome) -> str:
+def certificate_string(outcome: SolveOutcome | OracleResult) -> str:
+    """The certificate text of a solve, or of a decided oracle search."""
     if outcome.cycle is not None:
         order = outcome.cycle.order
         return "cycle " + ("%s," * len(order) % order)[:-1]
     return outcome.certificate.render()
+
+
+def parse_params(tokens: Sequence[str], line_no: int | None = None) -> dict[str, float]:
+    """``key=value`` tokens as a dict, later keys winning; a value with a
+    ``.`` is a float, any other an int.  Raises ``ParseError`` (at
+    ``line_no`` when given) on a token with no ``=`` or a bad number."""
+    params: dict[str, float] = {}
+    for kv in tokens:
+        if "=" not in kv:
+            raise ParseError(f"bad parameter {kv!r} (expected key=value)", line_no)
+        key, val = kv.split("=", 1)
+        try:
+            params[key] = float(val) if "." in val else int(val)
+        except ValueError:
+            raise ParseError(f"bad parameter value {kv!r} (expected a number)", line_no) from None
+    return params
 
 
 @dataclass(frozen=True)
@@ -343,24 +360,11 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
             continue
         if kind != "gen":
             raise ParseError(f"unknown manifest kind {kind!r}", line_no)
-        family = parts[2]
-        params: dict[str, float] = {}
-        seed = None
-        for kv in parts[3:]:
-            if "=" not in kv:
-                raise ParseError(f"bad parameter {kv!r}", line_no)
-            key, val = kv.split("=", 1)
-            try:
-                num = float(val) if "." in val else int(val)
-            except ValueError:
-                raise ParseError(f"bad parameter value {kv!r}", line_no) from None
-            if key == "seed":
-                seed = int(num)
-            else:
-                params[key] = num
-        if seed is None:
+        params = parse_params(parts[3:], line_no)
+        if "seed" not in params:
             raise ParseError("gen entry missing seed", line_no)
-        entries.append(ManifestEntry(instance_id, "gen", spec=GenSpec(family, params, seed)))
+        seed = int(params.pop("seed"))
+        entries.append(ManifestEntry(instance_id, "gen", spec=GenSpec(parts[2], params, seed)))
     ids = [e.instance_id for e in entries]
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate instance ids in manifest")

@@ -67,7 +67,7 @@ import numpy as np
 from .errors import InvalidCertificate
 from .graph import Graph, HamCycle, validate_ham_cycle
 from .paths import DegreeTwoSubgraph, _canonical_cycle
-from .split import SplitPartition
+from .split import NoCycleCertificate, SplitPartition
 
 __all__ = ["OracleBudget", "OracleResult", "oracle_solve"]
 
@@ -103,6 +103,11 @@ class OracleResult:
     @property
     def decided(self) -> bool:
         return self.kind != "exhausted"
+
+    @property
+    def certificate(self) -> NoCycleCertificate | None:
+        """The no-cycle certificate of a completed search, None otherwise."""
+        return NoCycleCertificate("oracle_exhaustive") if self.kind == "no_cycle" else None
 
 
 class _Budget:

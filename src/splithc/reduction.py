@@ -63,8 +63,9 @@ class BipartiteInstance:
     def __post_init__(self) -> None:
         g = self.graph
         a, b = set(self.part_a), set(self.part_b)
-        if a & b or (a | b) != set(range(g.n)):
-            raise NotBipartite(tuple(sorted(a & b)))
+        # n entries that cover [0, n) list each vertex exactly once.
+        if len(self.part_a) + len(self.part_b) != g.n or (a | b) != set(range(g.n)):
+            raise _part_defect(g.n, self.part_a, self.part_b)
         for side in (a, b):
             for u in side:
                 for w in g.neighbors(u):
@@ -73,6 +74,22 @@ class BipartiteInstance:
         for v in range(g.n):
             if g.degree(v) > MAX_DEGREE:
                 raise DegreeTooHigh(v, g.degree(v), MAX_DEGREE)
+
+
+def _part_defect(n: int, part_a: Sequence[int], part_b: Sequence[int]) -> NotBipartite:
+    """The first vertex that the declared parts list outside [0, n) or
+    twice, else the least vertex that they leave out."""
+    seen: dict[int, str] = {}
+    for name, part in (("A", part_a), ("B", part_b)):
+        for v in part:
+            if not 0 <= v < n:
+                return NotBipartite((v,), f"part {name} lists vertex {v}, outside [0, {n})")
+            if v in seen:
+                where = f"part {name} twice" if seen[v] == name else "both parts"
+                return NotBipartite((v,), f"vertex {v} is listed in {where}")
+            seen[v] = name
+    v = min(set(range(n)) - seen.keys())
+    return NotBipartite((v,), f"vertex {v} is in neither part")
 
 
 def bipartite_from_graph(g: Graph) -> BipartiteInstance:

@@ -131,5 +131,4 @@ def _search_outcome(res: OracleResult, premise: str, delta3_route: bool = False)
             return SolveOutcome(res.cycle, None, "Delta3", premise, None, res.nodes)
         anomaly = ("CaseFallthrough:delta3-cap" if res.nodes > delta3._NODE_CAP
                    else "CaseFallthrough:delta3")
-    cert = None if res.has_cycle else NoCycleCertificate("oracle_exhaustive")
-    return SolveOutcome(res.cycle, cert, "OracleFallback", premise, anomaly, res.nodes)
+    return SolveOutcome(res.cycle, res.certificate, "OracleFallback", premise, anomaly, res.nodes)

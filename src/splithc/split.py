@@ -176,7 +176,8 @@ def _degree_sum_split(d_sorted: np.ndarray) -> tuple[int, bool]:
 
 
 def recognize_split(g: Graph) -> SplitPartition | NotSplit:
-    """Recognize a split graph, or certify failure, in O(n + m).
+    """Recognize a split graph, or certify failure, in O(n log n + m):
+    the log factor is the one sort of the degrees.
 
     Sort vertices by (degree desc, index asc) and check the degree-sum
     identity of ``_degree_sum_split``; it reads degrees only.  When it

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -15,6 +16,7 @@ from splithc import graph as graph_module
 from splithc import io as io_module
 from splithc.cli import main
 from splithc.errors import IndexOutOfRange, InvalidCertificate, ParseError
+from splithc.generators import GenSpec
 from splithc.graph import Graph, HamCycle, graph_from_edges, graph_from_split
 from splithc.io import (
     _parse_canonical,
@@ -22,6 +24,7 @@ from splithc.io import (
     parse_cycle,
     parse_graph,
     parse_manifest,
+    parse_params,
     pretty_report,
     read_graph,
     render_cycle,
@@ -696,6 +699,11 @@ def test_cli_oracle_uses_pair_search_on_split_input(tmp_path: Path, capsys):
     write_graph(pet, petersen_graph())
     assert main(["oracle", str(pet)]) == 0
     assert capsys.readouterr().out == "verdict: no-cycle\ncertificate: exhaustive-search\n"
+    # A cycle is printed by ``io.certificate_string``, as ``solve`` prints it.
+    c5 = tmp_path / "c5.graph"
+    write_graph(c5, cycle_graph(5))
+    assert main(["oracle", str(c5)]) == 0
+    assert capsys.readouterr().out == "verdict: cycle\ncertificate: cycle 0,1,2,3,4\n"
 
 
 def test_cli_not_split_near_clique(tmp_path: Path, capsys):
@@ -758,6 +766,28 @@ def test_cli_gen_reduce_flow(tmp_path: Path):
     assert names == [f"run.{t}.{ext}" for t in "12" for ext in ("h1.graph", "h2.graph", "manifest")]
     lines = (tmp_path / "run.2.manifest").read_text(encoding="utf-8").splitlines()
     assert lines[-2:] == ["h1: run.2.h1.graph", "h2: run.2.h2.graph"]
+
+
+def test_gen_and_manifest_share_one_parameter_reader(tmp_path: Path, capsys):
+    # ``split-hc gen`` and a manifest ``gen`` line read key=value tokens
+    # with one function: the same message, with the line number added in
+    # a manifest, and exit code 2 on either path.
+    out = tmp_path / "gen.graph"
+    for token, message in (("k=x", "bad parameter value 'k=x' (expected a number)"),
+                           ("k", "bad parameter 'k' (expected key=value)")):
+        assert main(["gen", "SplitDelta2", token, "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ParseError, match=rf"^{re.escape(message)} \(line 2\)$"):
+            parse_manifest(f"# corpus\nx gen SplitDelta2 {token} seed=1\n")
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"x gen SplitDelta2 {token} seed=1\n", encoding="utf-8")
+        assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
+        assert capsys.readouterr().err == f"error: {message} (line 1)\n"
+    assert parse_params(["k=12", "p3=0.5", "i=8", "k=9"]) == {"k": 9, "p3": 0.5, "i": 8}
+    assert type(parse_params(["k=12"])["k"]) is int
+    (entry,) = parse_manifest("x gen SplitDelta2 k=12 seed=3 i=8\n")
+    assert entry.spec == GenSpec("SplitDelta2", {"k": 12, "i": 8}, 3)
 
 
 def test_manifest_parsing_and_batch(tmp_path: Path):

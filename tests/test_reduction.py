@@ -63,11 +63,33 @@ def test_not_bipartite_witnesses():
     assert len(walk) % 2 == 1  # odd closed walk
 
 
+def test_declared_parts_list_each_vertex_once():
+    # A vertex listed twice would reach the reduction as a self-loop, so
+    # every defect of the declared parts is refused at construction, with
+    # the vertex that shows it as the witness.
+    path = graph_from_edges(5, [(0, 2), (1, 2), (1, 3), (3, 4)])
+    cases = [
+        (((0, 1, 1), (2, 3)), (1,), "vertex 1 is listed in part A twice"),
+        (((0, 1, 4), (2, 3, 1)), (1,), "vertex 1 is listed in both parts"),
+        (((0, 1), (2, 3)), (4,), "vertex 4 is in neither part"),
+        (((0, 1, 4), (2, 3, 7)), (7,), "part B lists vertex 7, outside [0, 5)"),
+        (((0, 1, -1, 4), (2, 3)), (-1,), "part A lists vertex -1, outside [0, 5)"),
+    ]
+    for (part_a, part_b), witness, message in cases:
+        with pytest.raises(NotBipartite) as exc:
+            BipartiteInstance(path, part_a, part_b)
+        assert exc.value.witness == witness
+        assert str(exc.value) == message
+    BipartiteInstance(path, (0, 1, 4), (2, 3))
+
+
 def test_two_coloring_roundtrip():
     g = cycle_graph(6)
     b = bipartite_from_graph(g)
-    assert set(b.part_a) | set(b.part_b) == set(range(6))
-    assert all(abs(len(b.part_a) - len(b.part_b)) <= 6 for _ in (0,))
+    a, other = set(b.part_a), set(b.part_b)
+    assert len(a) == len(b.part_a) == 3 and len(other) == len(b.part_b) == 3
+    assert a | other == set(range(6))
+    assert all((u in a) != (v in a) for u, v in g.edges())
 
 
 def test_images_are_split_and_k15_free():
