@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from splithc.errors import NotSplitGraph
 from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges, validate_ham_cycle
+from splithc.io import certificate_string
 from splithc.oracle import OracleBudget, oracle_solve
 from splithc.paths import hc_delta2
 from splithc.reduction import BipartiteInstance, map_solution_back, reduce_to_split
@@ -265,3 +267,68 @@ def test_certificate_ids_are_python_ints():
     leaks = sorted({(name, type(v).__name__) for name, ids in found for v in ids
                     if type(v) is not int})
     assert not leaks, leaks
+
+
+# Every certificate the package prints, over a fixed corpus: the small-mix
+# generator rows (with the pair search's own answer), both images of
+# bipartite sources with their mapped-back cycles, small random graphs
+# with their non-split witnesses, two graphs too small for a cycle and
+# three ladders.  Oracle node counts
+# are left out, since a faster search may change them.  A change that
+# alters a certificate on purpose updates the digest and says why.
+_CERTIFICATE_ROWS = [  # family, params, seeds
+    ("SplitRandom", {"k": 7, "i": 5}, range(1, 5)),
+    ("SplitK14Free", {"k": 9, "i": 6}, range(1, 5)),
+    ("SplitDelta2", {"k": 12, "i": 8}, range(1, 5)),
+    ("SplitDelta2", {"k": 16, "i": 12, "p3": 0.5}, range(1, 5)),
+    ("SplitDelta3InPremise", {"k": 10, "i": 8}, range(1, 5)),
+    ("SplitDelta3InPremise", {"k": 10, "i": 8, "plant_short": 1}, range(1, 5)),
+    ("SplitDelta3InPremise", {"k": 12, "i": 10}, range(0, 1)),
+    ("ClawFreeSplit", {"k": 8, "i": 2}, range(1, 5)),
+    ("ClawFreeSplit", {"k": 9, "i": 3}, range(1, 5)),
+    ("ClawFreeSplit", {"k": 12, "i": 5}, range(1, 5)),
+    ("PlantedHC", {"n": 12}, range(1, 5)),
+]
+_CERTIFICATE_SHA256 = "9d7130e026e744b91d4b223462e56cf9b2d6bae62e10670ee7adc1348212dd24"
+
+
+def _solved_record(g) -> tuple:
+    out = solve(g)
+    return out.method, out.premise, out.anomaly, certificate_string(out)
+
+
+def test_certificate_strings_are_pinned():
+    records = []
+    for family, params, seeds in _CERTIFICATE_ROWS:
+        for seed in seeds:
+            g = generate(GenSpec(family, params, seed)).graph
+            pair = oracle_solve(g, partition=recognize_split(g))
+            records.append((family, sorted(params.items()), seed, *_solved_record(g),
+                            certificate_string(pair)))
+    for plant in (1, 0):
+        for seed in range(1, 7):
+            inst = generate(GenSpec("BipartiteDeg3", {"na": 8, "nb": 8, "plant": plant}, seed))
+            src = BipartiteInstance(inst.graph, inst.part_a, inst.part_b)
+            red = reduce_to_split(src)
+            o1, o2 = solve(red.h1), solve(red.h2)
+            back = (map_solution_back(src, o1.cycle, o2.cycle).order
+                    if o1.has_cycle and o2.has_cycle else None)
+            records.append(("BipartiteDeg3", plant, seed, _solved_record(red.h1),
+                            _solved_record(red.h2), back))
+    rng = random.Random(30)
+    for trial in range(300):
+        n = rng.randrange(3, 9)
+        density = rng.choice((0.3, 0.5, 0.7, 0.9))
+        g = graph_from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < density])
+        p = recognize_split(g)
+        if isinstance(p, NotSplit):
+            records.append((trial, "not-split", p.kind, p.vertices))
+        else:
+            records.append((trial, *_solved_record(g)))
+    for n in (1, 2):  # too small for a cycle
+        records.append((n, *_solved_record(complete_graph(n))))
+    for shape in ((12, 5, 0), (20, 8, 3), (30, 10, 6)):
+        records.append((shape, *_solved_record(big_delta2_instance(*shape))))
+    digest = hashlib.sha256("\n".join(map(repr, records)).encode())
+    assert digest.hexdigest() == _CERTIFICATE_SHA256
