@@ -18,7 +18,6 @@ from .graph import (
 from .split import (
     SplitPartition,
     NotSplit,
-    NoCycleCertificate,
     recognize_split,
     star_free_level,
 )
@@ -33,7 +32,7 @@ from .paths import (
 )
 from .solver import SolveOutcome, solve
 from .delta3 import construct_cycle
-from .oracle import OracleBudget, OracleResult, oracle_solve
+from .oracle import ExhaustiveSearch, OracleBudget, OracleResult, oracle_solve
 from .reduction import (
     BipartiteInstance,
     ReductionOutput,
@@ -49,13 +48,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph", "HamCycle", "graph_from_edges", "graph_from_split",
     "validate_ham_cycle",
-    "SplitPartition", "NotSplit", "NoCycleCertificate", "recognize_split",
+    "SplitPartition", "NotSplit", "recognize_split",
     "star_free_level",
     "DegreeTwoSubgraph", "ShortCycleWitness", "PathSystem",
     "build_degree_two_subgraph", "find_short_cycle", "assemble_paths", "hc_delta2",
     "SolveOutcome", "solve",
     "construct_cycle",
-    "OracleBudget", "OracleResult", "oracle_solve",
+    "ExhaustiveSearch", "OracleBudget", "OracleResult", "oracle_solve",
     "BipartiteInstance", "ReductionOutput", "bipartite_from_graph",
     "reduce_to_split", "verify_k15_free", "map_solution_back",
     "GenSpec", "GeneratedInstance", "generate",

@@ -14,10 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .errors import InvalidParameter, NotSplitGraph, OracleBudgetExceeded, SplitHCError
+from .errors import InvalidParameter, SplitHCError
 from .generators import FAMILIES, GenSpec, generate
 from .graph import _cycle_defect
-from .oracle import OracleBudget, oracle_solve
+from .oracle import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, OracleBudget, oracle_solve
 from .reduction import bipartite_from_graph, reduce_to_split
 from .solver import solve
 from .split import NotSplit, recognize_split
@@ -44,11 +44,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_solve(args) -> int:
     g, _ = gio.read_graph(args.graph)
-    try:
-        outcome = solve(g, oracle_budget=_budget(args))
-    except OracleBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = solve(g, oracle_budget=_budget(args))
     if outcome.method == "OracleFallback" and not args.oracle_fallback:
         print("error: instance outside every polynomial premise; "
               "rerun with --oracle-fallback", file=sys.stderr)
@@ -138,9 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_budget(p):
-        p.add_argument("--budget", default=100_000_000, type=int,
+        p.add_argument("--budget", default=DEFAULT_NODE_LIMIT, type=int,
                        help="oracle node budget")
-        p.add_argument("--seconds", default=60.0, type=float,
+        p.add_argument("--seconds", default=DEFAULT_TIME_LIMIT, type=float,
                        help="oracle time budget")
 
     p = sub.add_parser("recognize", help="split recognition with certificate")
@@ -198,13 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except NotSplitGraph as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing file, a directory, no permission, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SplitHCError as exc:
+    except (OSError, SplitHCError) as exc:  # OSError: a missing file, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

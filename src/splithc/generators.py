@@ -61,8 +61,8 @@ class GeneratedInstance:
 
 def generate(spec: GenSpec) -> GeneratedInstance:
     """Produce an instance satisfying the family contract, or raise
-    ``GenerationExhausted``; an unknown family or parameter raises
-    ``InvalidParameter``."""
+    ``GenerationExhausted``; an unknown family or parameter, or a negative
+    parameter value, raises ``InvalidParameter``."""
     try:
         builder, takes = _FAMILIES[spec.family]
     except KeyError:
@@ -72,6 +72,9 @@ def generate(spec: GenSpec) -> GeneratedInstance:
     if unknown:
         raise InvalidParameter(f"{spec.family} takes no parameter {', '.join(unknown)} "
                                f"(it takes {', '.join(takes)})")
+    for key in sorted(spec.params):
+        if spec.params[key] < 0:
+            raise InvalidParameter(f"{spec.family} parameter {key}={spec.params[key]} is negative")
     rng = random.Random(spec.seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         result = builder(spec, rng)

@@ -51,14 +51,18 @@ Report records are line-delimited and tab-separated::
 
     id  premise  verdict  method  micros  certificate
 
-Certificates are always printed: the cycle itself, the cut vertex, the
-short cycle with its excluded clique vertex, or the exhaustive-search
-tag.  By default the micros column is written as 0 so that reports are
-byte-identical across runs; pass ``timing=True`` for wall-clock numbers.
+Certificates are always printed: the cycle itself, the cut vertex,
+``disconnected`` or ``too-small`` for a graph that is not 2-connected
+without one, the short cycle with its excluded clique vertex, or the
+exhaustive-search tag.  By default the micros column is written as 0 so
+that reports are byte-identical across runs; pass ``timing=True`` for
+wall-clock numbers.
 
 Manifests list instances, one per line, as either ``<id> file <path>``
 (relative to the manifest) or ``<id> gen <Family> key=val ... seed=N``,
-so corpora are reproducible from seeds alone.
+so corpora are reproducible from seeds alone.  An id is a plain file
+name (no directory part, not ``.`` or ``..``), since a replay file is
+named after it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -218,10 +222,7 @@ def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple
     n = m = None
     clique: tuple[int, ...] | None = None
     edges: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _content_lines(text):
         if n is None:
             parts = line.split()
             if len(parts) != 4 or " ".join(parts[:2]) != HEADER:
@@ -254,6 +255,15 @@ def _scan_lines(text: str) -> tuple[int, int, tuple[int, ...] | None, list[tuple
     if n is None:
         raise ParseError("missing header")
     return n, m, clique, edges
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of ``text``, numbered from 1, cut
+    at its ``#`` and stripped; lines that this leaves blank are skipped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line
 
 
 def _decode(data: bytes, where: str = "") -> str:
@@ -300,10 +310,7 @@ def render_cycle(cycle: HamCycle | Sequence[int]) -> str:
 
 def parse_cycle(text: str) -> HamCycle:
     vals: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _content_lines(text):
         try:
             vals.extend(int(x) for x in line.split())
         except ValueError:
@@ -347,14 +354,14 @@ class ManifestEntry:
 
 def parse_manifest(text: str) -> list[ManifestEntry]:
     entries: list[ManifestEntry] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in _content_lines(text):
         parts = line.split()
         if len(parts) < 3:
             raise ParseError(f"manifest line too short: {line!r}", line_no)
         instance_id, kind = parts[0], parts[1]
+        # ``run_batch`` names replay files after the id.
+        if instance_id in (".", "..") or Path(instance_id).name != instance_id:
+            raise ParseError(f"instance id {instance_id!r} is not a plain file name", line_no)
         if kind == "file":
             entries.append(ManifestEntry(instance_id, "file", path=parts[2]))
             continue

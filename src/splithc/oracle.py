@@ -1,10 +1,11 @@
 """Exact Hamiltonian-cycle decision and construction by two searches.
 
 Both are pruned backtracking, independent of the structural solvers.
-"No cycle" is reported only after the search space is exhausted; running
-out of budget (``OracleBudget``: a node cap and a deadline) is a distinct
-result, never conflated with a negative answer.  A found cycle is checked
-by ``validate_ham_cycle`` before it is returned.
+"No cycle" is reported only after the search space is exhausted, with an
+``ExhaustiveSearch`` certificate; running out of budget (``OracleBudget``:
+a node cap and a deadline) is a distinct result, never conflated with a
+negative answer.  A found cycle is checked by ``validate_ham_cycle``
+before it is returned.
 
 Pair search, run when ``oracle_solve`` gets a split partition (K, I).
 ``solve`` passes one for every instance outside the polynomial premises,
@@ -67,9 +68,9 @@ import numpy as np
 from .errors import InvalidCertificate
 from .graph import Graph, HamCycle, validate_ham_cycle
 from .paths import DegreeTwoSubgraph, _canonical_cycle
-from .split import NoCycleCertificate, SplitPartition
+from .split import SplitPartition
 
-__all__ = ["OracleBudget", "OracleResult", "oracle_solve"]
+__all__ = ["ExhaustiveSearch", "OracleBudget", "OracleResult", "oracle_solve"]
 
 DEFAULT_NODE_LIMIT = 100_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -89,6 +90,14 @@ class OracleBudget:
 
 
 @dataclass(frozen=True)
+class ExhaustiveSearch:
+    """Certificate that a search ran to completion without finding a cycle."""
+
+    def render(self) -> str:
+        return "exhaustive-search"
+
+
+@dataclass(frozen=True)
 class OracleResult:
     """kind is 'cycle', 'no_cycle' or 'exhausted'."""
 
@@ -105,9 +114,10 @@ class OracleResult:
         return self.kind != "exhausted"
 
     @property
-    def certificate(self) -> NoCycleCertificate | None:
-        """The no-cycle certificate of a completed search, None otherwise."""
-        return NoCycleCertificate("oracle_exhaustive") if self.kind == "no_cycle" else None
+    def certificate(self) -> ExhaustiveSearch | None:
+        """The certificate of a completed search without a cycle, None
+        otherwise."""
+        return ExhaustiveSearch() if self.kind == "no_cycle" else None
 
 
 class _Budget:

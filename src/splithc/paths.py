@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import InvalidCertificate, PremiseViolated
 from .graph import Graph, HamCycle, validate_ham_cycle
-from .split import SplitPartition
+from .split import SplitPartition, _rotated
 
 __all__ = [
     "DegreeTwoSubgraph",
@@ -108,7 +108,8 @@ class DegreeTwoSubgraph:
         two H-neighbours, a missing one read as -1, so a step of the walk
         is one lookup and one XOR with the vertex it came from, and -1
         marks the end of a path.  A cycle is walked from its first
-        independent vertex in ``va`` order, then rotated and reflected.
+        independent vertex in ``va`` order, then put in the normal form
+        (``split._rotated``).
         """
         va, flat = self.va, self.ends.ravel()
         # An empty H, common on small claw-free graphs, has no components;
@@ -161,9 +162,7 @@ class DegreeTwoSubgraph:
                 prev, cur = cur, nxt[cur] ^ prev
             for v in walk[::2]:
                 done[v] = 1
-            s = walk.index(min(walk))
-            walk = walk[s:] + walk[:s]
-            cycles.append(tuple(walk[:1] + walk[:0:-1] if walk[1] > walk[-1] else walk))
+            cycles.append(_rotated(walk, walk.index(min(walk))))
         # Each cycle starts at its smallest vertex, and no two share one.
         cycles.sort()
         return tuple(paths), tuple(cycles)
@@ -179,6 +178,9 @@ class ShortCycleWitness:
 
     cycle: tuple[int, ...]
     excluded: int
+
+    def render(self) -> str:
+        return "short-cycle " + ",".join(map(str, self.cycle)) + f" excluded={self.excluded}"
 
 
 @dataclass(frozen=True)
@@ -208,12 +210,9 @@ def build_degree_two_subgraph(g: Graph, p: SplitPartition) -> DegreeTwoSubgraph:
 
 
 def _canonical_cycle(cycle: tuple[int, ...], in_clique: bytes) -> tuple[int, ...]:
-    """Rotate/reflect so the cycle starts at its smallest clique vertex (by
-    ``in_clique``) and moves toward the smaller of its two cycle neighbors."""
-    anchor = min(v for v in cycle if in_clique[v])
-    i = cycle.index(anchor)
-    rot = cycle[i:] + cycle[:i]
-    return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
+    """The normal form of ``cycle`` (``split._rotated``) anchored at its
+    smallest clique vertex (by ``in_clique``)."""
+    return _rotated(cycle, cycle.index(min(v for v in cycle if in_clique[v])))
 
 
 def find_short_cycle(g: Graph, p: SplitPartition, *,

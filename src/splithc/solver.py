@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from . import delta3
 from .errors import NotSplitGraph, OracleBudgetExceeded
 from .graph import Graph, HamCycle
-from .oracle import OracleBudget, OracleResult, oracle_solve
+from .oracle import ExhaustiveSearch, OracleBudget, OracleResult, oracle_solve
 from .paths import ShortCycleWitness, hc_delta2
 from .split import (
-    NoCycleCertificate,
     NotSplit,
+    NotTwoConnected,
     SplitPartition,
     recognize_split,
     split_is_two_connected,
@@ -46,6 +46,10 @@ DELTA3_MIN_I = 8
 class SolveOutcome:
     """Verdict plus the method tag recording which result decided it.
 
+    ``certificate`` is None exactly when ``cycle`` is set; otherwise it is
+    the value that proves the negative, and its ``render`` gives the
+    certificate's text: a ``NotTwoConnected``, a ``ShortCycleWitness`` or
+    an ``ExhaustiveSearch``.
     ``method`` names the premise family: Delta1, ClawFree, Delta2, Delta3,
     or OracleFallback (no polynomial premise), which also tags every
     instance the exact oracle decides.
@@ -57,7 +61,7 @@ class SolveOutcome:
     """
 
     cycle: HamCycle | None
-    certificate: NoCycleCertificate | None
+    certificate: NotTwoConnected | ShortCycleWitness | ExhaustiveSearch | None
     method: str
     premise: str = ""
     anomaly: str | None = None
@@ -86,13 +90,12 @@ def solve(g: Graph, oracle_budget: OracleBudget | None = None) -> SolveOutcome:
     family, suffix = _premise_family(g, p)
     tc = split_is_two_connected(g, p)
     if tc is not True:
-        cert = NoCycleCertificate("not_two_connected", tc)
-        return SolveOutcome(None, cert, family, premise + ",not-2-connected")
+        return SolveOutcome(None, tc, family, premise + ",not-2-connected")
     premise += suffix
     if p.delta_i <= 2:
         result = hc_delta2(g, p)
         if isinstance(result, ShortCycleWitness):
-            return SolveOutcome(None, NoCycleCertificate("short_cycle", result), family, premise)
+            return SolveOutcome(None, result, family, premise)
         return SolveOutcome(result, None, family, premise)
     if family == "Delta3":
         n_i, n_k = len(p.independent), len(p.clique)
@@ -100,7 +103,7 @@ def solve(g: Graph, oracle_budget: OracleBudget | None = None) -> SolveOutcome:
             premise += ",in-premise"
             result = delta3.construct_cycle(g, p, oracle_budget)
             if isinstance(result, ShortCycleWitness):
-                return SolveOutcome(None, NoCycleCertificate("short_cycle", result), family, premise)
+                return SolveOutcome(None, result, family, premise)
             return _search_outcome(result, premise, delta3_route=True)
         premise += ",below-threshold"
     return _search_outcome(oracle_solve(g, oracle_budget, partition=p), premise)

@@ -48,7 +48,6 @@ from .graph import Graph
 __all__ = [
     "SplitPartition",
     "NotSplit",
-    "NoCycleCertificate",
     "NotTwoConnected",
     "StarLevels",
     "recognize_split",
@@ -99,11 +98,13 @@ class NotSplit:
 
 @dataclass(frozen=True)
 class NotTwoConnected:
-    """Certificate that a graph is not 2-connected.
+    """Certificate that a graph is not 2-connected, and so has no
+    Hamiltonian cycle; ``solve`` returns it as its certificate.
 
     ``cut_vertex`` is an articulation vertex when one exists; for
     disconnected or sub-3-vertex graphs there is none and ``reason``
-    says why ("disconnected" / "too-small").
+    says why ("disconnected" / "too-small").  It is falsy, like every
+    negative answer of ``split_is_two_connected``.
     """
 
     cut_vertex: int | None = None
@@ -116,27 +117,6 @@ class NotTwoConnected:
         if self.cut_vertex is not None:
             return f"cut-vertex {self.cut_vertex}"
         return self.reason
-
-
-@dataclass(frozen=True)
-class NoCycleCertificate:
-    """Negative certificate for Hamiltonicity.
-
-    kind is one of "not_two_connected" (payload: NotTwoConnected),
-    "short_cycle" (payload: paths.ShortCycleWitness) or
-    "oracle_exhaustive" (exhaustive search completed with no cycle).
-    """
-
-    kind: str
-    payload: object = None
-
-    def render(self) -> str:
-        if self.kind == "not_two_connected":
-            return self.payload.render()
-        if self.kind == "short_cycle":
-            w = self.payload
-            return "short-cycle " + ",".join(map(str, w.cycle)) + f" excluded={w.excluded}"
-        return "exhaustive-search"
 
 
 def _partition_from(g: Graph, clique: Sequence[int] | np.ndarray) -> SplitPartition:
@@ -280,11 +260,15 @@ def _in_order(w: NotSplit) -> NotSplit:
     if w.kind == "2K2":
         first, second = sorted((tuple(sorted(vs[:2])), tuple(sorted(vs[2:]))))
         return NotSplit(w.kind, first + second)
-    j = vs.index(min(vs))
-    cycle = vs[j:] + vs[:j]
-    if cycle[-1] < cycle[1]:
-        cycle = cycle[:1] + cycle[:0:-1]
-    return NotSplit(w.kind, cycle)
+    return NotSplit(w.kind, _rotated(vs, vs.index(min(vs))))
+
+
+def _rotated(cycle: Sequence[int], i: int) -> tuple[int, ...]:
+    """``cycle`` read from entry ``i`` toward the smaller of that entry's
+    two neighbours: the normal form of every cyclic certificate, each
+    anchored at the entry its caller picks."""
+    rot = (*cycle[i:], *cycle[:i])
+    return rot[:1] + rot[:0:-1] if rot[1] > rot[-1] else rot
 
 
 def _close_p4(g: Graph, p: int, q: int, r: int, s: int) -> NotSplit:

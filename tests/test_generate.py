@@ -1,9 +1,11 @@
 import hashlib
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from splithc.cli import main
 from splithc.errors import GenerationExhausted, InvalidParameter
 from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges
@@ -116,6 +118,25 @@ def test_generation_exhausted_on_infeasible():
                            ("BipartiteDeg3", {"na": 8, "nb": 8, "m": 12})):
         with pytest.raises(InvalidParameter, match="takes no parameter"):
             generate(GenSpec(family, params, 1))
+
+
+def test_negative_parameters_are_refused(tmp_path):
+    # A negative size once gave an edgeless graph, or a bipartite side
+    # listing vertices that do not exist, and ``split-hc gen`` wrote it.
+    for family, params, message in (
+            ("SplitRandom", {"k": -3, "i": 5}, "SplitRandom parameter k=-3 is negative"),
+            ("BipartiteDeg3", {"na": -2, "nb": 3}, "BipartiteDeg3 parameter na=-2 is negative"),
+            ("SplitDelta2", {"k": 12, "i": 8, "p3": -0.5},
+             "SplitDelta2 parameter p3=-0.5 is negative")):
+        with pytest.raises(InvalidParameter, match=rf"^{re.escape(message)}$"):
+            generate(GenSpec(family, params, 1))
+        tokens = [f"{key}={val}" for key, val in params.items()]
+        out = tmp_path / "gen.graph"
+        assert main(["gen", family, *tokens, "--seed", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"x gen {family} {' '.join(tokens)} seed=1\n", encoding="utf-8")
+        assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
 
 
 def test_enumerate_counts_small():

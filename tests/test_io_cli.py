@@ -16,7 +16,7 @@ from splithc import graph as graph_module
 from splithc import io as io_module
 from splithc.cli import main
 from splithc.errors import IndexOutOfRange, InvalidCertificate, ParseError
-from splithc.generators import GenSpec
+from splithc.generators import GenSpec, generate
 from splithc.graph import Graph, HamCycle, graph_from_edges, graph_from_split
 from splithc.io import (
     _parse_canonical,
@@ -818,6 +818,38 @@ def test_manifest_errors():
         parse_manifest("x gen SplitRandom k=3 i=1\n")  # no seed
     with pytest.raises(ParseError):
         parse_manifest("x file a.graph\nx file b.graph\n")
+    # An id names its replay file, so it must be a plain file name.
+    for bad in ("../escaped", "/tmp/escaped", "sub/x", ".", ".."):
+        with pytest.raises(ParseError, match=rf"^instance id {re.escape(repr(bad))} is not "
+                                             r"a plain file name \(line 2\)$"):
+            parse_manifest(f"ok file a.graph\n{bad} file a.graph\n")
+
+
+def test_replay_dir_dumps_the_anomalous_instance(tmp_path: Path, monkeypatch, capsys):
+    # A node cap of 1 makes the delta-3 route fall through to the exact
+    # search, an anomaly that ``--replay-dir`` dumps as a replayable file.
+    from splithc import delta3
+
+    monkeypatch.setattr(delta3, "_NODE_CAP", 1)
+    spec = "gen SplitDelta3InPremise k=10 i=8 seed=3"
+    replay = tmp_path / "replay"
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text(f"d3 {spec}\n", encoding="utf-8")
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt"),
+                 "--replay-dir", str(replay)]) == 0
+    assert "anomaly: d3: CaseFallthrough:delta3-cap" in capsys.readouterr().err
+    dumped = replay / "d3.graph"
+    assert [p.name for p in replay.iterdir()] == ["d3.graph"]
+    text = dumped.read_text(encoding="utf-8")
+    assert text.startswith("# replay d3: CaseFallthrough:delta3-cap\n")
+    (entry,) = parse_manifest(manifest.read_text(encoding="utf-8"))
+    assert read_graph(dumped)[0] == generate(entry.spec).graph
+    # An id that would write outside the replay directory is refused.
+    manifest.write_text(f"../escaped {spec}\n", encoding="utf-8")
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r2.txt"),
+                 "--replay-dir", str(replay / "inner")]) == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "d3.graph", "m.manifest", "r.txt", "replay"]
 
 
 def test_batch_revalidation_raises_invalid_certificate(tmp_path: Path, monkeypatch):

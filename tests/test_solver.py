@@ -8,10 +8,11 @@ from splithc.generators import GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges, validate_ham_cycle
 from splithc.io import certificate_string
 from splithc.oracle import OracleBudget, oracle_solve
-from splithc.paths import hc_delta2
+from splithc.paths import ShortCycleWitness, hc_delta2
 from splithc.reduction import BipartiteInstance, map_solution_back, reduce_to_split
 from splithc.solver import solve
-from splithc.split import NotSplit, recognize_split, split_is_two_connected, star_free_level
+from splithc.split import (NotSplit, NotTwoConnected, recognize_split, split_is_two_connected,
+                           star_free_level)
 
 from conftest import mk_split
 from reference_graph import complete_graph, cycle_graph, enumerate_small_split, path_graph
@@ -26,14 +27,14 @@ def test_solve_k4():
 def test_solve_p3_not_two_connected():
     out = solve(path_graph(3))
     assert out.verdict == "no-cycle"
-    assert out.certificate.kind == "not_two_connected"
-    assert out.certificate.payload.cut_vertex == 1
+    assert isinstance(out.certificate, NotTwoConnected)
+    assert out.certificate.cut_vertex == 1
 
 
 def test_solve_short_cycle_instance_agrees_with_oracle():
     g = mk_split(3, [(0, 1), (0, 1)])
     out = solve(g)
-    assert out.verdict == "no-cycle" and out.certificate.kind == "short_cycle"
+    assert out.verdict == "no-cycle" and isinstance(out.certificate, ShortCycleWitness)
     assert oracle_solve(g).kind == "no_cycle"
 
 
@@ -227,8 +228,8 @@ def _certificate_ids(g) -> list[tuple[str, tuple]]:
     res = solve(g)
     if res.cycle is not None:
         out.append(("HamCycle.order", res.cycle.order))
-    elif res.certificate.kind == "short_cycle":
-        w = res.certificate.payload
+    elif isinstance(res.certificate, ShortCycleWitness):
+        w = res.certificate
         out += [("ShortCycleWitness.cycle", w.cycle), ("ShortCycleWitness.excluded", (w.excluded,))]
     return out
 
@@ -294,6 +295,7 @@ _CERTIFICATE_SHA256 = "9d7130e026e744b91d4b223462e56cf9b2d6bae62e10670ee7adc1348
 
 def _solved_record(g) -> tuple:
     out = solve(g)
+    assert (out.certificate is None) == (out.cycle is not None)
     return out.method, out.premise, out.anomaly, certificate_string(out)
 
 
