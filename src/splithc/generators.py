@@ -72,9 +72,9 @@ def generate(spec: GenSpec) -> GeneratedInstance:
     if unknown:
         raise InvalidParameter(f"{spec.family} takes no parameter {', '.join(unknown)} "
                                f"(it takes {', '.join(takes)})")
-    for key in sorted(spec.params):
-        if spec.params[key] < 0:
-            raise InvalidParameter(f"{spec.family} parameter {key}={spec.params[key]} is negative")
+    for key, val in sorted(spec.params.items()):
+        if val < 0:
+            raise InvalidParameter(f"{spec.family} parameter {key}={val} is negative")
     rng = random.Random(spec.seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         result = builder(spec, rng)

@@ -274,9 +274,9 @@ def test_certificate_ids_are_python_ints():
 # generator rows (with the pair search's own answer), both images of
 # bipartite sources with their mapped-back cycles, small random graphs
 # with their non-split witnesses, two graphs too small for a cycle and
-# three ladders.  Oracle node counts
-# are left out, since a faster search may change them.  A change that
-# alters a certificate on purpose updates the digest and says why.
+# three ladders.  Oracle node counts are left out, since a faster search
+# may change them.  A change that alters a certificate on purpose updates
+# the digest and says why.
 _CERTIFICATE_ROWS = [  # family, params, seeds
     ("SplitRandom", {"k": 7, "i": 5}, range(1, 5)),
     ("SplitK14Free", {"k": 9, "i": 6}, range(1, 5)),
