@@ -5,6 +5,11 @@ Mersenne Twister, whose integer methods are stable across platforms and
 versions for a fixed seed); no ambient randomness.  The same (spec, seed)
 always yields the identical edge list.
 
+A family's parameters are its builder's keyword arguments, declared once
+with their defaults.  ``generate`` checks each value before the first
+draw: a parameter whose default is a float is a probability in [0, 1],
+and every other one is a non-negative integer.
+
 Generators never self-certify: each family's contract is re-verified on
 the emitted instance with the independent analyzers (split recognition,
 star levels, 2-connectivity), and construction retries until the contract
@@ -15,6 +20,8 @@ set: each round adds or discards one pair and rebuilds the graph from it.
 
 from __future__ import annotations
 
+import inspect
+import numbers
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -33,25 +40,16 @@ _MAX_ATTEMPTS = 2000
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Family name, size/density parameters, and the seed."""
+    """Family name, parameters (its builder's keyword arguments), and seed."""
 
     family: str
     params: Mapping[str, float]
     seed: int
 
-    def param(self, key: str, default: float | None = None) -> float:
-        if key in self.params:
-            return self.params[key]
-        if default is None:
-            raise InvalidParameter(f"{self.family} requires parameter {key}")
-        return default
-
 
 @dataclass(frozen=True)
 class GeneratedInstance:
     graph: Graph
-    family: str
-    seed: int
     attempts: int = 1
     # Bipartite families record their sides; split families leave these
     # empty (analysis recomputes the canonical partition).
@@ -61,26 +59,38 @@ class GeneratedInstance:
 
 def generate(spec: GenSpec) -> GeneratedInstance:
     """Produce an instance satisfying the family contract, or raise
-    ``GenerationExhausted``; an unknown family or parameter, or a negative
-    parameter value, raises ``InvalidParameter``."""
+    ``GenerationExhausted``.  An unknown family or key, a missing
+    parameter, or a value outside its parameter's rule (the module
+    docstring) raises ``InvalidParameter`` before the first draw."""
     try:
-        builder, takes = _FAMILIES[spec.family]
+        builder = _FAMILIES[spec.family]
     except KeyError:
         raise InvalidParameter(f"unknown family {spec.family} "
                                f"(known: {', '.join(FAMILIES)})") from None
-    unknown = sorted(set(spec.params) - set(takes))
+    signature = inspect.signature(builder).parameters
+    names = list(signature)[1:]  # after ``rng``
+    unknown = sorted(set(spec.params) - set(names))
     if unknown:
         raise InvalidParameter(f"{spec.family} takes no parameter {', '.join(unknown)} "
-                               f"(it takes {', '.join(takes)})")
+                               f"(it takes {', '.join(names)})")
+    for key in names:
+        if key not in spec.params and signature[key].default is inspect.Parameter.empty:
+            raise InvalidParameter(f"{spec.family} requires parameter {key}")
     for key, val in sorted(spec.params.items()):
+        probability = isinstance(signature[key].default, float)
+        if not isinstance(val, numbers.Real if probability else numbers.Integral):
+            kind = "a number" if probability else "an integer"
+            raise InvalidParameter(f"{spec.family} parameter {key}={val} is not {kind}")
         if val < 0:
             raise InvalidParameter(f"{spec.family} parameter {key}={val} is negative")
+        if probability and not val <= 1:  # NaN fails too
+            raise InvalidParameter(f"{spec.family} parameter {key}={val} is not a probability")
     rng = random.Random(spec.seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
-        result = builder(spec, rng)
+        result = builder(rng, **spec.params)
         if result is not None:
             g, pa, pb = result
-            return GeneratedInstance(g, spec.family, spec.seed, attempt, pa, pb)
+            return GeneratedInstance(g, attempt, pa, pb)
     raise GenerationExhausted(_MAX_ATTEMPTS, spec.family)
 
 
@@ -88,10 +98,7 @@ def _split_edges(k: int) -> list[tuple[int, int]]:
     return list(combinations(range(k), 2))
 
 
-def _build_split_random(spec: GenSpec, rng: random.Random):
-    k = int(spec.param("k"))
-    i = int(spec.param("i"))
-    p = spec.param("p", 0.5)
+def _build_split_random(rng: random.Random, k: int, i: int, p: float = 0.5):
     edges = _split_edges(k)
     for u in range(k, k + i):
         for w in range(k):
@@ -155,10 +162,7 @@ def _verified_split(g: Graph, *, want_delta: int | None = None,
     return g, (), ()
 
 
-def _build_split_delta2(spec: GenSpec, rng: random.Random):
-    k = int(spec.param("k"))
-    i = int(spec.param("i"))
-    p3 = spec.param("p3", 0.3)
+def _build_split_delta2(rng: random.Random, k: int, i: int, p3: float = 0.3):
     if i > k or k < 3:
         return None
     caps = [2] * k
@@ -172,10 +176,7 @@ def _build_split_delta2(spec: GenSpec, rng: random.Random):
     return _verified_split(g, want_delta=2, want_k14_free=True, want_two_connected=True)
 
 
-def _build_split_k14_free(spec: GenSpec, rng: random.Random):
-    k = int(spec.param("k"))
-    i = int(spec.param("i"))
-    p3 = spec.param("p3", 0.4)
+def _build_split_k14_free(rng: random.Random, k: int, i: int, p3: float = 0.4):
     caps = [3 if rng.random() < p3 else 2 for _ in range(k)]
     degs = [2 + (rng.random() < 0.5) for _ in range(i)]
     edges = _capacity_attach(rng, k, i, caps, degs)
@@ -225,7 +226,7 @@ def _repair_k14(n: int, edges: list[tuple[int, int]]) -> Graph:
     return g
 
 
-def _build_split_delta3(spec: GenSpec, rng: random.Random):
+def _build_split_delta3(rng: random.Random, k: int, i: int, plant_short: int = 0):
     """Constructive sampler for the delta_i = 3 premise family.
 
     One clique vertex is pinned at three independent neighbors whose
@@ -236,11 +237,9 @@ def _build_split_delta3(spec: GenSpec, rng: random.Random):
     attachment demand always fits; the star-repair pass then fixes
     residual induced K_{1,4}s before the final contract check.
     """
-    k = int(spec.param("k"))
-    i = int(spec.param("i"))
     if not (k >= i >= 8):
         return None
-    if spec.param("plant_short", 0) and rng.random() < 0.5 and k >= 2 * i - 7:
+    if plant_short and rng.random() < 0.5 and k >= 2 * i - 7:
         g = _planted_short_cycle_delta3(rng, k, i)
     else:
         g = _regular_delta3(rng, k, i)
@@ -320,7 +319,7 @@ def _planted_short_cycle_delta3(rng: random.Random, k: int, i: int) -> Graph | N
     return graph_from_edges(k + i, edges + tail)
 
 
-def _build_claw_free(spec: GenSpec, rng: random.Random):
+def _build_claw_free(rng: random.Random, k: int, i: int):
     """K_{1,3}-free split instances.
 
     For four or more independent vertices the only claw-free shape has
@@ -329,8 +328,6 @@ def _build_claw_free(spec: GenSpec, rng: random.Random):
     sees s or t (else it completes a claw), and a third independent
     vertex must be adjacent to exactly the union of the private sides.
     """
-    k = int(spec.param("k"))
-    i = int(spec.param("i"))
     if k < 3:
         return None
     if i >= 4:
@@ -374,11 +371,8 @@ def _build_claw_free(spec: GenSpec, rng: random.Random):
     return _verified_split(g, want_claw_free=True)
 
 
-def _build_bipartite_deg3(spec: GenSpec, rng: random.Random):
-    na = int(spec.param("na"))
-    nb = int(spec.param("nb"))
+def _build_bipartite_deg3(rng: random.Random, na: int, nb: int, plant: int = 0):
     m = min(3 * min(na, nb), int(1.4 * (na + nb)))
-    plant = int(spec.param("plant", 0))
     part_a = tuple(range(na))
     part_b = tuple(range(na, na + nb))
     deg = [0] * (na + nb)
@@ -408,14 +402,11 @@ def _build_bipartite_deg3(spec: GenSpec, rng: random.Random):
     return g, part_a, part_b
 
 
-def _build_planted_hc(spec: GenSpec, rng: random.Random):
-    n = int(spec.param("n"))
+def _build_planted_hc(rng: random.Random, n: int, i: int | None = None, extra: float = 0.15):
     if n < 3:
         return None
-    i = int(spec.param("i", n // 3))
-    i = min(i, n // 2)
+    i = min(n // 3 if i is None else i, n // 2)
     k = n - i
-    extra = spec.param("extra", 0.15)
     edges = _split_edges(k)
     # Cycle: independent vertex j rides between clique j and j+1.
     for j in range(i):
@@ -431,16 +422,15 @@ def _build_planted_hc(spec: GenSpec, rng: random.Random):
     return g, (), ()
 
 
-# Each family's builder and the parameters it reads; ``generate`` rejects
-# any other key.
+# Each family's builder: ``rng``, then the family's parameters.
 _FAMILIES = {
-    "SplitRandom": (_build_split_random, ("k", "i", "p")),
-    "SplitK14Free": (_build_split_k14_free, ("k", "i", "p3")),
-    "SplitDelta2": (_build_split_delta2, ("k", "i", "p3")),
-    "SplitDelta3InPremise": (_build_split_delta3, ("k", "i", "plant_short")),
-    "ClawFreeSplit": (_build_claw_free, ("k", "i")),
-    "BipartiteDeg3": (_build_bipartite_deg3, ("na", "nb", "plant")),
-    "PlantedHC": (_build_planted_hc, ("n", "i", "extra")),
+    "SplitRandom": _build_split_random,
+    "SplitK14Free": _build_split_k14_free,
+    "SplitDelta2": _build_split_delta2,
+    "SplitDelta3InPremise": _build_split_delta3,
+    "ClawFreeSplit": _build_claw_free,
+    "BipartiteDeg3": _build_bipartite_deg3,
+    "PlantedHC": _build_planted_hc,
 }
 FAMILIES = tuple(_FAMILIES)
 

@@ -359,7 +359,9 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
         if len(parts) < 3:
             raise ParseError(f"manifest line too short: {line!r}", line_no)
         instance_id, kind = parts[0], parts[1]
-        # ``run_batch`` names replay files after the id.
+        # ``run_batch`` opens ``file`` paths and names replay files after ids.
+        if "\0" in line:
+            raise ParseError("NUL byte in manifest line", line_no)
         if instance_id in (".", "..") or Path(instance_id).name != instance_id:
             raise ParseError(f"instance id {instance_id!r} is not a plain file name", line_no)
         if kind == "file":
@@ -399,12 +401,12 @@ def run_batch(manifest_path: str | Path, oracle_budget: OracleBudget | None = No
 
     Records are ordered by instance id.  A discrepancy is counted only for
     decided disagreements: an oracle cross-check that exhausts its budget
-    is ignored, and nothing in the record marks it.
+    is ignored, and nothing in the record marks it.  ``oracle_budget``
+    (None: ``OracleBudget()``) bounds the solve and the cross-check alike.
     """
     manifest_path = Path(manifest_path)
     entries = sorted(parse_manifest(read_text(manifest_path)),
                      key=lambda e: e.instance_id)
-    budget = oracle_budget or OracleBudget(nodes=2_000_000, seconds=30.0)
     lines: list[str] = []
     anomalies: list[str] = []
     discrepancies = 0
@@ -412,7 +414,7 @@ def run_batch(manifest_path: str | Path, oracle_budget: OracleBudget | None = No
         g = load_manifest_instance(entry, manifest_path.parent)
         t0 = time.perf_counter()
         try:
-            outcome = solve(g, oracle_budget=budget)
+            outcome = solve(g, oracle_budget=oracle_budget)
         except NotSplitGraph as exc:
             lines.append(_record(entry.instance_id, "not-split", "error",
                                  "-", 0, f"witness {exc.kind}"))
@@ -424,7 +426,7 @@ def run_batch(manifest_path: str | Path, oracle_budget: OracleBudget | None = No
             reloaded = parse_cycle(render_cycle(outcome.cycle))
             if not validate_ham_cycle(g, reloaded):
                 raise InvalidCertificate(f"certificate failed revalidation: {entry.instance_id}")
-        oracle_res = oracle_solve(g, budget)
+        oracle_res = oracle_solve(g, oracle_budget)
         agree = True
         if oracle_res.decided:
             agree = oracle_res.has_cycle == outcome.has_cycle

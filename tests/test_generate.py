@@ -7,7 +7,7 @@ import pytest
 
 from splithc.cli import main
 from splithc.errors import GenerationExhausted, InvalidParameter
-from splithc.generators import GenSpec, big_delta2_instance, generate
+from splithc.generators import FAMILIES, GenSpec, big_delta2_instance, generate
 from splithc.graph import graph_from_edges
 from splithc.oracle import oracle_solve
 from splithc.split import NotSplit, recognize_split, split_is_two_connected, star_free_level
@@ -137,6 +137,49 @@ def test_negative_parameters_are_refused(tmp_path):
         manifest = tmp_path / "m.manifest"
         manifest.write_text(f"x gen {family} {' '.join(tokens)} seed=1\n", encoding="utf-8")
         assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
+
+
+# Each family's required parameters at a size that samples at once, its
+# optional integer parameters, and its probabilities.
+_PARAMETERS = {
+    "SplitRandom": ({"k": 4, "i": 2}, (), ("p",)),
+    "SplitK14Free": ({"k": 9, "i": 6}, (), ("p3",)),
+    "SplitDelta2": ({"k": 12, "i": 8}, (), ("p3",)),
+    "SplitDelta3InPremise": ({"k": 10, "i": 8}, ("plant_short",), ()),
+    "ClawFreeSplit": ({"k": 8, "i": 2}, (), ()),
+    "BipartiteDeg3": ({"na": 4, "nb": 4}, ("plant",), ()),
+    "PlantedHC": ({"n": 12}, ("i",), ("extra",)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parameters_follow_one_rule(family, tmp_path, capsys):
+    # A size once went through ``int()`` and a probability was never
+    # bounded: ``split-hc gen SplitRandom k=1.5 i=2`` wrote a 3-vertex
+    # graph, and ``SplitDelta2 k=12 i=8 p3=3.0`` a graph as well.
+    base, more_ints, probabilities = _PARAMETERS[family]
+    bad = [(key, 1.5, "is not an integer") for key in (*base, *more_ints)]
+    bad += [(key, val, "is not a probability") for key in probabilities for val in (1.5, 3.0)]
+    for key, val, reason in bad:
+        params = {**base, key: val}
+        message = f"{family} parameter {key}={val} {reason}"
+        with pytest.raises(InvalidParameter, match=rf"^{re.escape(message)}$"):
+            generate(GenSpec(family, params, 1))
+        tokens = [f"{k}={v}" for k, v in params.items()]
+        out = tmp_path / "gen.graph"
+        assert main(["gen", family, *tokens, "--seed", "1", "--out", str(out)]) == 2
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"x gen {family} {' '.join(tokens)} seed=1\n", encoding="utf-8")
+        report = tmp_path / "r.txt"
+        assert main(["batch", str(manifest), "--out", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n" * 2
+        assert not out.exists() and not report.exists()
+    for key in (*base, *more_ints, *probabilities):
+        with pytest.raises(InvalidParameter, match=r" is not (an integer|a probability)$"):
+            generate(GenSpec(family, {**base, key: float("nan")}, 1))
+    for key in probabilities:
+        for val in (0, 1):
+            assert generate(GenSpec(family, {**base, key: val}, 1)).graph.n > 0
 
 
 def test_enumerate_counts_small():

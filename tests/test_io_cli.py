@@ -825,6 +825,18 @@ def test_manifest_errors():
             parse_manifest(f"ok file a.graph\n{bad} file a.graph\n")
 
 
+def test_nul_byte_in_manifest_is_a_parse_error(tmp_path: Path, capsys):
+    # A NUL in a ``file`` path, or in an id that names a replay file, once
+    # reached ``open`` and ended in a ValueError traceback.
+    manifest = tmp_path / "m.manifest"
+    report = tmp_path / "r.txt"
+    for line in ("a file x\0y.graph", "a\0b gen SplitDelta2 k=12 i=8 seed=1"):
+        manifest.write_text(line + "\n", encoding="utf-8")
+        assert main(["batch", str(manifest), "--out", str(report)]) == 2
+        assert capsys.readouterr().err == "error: NUL byte in manifest line (line 1)\n"
+        assert not report.exists()
+
+
 def test_replay_dir_dumps_the_anomalous_instance(tmp_path: Path, monkeypatch, capsys):
     # A node cap of 1 makes the delta-3 route fall through to the exact
     # search, an anomaly that ``--replay-dir`` dumps as a replayable file.

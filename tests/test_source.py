@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,21 @@ def test_no_private_function_without_caller():
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in named]
     assert not found, found
+
+
+def test_generator_builders_take_rng_then_numeric_parameters():
+    # ``generate`` reads a family's parameters off its builder's signature:
+    # a float default marks a probability, and every other parameter must
+    # be an integer.  A default of any other type would slip past that rule.
+    from splithc.generators import _FAMILIES
+
+    for family, builder in _FAMILIES.items():
+        rng, *params = inspect.signature(builder).parameters.values()
+        assert rng.name == "rng", family
+        for p in params:
+            assert p.kind is p.POSITIONAL_OR_KEYWORD, (family, p.name)
+            assert p.default is p.empty or p.default is None or type(p.default) in (int, float), (
+                family, p.name, p.default)
 
 
 def test_graph_module_imports_no_solver():
