@@ -99,9 +99,10 @@ class GenerationExhausted(SplitHCError):
 
 class InvalidParameter(SplitHCError):
     """A generator was given an unknown family or parameter, a value that
-    is negative, not an integer, or a probability above 1 (or NaN), or no
-    value for a parameter it requires; or an oracle budget limit given on
-    the command line is not positive."""
+    is negative, not an integer, or a probability above 1 (or NaN), no
+    value for a parameter it requires, or a seed that is not a
+    non-negative integer; or an oracle budget limit given on the command
+    line is not positive."""
 
 
 class OracleBudgetExceeded(SplitHCError):

@@ -14,8 +14,13 @@ Generators never self-certify: each family's contract is re-verified on
 the emitted instance with the independent analyzers (split recognition,
 star levels, 2-connectivity), and construction retries until the contract
 holds or the attempt budget is exhausted.  The K_{1,4} repair of the
-SplitK14Free and delta_i = 3 samplers keeps the instance's pairs in one
-set: each round adds or discards one pair and rebuilds the graph from it.
+SplitK14Free and delta_i = 3 samplers keeps one adjacency set and one
+degree per vertex: each round finds a witness as the split analyzers
+would, adds or discards one clique-independent pair, and the graph is
+built once from the final sets.  Such an edit keeps the graph split, and
+the repair draws nothing, so it stops at the first round that undoes the
+one before, where the graph would alternate between two K_{1,4}-holding
+graphs up to its cap.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ _MAX_ATTEMPTS = 2000
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Family name, parameters (its builder's keyword arguments), and seed."""
+    """Family name, parameters (its builder's keyword arguments), and seed
+    (a non-negative integer)."""
 
     family: str
     params: Mapping[str, float]
@@ -60,8 +66,9 @@ class GeneratedInstance:
 def generate(spec: GenSpec) -> GeneratedInstance:
     """Produce an instance satisfying the family contract, or raise
     ``GenerationExhausted``.  An unknown family or key, a missing
-    parameter, or a value outside its parameter's rule (the module
-    docstring) raises ``InvalidParameter`` before the first draw."""
+    parameter, a value outside its parameter's rule (the module
+    docstring) or a seed that is not a non-negative integer raises
+    ``InvalidParameter`` before the first draw."""
     try:
         builder = _FAMILIES[spec.family]
     except KeyError:
@@ -85,6 +92,10 @@ def generate(spec: GenSpec) -> GeneratedInstance:
             raise InvalidParameter(f"{spec.family} parameter {key}={val} is negative")
         if probability and not val <= 1:  # NaN fails too
             raise InvalidParameter(f"{spec.family} parameter {key}={val} is not a probability")
+    # ``random.Random`` seeds with an int's absolute value: -7 would draw
+    # the instance of 7.
+    if not isinstance(spec.seed, numbers.Integral) or spec.seed < 0:
+        raise InvalidParameter(f"{spec.family} seed={spec.seed} is not a non-negative integer")
     rng = random.Random(spec.seed)
     for attempt in range(1, _MAX_ATTEMPTS + 1):
         result = builder(rng, **spec.params)
@@ -187,43 +198,90 @@ def _build_split_k14_free(rng: random.Random, k: int, i: int, p3: float = 0.4):
 
 
 def _repair_k14(n: int, edges: list[tuple[int, int]]) -> Graph:
-    """Greedy repair: connect the spare clique arm of each induced K_{1,4}
-    witness to one of its independent arms (at most 4n rounds).
+    """Greedy repair of the induced K_{1,4}s of the split graph on
+    ``edges``, for at most 4n rounds; the graph is built once, at the end.
 
-    Declines repairs that would create a new degree-3-plus clique center
-    or push an independent vertex toward adjacency with the whole clique;
-    irreparable graphs are returned as-is and rejected by the contract
-    check downstream.  The set ``pairs`` holds each edge as (u, v) with
-    u < v.
+    The state is one adjacency set and one degree per vertex.  Each round
+    takes the witness that ``star_free_level(g, recognize_split(g))``
+    would give (``_k14_witness``) and edits one pair: a witness with a
+    clique arm gets that arm joined to its smallest independent arm, and
+    one with four independent arms loses its centre's edge to the arm of
+    highest degree (smallest id on ties) among those of degree at least 3.
+    The repair stops when the graph is K_{1,4}-free, when no arm can be
+    dropped, or at the first undone move; a graph that still holds a
+    K_{1,4} is rejected by the contract check downstream.
+
+    Two facts keep this exact.  Every edited pair has one end in the
+    current clique and one in the independent set, so the graph stays
+    split and recognition never fails.  And a round depends on the graph
+    alone (the repair draws nothing), so once a round changes the pair
+    that the round before changed, the graph is back where it was and
+    would alternate between two graphs up to the cap; each of them held
+    a K_{1,4} when a round started on it, so stopping there gives the
+    same verdict.
     """
-    pairs = {(u, v) if u < v else (v, u) for u, v in edges}
-    g = graph_from_edges(n, pairs)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    deg = [len(row) for row in adj]
+    last = None
     for _ in range(4 * n):
-        p = recognize_split(g)
-        if isinstance(p, NotSplit):
-            return g
-        stars = star_free_level(g, p)
-        if stars.k14_free:
-            return g
-        center, arms = stars.witness4
-        k_arms = [a for a in arms if p.in_clique[a]]
-        i_arms = [a for a in arms if not p.in_clique[a]]
-        if not i_arms:
-            return g
-        if k_arms:
-            a, b = min(k_arms), min(i_arms)
-            pairs.add((min(a, b), max(a, b)))
-            g = graph_from_edges(n, pairs)
+        star = _k14_witness(adj, deg)
+        if star is None:
+            break
+        center, arms, extra = star
+        if extra is not None:
+            pair = (min(extra, arms[0]), max(extra, arms[0]))
+        else:
+            # Four independent arms (the additive walk overshot a centre
+            # to d_i = 4): drop one attachment, keeping independent
+            # degrees >= 2.
+            drop = min((a for a in arms if deg[a] >= 3),
+                       key=lambda a: (-deg[a], a), default=None)
+            if drop is None:
+                break
+            pair = (min(center, drop), max(center, drop))
+        if pair == last:  # this round would undo the one before
+            break
+        u, v = last = pair
+        adj[u] ^= {v}  # adds an absent pair, drops a present one
+        adj[v] ^= {u}
+        deg[u], deg[v] = len(adj[u]), len(adj[v])
+    return graph_from_edges(n, [(u, v) for u, row in enumerate(adj) for v in row if u < v])
+
+
+def _k14_witness(adj: list[set[int]], deg: list[int]) -> tuple[int, list[int], int | None] | None:
+    """An induced K_{1,4} of the split graph with rows ``adj`` and degrees
+    ``deg``, as ``split._find_split_star`` finds it, or None.
+
+    The clique K is the Hammer-Simeone prefix of the (degree desc, id asc)
+    order, as ``recognize_split`` reads it.  Centres are visited in id
+    order, and a centre v of K with t = deg(v) - (|K| - 1) independent
+    neighbours is a witness when t >= 4, with its four smallest ones, or
+    when t = 3 and their rows miss a vertex of K.  Returns (v, arms,
+    extra): the independent arms ascending, and the smallest uncovered
+    clique vertex, or None for four independent arms.
+    """
+    n = len(adj)
+    order = sorted(range(n), key=deg.__getitem__, reverse=True)  # stable
+    k = 0
+    while k < n and deg[order[k]] >= k:
+        k += 1
+    in_k = bytearray(n)
+    for v in order[:k]:
+        in_k[v] = 1
+    for v in range(n):
+        if not in_k[v] or deg[v] - (k - 1) < 3:
             continue
-        # Four independent arms (the additive walk overshot a center to
-        # d_i = 4): drop one attachment, keeping independent degrees >= 2.
-        drop = min((a for a in i_arms if g.degree(a) >= 3),
-                   key=lambda a: (-g.degree(a), a), default=None)
-        if drop is None:
-            return g
-        pairs.discard((min(center, drop), max(center, drop)))
-        g = graph_from_edges(n, pairs)
-    return g
+        arms = sorted(u for u in adj[v] if not in_k[u])
+        if len(arms) >= 4:
+            return v, arms[:4], None
+        a, b, c = arms
+        covered = adj[a] | adj[b] | adj[c]
+        if len(covered) < k:
+            return v, arms, min(x for x in order[:k] if x not in covered)
+    return None
 
 
 def _build_split_delta3(rng: random.Random, k: int, i: int, plant_short: int = 0):

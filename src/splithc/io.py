@@ -372,7 +372,7 @@ def parse_manifest(text: str) -> list[ManifestEntry]:
         params = parse_params(parts[3:], line_no)
         if "seed" not in params:
             raise ParseError("gen entry missing seed", line_no)
-        seed = int(params.pop("seed"))
+        seed = params.pop("seed")  # ``generate`` checks it with the parameters
         entries.append(ManifestEntry(instance_id, "gen", spec=GenSpec(parts[2], params, seed)))
     ids = [e.instance_id for e in entries]
     if len(set(ids)) != len(ids):

@@ -362,12 +362,20 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             continue
         del cls[u]
         before = len(paths)
+        # Rows ascend, so the first hit of a plain loop is the smallest; a
+        # comprehension or a generator is a function call on Python 3.11.
+        row = nbrs[u]
         if c == 2:
-            eps = [w for w in nbrs[u] if endpoint_of[w] >= 0]
-            e1 = min(eps)
-            pid1 = endpoint_of[e1]
-            e2 = min(e for e in eps if endpoint_of[e] != pid1)
-            pid2 = endpoint_of[e2]
+            # The smallest end that u sees, and the smallest end of another
+            # path.
+            for e1 in row:
+                pid1 = endpoint_of[e1]
+                if pid1 >= 0:
+                    break
+            for e2 in row:
+                pid2 = endpoint_of[e2]
+                if pid2 >= 0 and pid2 != pid1:
+                    break
             p1, p2 = grow(pid1, e1), paths.pop(pid2)
             endpoint_of[e1] = endpoint_of[e2] = -1
             p1.append(u)
@@ -376,12 +384,15 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             changed = (e1, e2, p1[-1])
             rule = "V2"
         elif c == 1:
-            e = min(w for w in nbrs[u] if endpoint_of[w] >= 0)
-            pid = endpoint_of[e]
-            off = [w for w in nbrs[u] if off_path[w]]
-            if not off:
+            for e in row:
+                pid = endpoint_of[e]
+                if pid >= 0:
+                    break
+            for w in row:
+                if off_path[w]:
+                    break
+            else:
                 raise PremiseViolated(f"no off-path clique neighbor for vertex {u}")
-            w = off[0]
             pp = grow(pid, e)
             endpoint_of[e] = -1
             pp.extend([u, w])
@@ -397,8 +408,7 @@ def assemble_paths(g: Graph, p: SplitPartition, *,
             # changes and the next one in id order goes in; otherwise the
             # pair's watchers are reclassified below, as after V1 and V2.
             while True:
-                # u's pair, its first two off-path neighbours; a plain loop,
-                # since a comprehension is a function call on Python 3.11.
+                # u's pair, its first two off-path neighbours.
                 w1 = w2 = -1
                 for w in nbrs[u]:
                     if off_path[w]:

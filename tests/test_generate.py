@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from splithc import generators
 from splithc.cli import main
 from splithc.errors import GenerationExhausted, InvalidParameter
 from splithc.generators import FAMILIES, GenSpec, big_delta2_instance, generate
@@ -13,6 +14,7 @@ from splithc.oracle import oracle_solve
 from splithc.split import NotSplit, recognize_split, split_is_two_connected, star_free_level
 
 from conftest import brute_is_split, canonical_small
+from reference_generators import loop_repair_k14
 from reference_graph import enumerate_small_split, loop_big_delta2_instance
 
 
@@ -71,6 +73,69 @@ def test_generator_outputs_are_pinned():
                 record = (family, sorted(params.items()), seed, str(exc))
             digest.update(repr(record).encode() + b"\n")
     assert digest.hexdigest() == _PINNED_SHA256
+
+
+# Start graphs for the K_{1,4} repair from both of its callers: the
+# small-mix shapes of the benchmark and a few others.
+_REPAIR_ROWS = [  # family, params, seeds
+    ("SplitK14Free", {"k": 9, "i": 6}, range(1, 13)),
+    ("SplitK14Free", {"k": 6, "i": 6}, range(1, 6)),
+    ("SplitK14Free", {"k": 14, "i": 12}, range(1, 6)),
+    ("SplitDelta3InPremise", {"k": 10, "i": 8}, range(1, 7)),
+    ("SplitDelta3InPremise", {"k": 11, "i": 9}, range(1, 3)),
+    ("SplitDelta3InPremise", {"k": 12, "i": 10}, range(0, 1)),
+    ("SplitDelta3InPremise", {"k": 16, "i": 9}, range(1, 4)),
+]
+
+
+def test_repair_matches_loop_reference(monkeypatch):
+    # The repair on adjacency sets gives the edges of the loop that rebuilt
+    # and re-analysed the graph every round.  Where that loop ran to its
+    # cap, the repair may stop earlier on another graph; both must still
+    # hold an induced K_{1,4}, so the sampler rejects the draw either way.
+    repair = generators._repair_k14
+    starts: list[tuple[str, int, list[tuple[int, int]]]] = []
+    for family, params, seeds in _REPAIR_ROWS:
+        def recorded(n, edges, _family=family):
+            starts.append((_family, n, list(edges)))
+            return repair(n, edges)
+
+        monkeypatch.setattr(generators, "_repair_k14", recorded)
+        for seed in seeds:
+            generate(GenSpec(family, params, seed))
+    assert {family for family, _, _ in starts} == {"SplitK14Free", "SplitDelta3InPremise"}
+    capped = 0
+    for family, n, edges in starts:
+        got = repair(n, edges)
+        want, ran_to_cap = loop_repair_k14(n, edges)
+        if ran_to_cap:
+            capped += 1
+            for g in (got, want):
+                assert not star_free_level(g, recognize_split(g)).k14_free, (family, n, edges)
+        else:
+            assert sorted(got.edges()) == sorted(want.edges()), (family, n, edges)
+    assert 0 < capped < len(starts)
+
+
+def test_repair_builds_the_graph_once(monkeypatch):
+    # The repair once rebuilt the whole graph in every round to move one
+    # pair; it now keeps adjacency sets and builds the graph at the end.
+    # Without ``plant_short``, the repair is this family's only builder.
+    counts = {"repairs": 0, "builds": 0}
+
+    def repair(n, edges, _repair=generators._repair_k14):
+        counts["repairs"] += 1
+        return _repair(n, edges)
+
+    def build(n, edges, _build=generators.graph_from_edges):
+        counts["builds"] += 1
+        return _build(n, edges)
+
+    monkeypatch.setattr(generators, "_repair_k14", repair)
+    monkeypatch.setattr(generators, "graph_from_edges", build)
+    generate(GenSpec("SplitDelta3InPremise", {"k": 10, "i": 8}, 1))
+    assert counts["repairs"] > 1
+    assert counts["builds"] == counts["repairs"]
 
 
 def test_family_contracts():
@@ -137,6 +202,25 @@ def test_negative_parameters_are_refused(tmp_path):
         manifest = tmp_path / "m.manifest"
         manifest.write_text(f"x gen {family} {' '.join(tokens)} seed=1\n", encoding="utf-8")
         assert main(["batch", str(manifest), "--out", str(tmp_path / "r.txt")]) == 2
+
+
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys):
+    # A manifest seed went through ``int()``, so seed=1.5 drew seed 1, and
+    # a negative seed drew the instance of its absolute value.
+    out = tmp_path / "gen.graph"
+    report = tmp_path / "r.txt"
+    for seed in (-7, 1.5):
+        message = f"SplitDelta2 seed={seed} is not a non-negative integer"
+        with pytest.raises(InvalidParameter, match=rf"^{re.escape(message)}$"):
+            generate(GenSpec("SplitDelta2", {"k": 12, "i": 8}, seed))
+        manifest = tmp_path / "m.manifest"
+        manifest.write_text(f"x gen SplitDelta2 k=12 i=8 seed={seed}\n", encoding="utf-8")
+        assert main(["batch", str(manifest), "--out", str(report)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["gen", "SplitDelta2", "k=12", "i=8", "--seed", "-7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: SplitDelta2 seed=-7 is not a non-negative integer\n"
+    assert not out.exists() and not report.exists()
+    assert generate(GenSpec("SplitDelta2", {"k": 12, "i": 8}, 0)).graph.n == 20
 
 
 # Each family's required parameters at a size that samples at once, its
